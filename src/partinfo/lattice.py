@@ -328,10 +328,6 @@ class RedundancyLattice:
     def down_set(self, above: Antichain) -> tuple:
         return tuple(self.nodes[j] for j in sorted(self._down[self.index(above)]))
 
-    def up_set(self, below: Antichain) -> tuple:
-        i = self.index(below)
-        return tuple(node for j, node in enumerate(self.nodes) if i in self._down[j])
-
     @property
     def bottom(self) -> Antichain:
         return Antichain.of(*[{i} for i in range(1, self.n + 1)])

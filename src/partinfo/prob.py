@@ -187,12 +187,6 @@ class JointDistribution:
     def has_aux(self) -> bool:
         return self._support[0][0].aux is not None
 
-    def probability(self, outcome: Outcome) -> Fraction:
-        for o, p in self._rows:
-            if o == outcome:
-                return p
-        return Fraction(0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented

@@ -10,12 +10,18 @@ property) cannot all hold for the xor-source-copy distribution.
 
 Property ids: lp, rei, tcr, lm, sm, id, iid (single properties) and l1, l2,
 c1, l3, l4, t1, t2 (lemma/corollary/impossibility checks).
+
+Decompositions and theorem witnesses are shared within a single
+``run_all_checks`` or ``property_matrix`` call, keyed by (distribution,
+measure), and dropped when that call returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,13 +46,11 @@ from .lattice import (
 from .measures import RedundancyMeasure
 from .prob import DistributionError, JointDistribution
 
-PROPERTY_IDS = (
-    "lp", "rei", "tcr", "lm", "sm", "id", "iid",
-    "l1", "l2", "c1", "l3", "l4", "t1", "t2",
-)
-
 #: threshold above which a value counts as strictly positive
 STRICT_POSITIVITY = 1e-9
+
+#: the memo of the run_all_checks or property_matrix call in progress, if any
+_memo: ContextVar = ContextVar("partinfo_properties_memo", default=None)
 
 
 class PreconditionError(DistributionError):
@@ -75,8 +79,40 @@ class PropertyReport:
         }
 
 
-def _pid(d, measure, lattice=None) -> PidResult:
-    return atoms_from_redundancy(d, measure, lattice=lattice)
+def _report(property_id, measure_id, digest, passed, tol, witness, details) -> PropertyReport:
+    """A pass/fail report that keeps the witness only when the check failed."""
+    return PropertyReport(property_id, measure_id, digest, "pass" if passed else "fail",
+                          tol, None if passed else witness, details)
+
+
+def _vacuous(property_id, d, measure, tol, reason, **details) -> PropertyReport:
+    return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol, None,
+                          {"reason": reason, **details})
+
+
+@contextmanager
+def _call_memo():
+    """Give the decorated call a memo that is dropped when the call returns."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _memoized(key, compute):
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _pid(d, measure) -> PidResult:
+    # equal distributions share one canonical support, so a memo hit gives
+    # the same atoms, bit for bit, as decomposing again
+    return _memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
 
 
 # ----------------------------------------------------------------------
@@ -85,14 +121,11 @@ def _pid(d, measure, lattice=None) -> PidResult:
 
 def check_lp(result: PidResult, tol: float = 1e-9) -> PropertyReport:
     """Local positivity: every atom of the decomposition is nonnegative."""
-    worst = min(result.atoms.items(), key=lambda item: item[1])
-    verdict = "pass" if worst[1] >= -tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {"antichain": worst[0].label, "atom": worst[1]}
-    return PropertyReport(
-        "lp", result.measure_id, result.distribution_digest, verdict, tol,
-        witness, {"atoms_checked": len(result.atoms), "min_atom": worst[1]},
+    node, value = min(result.atoms.items(), key=lambda item: item[1])
+    return _report(
+        "lp", result.measure_id, result.distribution_digest, value >= -tol, tol,
+        {"antichain": node.label, "atom": value},
+        {"atoms_checked": len(result.atoms), "min_atom": value},
     )
 
 
@@ -124,12 +157,11 @@ def check_rei(
     Samples seeded random bijections of every source support and of the
     joint target support, recomputing the full decomposition each time.
     Supports of at most four symbols additionally get an exhaustive
-    per-variable permutation scan.  When the input is the xor-source-copy
-    gate, the three deterministic pair-to-target re-encodings are checked
-    as well (the gate target is a bijection of each source pair).
+    per-variable permutation scan.  Every source pair that determines the
+    target one-to-one is also checked: with the pair itself as target, the
+    distribution is a re-encoding of the input, so its atoms must agree.
     """
-    lattice = redundancy_lattice(d.n_sources)
-    base = _pid(d, measure, lattice)
+    base = _pid(d, measure)
     rng = random.Random(seed)
     max_delta = 0.0
     witness = None
@@ -137,8 +169,7 @@ def check_rei(
 
     def compare(d2: JointDistribution, label: str):
         nonlocal max_delta, witness, checked
-        other = _pid(d2, measure, lattice)
-        delta = _max_atom_delta(base, other)
+        delta = _max_atom_delta(base, _pid(d2, measure))
         checked += 1
         if delta > max_delta:
             max_delta = delta
@@ -160,27 +191,18 @@ def check_rei(
             compare(d.reencode(target_map=dict(zip(targets, perm))),
                     "target permutation")
 
-    if d == make_gate("xor_source_copy"):
-        for i, j in itertools.combinations(range(1, 4), 2):
-            pair = d.retarget_to_sources((i, j))
-            forward = {
-                (outcome.sources[i - 1], outcome.sources[j - 1]): outcome.target
-                for outcome, _ in d.support
-            }
-            if pair.reencode(target_map=forward) != d:
-                raise AssertionError("pair target does not re-encode onto the gate target")
-            other = _pid(pair, measure, lattice)
-            delta = _max_atom_delta(base, other)
-            checked += 1
-            if delta > max_delta:
-                max_delta = delta
-                witness = {"transformation": f"pair ({i},{j}) target re-encoding",
-                           "max_atom_delta": delta}
+    for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
+        triples = {(o.sources[i - 1], o.sources[j - 1], o.target) for o, _ in d.support}
+        forward = {(si, sj): t for si, sj, t in triples}
+        if len(forward) < len(triples) or len(set(forward.values())) < len(forward):
+            continue                  # the pair does not determine the target one-to-one
+        pair = d.retarget_to_sources((i, j))
+        if pair.reencode(target_map=forward) != d:
+            raise AssertionError("pair target does not re-encode onto the target")
+        compare(pair, f"pair ({i},{j}) target re-encoding")
 
-    verdict = "pass" if max_delta <= tol else "fail"
-    return PropertyReport(
-        "rei", measure.id, d.digest, verdict, tol,
-        witness if verdict == "fail" else None,
+    return _report(
+        "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
         {"trials": trials, "seed": seed, "comparisons": checked, "max_atom_delta": max_delta},
     )
 
@@ -208,18 +230,15 @@ def check_tcr(
         cond_term = sum(float(pz) * measure.evaluate(dc, antichain) for pz, dc in conditionals)
         entries.append((antichain, lhs, first_term, cond_term, abs(lhs - first_term - cond_term)))
     worst = max(entries, key=lambda e: e[4])
-    verdict = "pass" if worst[4] <= tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {
+    return _report(
+        "tcr", measure.id, d.digest, worst[4] <= tol, tol,
+        {
             "antichain": worst[0].label,
             "lhs": worst[1],
             "first_component_term": worst[2],
             "conditional_term": worst[3],
             "residual": worst[4],
-        }
-    return PropertyReport(
-        "tcr", measure.id, d.digest, verdict, tol, witness,
+        },
         {"antichains_checked": len(entries), "max_residual": worst[4]},
     )
 
@@ -242,15 +261,12 @@ def check_lm(
             drop = values[below] - values[above]
             if worst is None or drop > worst[2]:
                 worst = (below, above, drop)
-    verdict = "pass" if worst[2] <= tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {
+    return _report(
+        "lm", measure.id, d.digest, worst[2] <= tol, tol,
+        {
             "below": worst[0].label, "above": worst[1].label,
             "value_below": values[worst[0]], "value_above": values[worst[1]],
-        }
-    return PropertyReport(
-        "lm", measure.id, d.digest, verdict, tol, witness,
+        },
         {"comparable_pairs": pairs, "max_decrease": worst[2]},
     )
 
@@ -271,15 +287,12 @@ def check_sm(
             rise = grown - base
             if worst is None or rise > worst[2]:
                 worst = (antichain, extra, rise, grown, base)
-    verdict = "pass" if worst[2] <= tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {
+    return _report(
+        "sm", measure.id, d.digest, worst[2] <= tol, tol,
+        {
             "arguments": worst[0].label, "added": "{" + ",".join(map(str, sorted(worst[1]))) + "}",
             "value_before": worst[4], "value_after": worst[3],
-        }
-    return PropertyReport(
-        "sm", measure.id, d.digest, verdict, tol, witness,
+        },
         {"pairs_checked": pairs, "max_increase": worst[2]},
     )
 
@@ -299,12 +312,9 @@ def check_id(
     value = measure.evaluate(dc, Antichain.of({1}, {2}))
     reference = d.mutual_information([("source", 1)], [("source", 2)])
     deviation = abs(value - reference)
-    verdict = "pass" if deviation <= tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {"redundancy": value, "source_mutual_information": reference}
-    return PropertyReport(
-        "id", measure.id, d.digest, verdict, tol, witness,
+    return _report(
+        "id", measure.id, d.digest, deviation <= tol, tol,
+        {"redundancy": value, "source_mutual_information": reference},
         {"redundancy": value, "source_mutual_information": reference, "deviation": deviation},
     )
 
@@ -328,15 +338,10 @@ def check_iid(
     two sources are independent (exact rational independence test)."""
     dc = _pair_copy(d)
     if not _sources_independent(d):
-        return PropertyReport(
-            "iid", measure.id, d.digest, "vacuous", tol, None,
-            {"reason": "sources are not independent"},
-        )
+        return _vacuous("iid", d, measure, tol, "sources are not independent")
     value = measure.evaluate(dc, Antichain.of({1}, {2}))
-    verdict = "pass" if abs(value) <= tol else "fail"
-    witness = {"redundancy": value} if verdict == "fail" else None
-    return PropertyReport("iid", measure.id, d.digest, verdict, tol, witness,
-                          {"redundancy": value})
+    return _report("iid", measure.id, d.digest, abs(value) <= tol, tol,
+                   {"redundancy": value}, {"redundancy": value})
 
 
 # ----------------------------------------------------------------------
@@ -371,14 +376,23 @@ def check_lemma4_equivalents(
         "vulnerable_vs_conditional_entropies": ((h12 - h2) + (h12 - h1)) - i_vul,
     }
     spread = max(deviations.values()) - min(deviations.values())
-    verdict = "pass" if spread <= tol else "fail"
     details = {
         "redundant": i_cap, "union": i_cup, "weak_synergy": i_ws, "vulnerable": i_vul,
         "deviations": deviations, "spread": spread,
         "identity_holds": abs(i_cap - mi12) <= tol,
     }
-    witness = None if verdict == "pass" else {"deviations": deviations}
-    return PropertyReport("l4", result.measure_id, d.digest, verdict, tol, witness, details)
+    return _report("l4", result.measure_id, d.digest, spread <= tol, tol,
+                   {"deviations": deviations}, details)
+
+
+def _assume_lp(property_id, d, measure, tol):
+    """The smallest atom of the decomposition, and the 'vacuous' report that a
+    check assuming local positivity returns instead when an atom is negative."""
+    min_atom = min(_pid(d, measure).atoms.values())
+    if min_atom < -tol:
+        return min_atom, _vacuous(property_id, d, measure, tol, "local positivity fails",
+                                  min_atom=min_atom)
+    return min_atom, None
 
 
 def check_lemma1(
@@ -389,35 +403,29 @@ def check_lemma1(
 ) -> PropertyReport:
     """Under local positivity, a positive redundancy-synergy index forces at
     least one strictly positive pairwise redundancy."""
-    result = _pid(d, measure)
-    min_atom = min(result.atoms.values())
+    min_atom, vacuous = _assume_lp("l1", d, measure, tol)
+    if vacuous:
+        return vacuous
     index = rsi(d)
-    if min_atom < -tol:
-        return PropertyReport("l1", measure.id, d.digest, "vacuous", tol, None,
-                              {"reason": "local positivity fails", "min_atom": min_atom})
     if index <= strict:
-        return PropertyReport("l1", measure.id, d.digest, "vacuous", tol, None,
-                              {"reason": "redundancy-synergy index is not positive", "rsi": index})
+        return _vacuous("l1", d, measure, tol, "redundancy-synergy index is not positive",
+                        rsi=index)
     pairwise = {
         f"({i},{j})": measure.evaluate(d, Antichain.of({i}, {j}))
         for i, j in itertools.combinations(range(1, d.n_sources + 1), 2)
     }
-    best = max(pairwise.values())
-    verdict = "pass" if best > strict else "fail"
-    witness = None if verdict == "pass" else {"pairwise": pairwise, "rsi": index}
-    return PropertyReport("l1", measure.id, d.digest, verdict, tol, witness,
-                          {"pairwise": pairwise, "rsi": index, "min_atom": min_atom})
+    return _report("l1", measure.id, d.digest, max(pairwise.values()) > strict, tol,
+                   {"pairwise": pairwise, "rsi": index},
+                   {"pairwise": pairwise, "rsi": index, "min_atom": min_atom})
 
 
 def check_lemma2(
     d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
 ) -> PropertyReport:
     """Local positivity implies lattice monotonicity."""
-    result = _pid(d, measure)
-    min_atom = min(result.atoms.values())
-    if min_atom < -tol:
-        return PropertyReport("l2", measure.id, d.digest, "vacuous", tol, None,
-                              {"reason": "local positivity fails", "min_atom": min_atom})
+    min_atom, vacuous = _assume_lp("l2", d, measure, tol)
+    if vacuous:
+        return vacuous
     inner = check_lm(d, measure, tol)
     return PropertyReport("l2", measure.id, d.digest, inner.verdict, tol,
                           inner.witness, dict(inner.details, min_atom=min_atom))
@@ -428,11 +436,9 @@ def check_corollary1(
 ) -> PropertyReport:
     """Under local positivity every pairwise redundancy is bounded by the
     smaller of the two single-source informations."""
-    result = _pid(d, measure)
-    min_atom = min(result.atoms.values())
-    if min_atom < -tol:
-        return PropertyReport("c1", measure.id, d.digest, "vacuous", tol, None,
-                              {"reason": "local positivity fails", "min_atom": min_atom})
+    _, vacuous = _assume_lp("c1", d, measure, tol)
+    if vacuous:
+        return vacuous
     worst = None
     table = {}
     for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
@@ -442,12 +448,9 @@ def check_corollary1(
         excess = value - bound
         if worst is None or excess > worst[1]:
             worst = ((i, j), excess)
-    verdict = "pass" if worst[1] <= tol else "fail"
-    witness = None
-    if verdict == "fail":
-        witness = {"pair": list(worst[0]), **table[f"({worst[0][0]},{worst[0][1]})"]}
-    return PropertyReport("c1", measure.id, d.digest, verdict, tol, witness,
-                          {"bounds": table, "max_excess": worst[1]})
+    return _report("c1", measure.id, d.digest, worst[1] <= tol, tol,
+                   {"pair": list(worst[0]), **table[f"({worst[0][0]},{worst[0][1]})"]},
+                   {"bounds": table, "max_excess": worst[1]})
 
 
 def check_lemma3(
@@ -460,20 +463,19 @@ def check_lemma3(
         raise PreconditionError("chain-rule equivalence needs a target split")
     if d.n_sources > 3:
         raise PreconditionError("exhaustive scan is capped at n=3")
-    lattice = redundancy_lattice(d.n_sources)
-    on_full = _pid(d, measure, lattice)
-    on_first = _pid(d.restrict_target((1,)), measure, lattice)
-    on_rest = conditional_atoms(d, measure, ("target", 1), lattice=lattice)
+    on_full = _pid(d, measure)
+    on_first = _pid(d.restrict_target((1,)), measure)
+    on_rest = conditional_atoms(d, measure, ("target", 1))
     atom_residuals = {
-        node: on_full.atoms[node] - on_first.atoms[node] - on_rest.atoms[node]
-        for node in lattice.nodes
+        node: value - on_first.atoms[node] - on_rest.atoms[node]
+        for node, value in on_full.atoms.items()
     }
-    parthoods = {node: antichain_to_parthood(node, d.n_sources) for node in lattice.nodes}
+    parthoods = {node: antichain_to_parthood(node, d.n_sources) for node in atom_residuals}
     worst_gap = 0.0
     checks = 0
     for name in ("red", "union", "ws", "vul"):
         cond = resolve_condition(name)
-        for antichain in lattice.nodes:
+        for antichain in atom_residuals:
             args = antichain.sorted_members
             aggregate = (
                 c_information(on_full, name, args)
@@ -487,10 +489,8 @@ def check_lemma3(
             worst_gap = max(worst_gap, abs(aggregate - atom_sum))
             checks += 1
     max_atom_residual = max(abs(v) for v in atom_residuals.values())
-    verdict = "pass" if worst_gap <= tol else "fail"
-    return PropertyReport(
-        "l3", measure.id, d.digest, verdict, tol,
-        None if verdict == "pass" else {"max_aggregation_gap": worst_gap},
+    return _report(
+        "l3", measure.id, d.digest, worst_gap <= tol, tol, {"max_aggregation_gap": worst_gap},
         {"aggregates_checked": checks, "max_aggregation_gap": worst_gap,
          "max_atom_level_residual": max_atom_residual},
     )
@@ -571,8 +571,7 @@ def theorem_witness(
     """
     if d.n_sources != 3:
         raise PreconditionError("the impossibility argument uses three sources")
-    lattice = redundancy_lattice(3)
-    gate_result = _pid(d, measure, lattice)
+    gate_result = _pid(d, measure)
     consistency = consistency_check(gate_result, d, tol)
     rsi_report = rsi_decomposition_check(gate_result, d, tol)
 
@@ -595,14 +594,14 @@ def theorem_witness(
 
         # value on the pair target, which re-encodes onto the full target
         d_pair = d.retarget_to_sources((i, j))
-        pair_result = _pid(d_pair, measure, lattice)
+        pair_result = _pid(d_pair, measure)
         scan(f"target (S_{i},S_{j})", pair_result)
         reencoding_max = max(reencoding_max, _max_atom_delta(gate_result, pair_result))
         value_pair = measure.evaluate(d_pair, args)
 
         # chain-rule split of the pair target: first S_j, then S_i given S_j
         d_first = d.retarget_to_sources((j,))
-        first_result = _pid(d_first, measure, lattice)
+        first_result = _pid(d_first, measure)
         scan(f"target S_{j}", first_result)
         first_term = measure.evaluate(d_first, args)
 
@@ -612,7 +611,7 @@ def theorem_witness(
         cond_mi_j = 0.0
         for z, pz in d.variable_marginal(("source", j)).items():
             dz = d_second.condition_on(("source", j), z)
-            scan(f"target S_{i} given S_{j}={z}", _pid(dz, measure, lattice))
+            scan(f"target S_{i} given S_{j}={z}", _pid(dz, measure))
             cond_term += float(pz) * measure.evaluate(dz, args)
             cond_mi_i += float(pz) * dz.marginal_mi({i})
             cond_mi_j += float(pz) * dz.marginal_mi({j})
@@ -662,6 +661,22 @@ def theorem_witness(
     )
 
 
+def _theorem_check(property_id, third, d, measure, tol, trials, seed) -> PropertyReport:
+    """Passes when lp, rei and ``third`` (id or tcr) do not all hold on ``d``."""
+    witness = _memoized(("witness", d, measure, tol, trials, seed),
+                        lambda: theorem_witness(d, measure, tol=tol, trials=trials, seed=seed))
+    verdicts = witness.verdicts
+    if third == "id":
+        evidence = {"pairwise": witness.pairwise}
+    else:
+        evidence = {"chains": [dict(c) for c in witness.chains]}
+    return _report(
+        property_id, measure.id, d.digest,
+        not all(verdicts[p] == "pass" for p in ("lp", "rei", third)), tol,
+        {"verdicts": verdicts}, {"verdicts": verdicts, **evidence},
+    )
+
+
 def check_theorem1(
     d: JointDistribution, measure: RedundancyMeasure,
     tol: float = 1e-9, trials: int = 8, seed: int = 0,
@@ -669,13 +684,7 @@ def check_theorem1(
     """Local positivity, re-encoding invariance, and the identity property
     cannot all hold: the check passes when the measure indeed violates at
     least one of them on this input."""
-    witness = theorem_witness(d, measure, tol=tol, trials=trials, seed=seed)
-    verdict = "fail" if witness.lp_rei_id_all_pass else "pass"
-    return PropertyReport(
-        "t1", measure.id, d.digest, verdict, tol,
-        None if verdict == "pass" else {"verdicts": witness.verdicts},
-        {"verdicts": witness.verdicts, "pairwise": witness.pairwise},
-    )
+    return _theorem_check("t1", "id", d, measure, tol, trials, seed)
 
 
 def check_theorem2(
@@ -684,18 +693,31 @@ def check_theorem2(
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the target chain rule
     cannot all hold: the check passes when at least one of them fails here."""
-    witness = theorem_witness(d, measure, tol=tol, trials=trials, seed=seed)
-    verdict = "fail" if witness.lp_rei_tcr_all_pass else "pass"
-    return PropertyReport(
-        "t2", measure.id, d.digest, verdict, tol,
-        None if verdict == "pass" else {"verdicts": witness.verdicts},
-        {"verdicts": witness.verdicts,
-         "chains": [dict(c) for c in witness.chains]},
-    )
+    return _theorem_check("t2", "tcr", d, measure, tol, trials, seed)
 
 
 # ----------------------------------------------------------------------
 # dispatch and corpus runs
+
+#: property id -> check(d, measure, tol, trials, seed)
+_CHECKS = {
+    "lp": lambda d, m, tol, *_: check_lp(_pid(d, m), tol),
+    # rei compares atoms at its own 1e-12 default rather than at tol
+    "rei": lambda d, m, tol, trials, seed: check_rei(d, m, trials=trials, seed=seed),
+    "tcr": lambda d, m, tol, *_: check_tcr(d, m, tol),
+    "lm": lambda d, m, tol, *_: check_lm(d, m, tol),
+    "sm": lambda d, m, tol, *_: check_sm(d, m, tol),
+    "id": lambda d, m, tol, *_: check_id(d, m, tol),
+    "iid": lambda d, m, tol, *_: check_iid(d, m, tol),
+    "l1": lambda d, m, tol, *_: check_lemma1(d, m, tol),
+    "l2": lambda d, m, tol, *_: check_lemma2(d, m, tol),
+    "c1": lambda d, m, tol, *_: check_corollary1(d, m, tol),
+    "l3": lambda d, m, tol, *_: check_lemma3(d, m, tol),
+    "l4": lambda d, m, tol, *_: check_lemma4_equivalents(_pid(dc := _pair_copy(d), m), dc, tol),
+    "t1": check_theorem1,
+    "t2": check_theorem2,
+}
+PROPERTY_IDS = tuple(_CHECKS)
 
 
 def run_property(
@@ -707,42 +729,15 @@ def run_property(
     seed: int = 0,
 ) -> PropertyReport:
     """Run one named check, downgrading unmet preconditions to 'vacuous'."""
-    if property_id not in PROPERTY_IDS:
+    if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
     try:
-        if property_id == "lp":
-            return check_lp(_pid(d, measure), tol)
-        if property_id == "rei":
-            return check_rei(d, measure, trials=trials, seed=seed)
-        if property_id == "tcr":
-            return check_tcr(d, measure, tol)
-        if property_id == "lm":
-            return check_lm(d, measure, tol)
-        if property_id == "sm":
-            return check_sm(d, measure, tol)
-        if property_id == "id":
-            return check_id(d, measure, tol)
-        if property_id == "iid":
-            return check_iid(d, measure, tol)
-        if property_id == "l1":
-            return check_lemma1(d, measure, tol)
-        if property_id == "l2":
-            return check_lemma2(d, measure, tol)
-        if property_id == "c1":
-            return check_corollary1(d, measure, tol)
-        if property_id == "l3":
-            return check_lemma3(d, measure, tol)
-        if property_id == "l4":
-            dc = _pair_copy(d)
-            return check_lemma4_equivalents(_pid(dc, measure), dc, tol)
-        if property_id == "t1":
-            return check_theorem1(d, measure, tol, trials=min(trials, 8), seed=seed)
-        return check_theorem2(d, measure, tol, trials=min(trials, 8), seed=seed)
+        return _CHECKS[property_id](d, measure, tol, trials, seed)
     except PreconditionError as exc:
-        return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol,
-                              None, {"reason": str(exc)})
+        return _vacuous(property_id, d, measure, tol, str(exc))
 
 
+@_call_memo()
 def run_all_checks(
     d: JointDistribution,
     measure: RedundancyMeasure,
@@ -760,6 +755,7 @@ TABLE_PROPERTIES = ("lp", "tcr", "rei", "id")
 TABLE_GATES = ("xor", "copy2", "and", "xor_source_copy")
 
 
+@_call_memo()
 def property_matrix(
     measures: Sequence[RedundancyMeasure],
     gate_ids: Sequence[str] = TABLE_GATES,

@@ -1,11 +1,14 @@
 """Property checks, equivalence chains, and the impossibility witnesses."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from partinfo import (
     Antichain,
+    GateSpec,
     atoms_from_redundancy,
     check_corollary1,
     check_id,
@@ -22,6 +25,7 @@ from partinfo import (
     check_theorem1,
     check_theorem2,
     get_measure,
+    make_gate,
     property_matrix,
     redundancy_from_atoms,
     redundancy_lattice,
@@ -29,7 +33,8 @@ from partinfo import (
     run_property,
     theorem_witness,
 )
-from partinfo.properties import PreconditionError
+from partinfo import properties
+from partinfo.properties import PROPERTY_IDS, PreconditionError
 
 from conftest import lookup_measure, random_pair_copy, random_rational_distribution
 
@@ -82,6 +87,27 @@ def test_rei_includes_pair_reencodings_for_xor_source_copy(gate_corpus):
     assert report.verdict == "pass"
     # random trials + per-variable permutation scans + three pair re-encodings
     assert report.details["comparisons"] >= 2 + 3
+
+
+@pytest.mark.parametrize("gate_id, comparisons", [
+    # 2 random trials + per-source permutations + target permutations + pairs
+    ("xor", 2 + 2 + 2 + 2),                       # no pair determines xor one-to-one
+    ("copy2", 2 + 2 + 2 + 24 + 1),                # the pair (1,2) is the target itself
+    ("xor_source_copy", 2 + 6 + 24 + 3),          # every pair determines the target
+])
+def test_rei_pair_reencodings_cover_every_bijective_pair(gate_corpus, gate_id, comparisons):
+    report = check_rei(gate_corpus[gate_id], IMIN, trials=2)
+    assert report.verdict == "pass"
+    assert report.details["comparisons"] == comparisons
+
+
+def test_rei_pair_reencodings_do_not_depend_on_source_labels(gate_corpus):
+    gate = gate_corpus["xor_source_copy"]
+    relabelled = gate.reencode(source_maps={1: {0: "a", 1: "b"}, 3: {0: 1, 1: 0}})
+    assert relabelled != gate
+    report = check_rei(relabelled, IMIN, trials=2)
+    assert report.verdict == "pass"
+    assert report.details["comparisons"] == check_rei(gate, IMIN, trials=2).details["comparisons"]
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +347,19 @@ def test_no_measure_passes_either_impossible_triple(gate_corpus, measure):
     assert check_theorem2(gate_corpus["xor_source_copy"], measure, trials=2).verdict == "pass"
 
 
+def test_theorem_checks_honour_trials(gate_corpus, monkeypatch):
+    seen = []
+    real = properties.check_rei
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["trials"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "check_rei", spy)
+    run_property("t1", gate_corpus["xor_source_copy"], IMIN, trials=32)
+    assert seen == [32]
+
+
 def test_theorem_checks_are_vacuous_off_three_sources(gate_corpus):
     assert run_property("t1", gate_corpus["copy2"], IMIN).verdict == "vacuous"
     assert run_property("t2", gate_corpus["copy2"], IMIN).verdict == "vacuous"
@@ -346,3 +385,39 @@ def test_property_matrix_matches_expected_rows():
     matrix = property_matrix([IMIN, ISX], trials=6, seed=3)
     assert matrix["imin"] == {"lp": "pass", "tcr": "fail", "rei": "pass", "id": "fail"}
     assert matrix["isx"] == {"lp": "fail", "tcr": "pass", "rei": "pass", "id": "fail"}
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("noise", [Fraction(0), Fraction(1, 8)], ids=str)
+@pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
+def test_run_all_checks_matches_lone_checks(gate_id, noise, measure):
+    d = make_gate(GateSpec(gate_id, noise))
+    reports = run_all_checks(d, measure, trials=2, seed=5)
+    assert [r.property_id for r in reports] == list(PROPERTY_IDS)
+    for report in reports:
+        lone = run_property(report.property_id, d, measure, trials=2, seed=5)
+        assert report.to_json_dict() == lone.to_json_dict()
+
+
+def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypatch):
+    decomposed = Counter()
+    witnesses = []
+    real_pid, real_witness = properties.atoms_from_redundancy, properties.theorem_witness
+
+    def pid_spy(d, measure, *args, **kwargs):
+        decomposed[d, measure.id] += 1
+        return real_pid(d, measure, *args, **kwargs)
+
+    def witness_spy(*args, **kwargs):
+        witnesses.append(args[0])
+        return real_witness(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "atoms_from_redundancy", pid_spy)
+    monkeypatch.setattr(properties, "theorem_witness", witness_spy)
+    d = gate_corpus["xor_source_copy"]
+    run_all_checks(d, IMIN, trials=4)
+    assert max(decomposed.values()) == 1
+    assert len(witnesses) == 1
+    # the memo lives only for one call: a second call decomposes the input again
+    run_all_checks(d, IMIN, trials=4)
+    assert decomposed[d, "imin"] == 2
