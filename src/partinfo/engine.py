@@ -67,13 +67,14 @@ def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
     """Möbius-invert per-antichain redundancy values into atoms.
 
     Works for exact rationals and floats alike; the coefficients are exact
-    integers, so a rational input stays rational.
+    integers, so a rational input stays rational.  Only the nonzero
+    coefficients are summed, in node order.
     """
     atoms = {}
     for above in lattice.nodes:
         total = 0
-        for below in lattice.down_set(above):
-            total += lattice.moebius(below, above) * values[below]
+        for below, mu in lattice.moebius_terms(above):
+            total += mu * values[below]
         atoms[above] = total
     return atoms
 

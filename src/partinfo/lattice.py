@@ -24,8 +24,7 @@ class LatticeSizeError(ValueError):
     """Requested enumeration exceeds the configured size cap."""
 
 
-ENUMERATION_CAP = 4          # brute-force filter path
-LARGE_N = 5                  # antichain-generation path, behind allow_large
+LARGE_N = 5                  # the largest n, and only behind allow_large
 
 
 def _subset_mask(subset: Iterable[int], n: int) -> int:
@@ -188,7 +187,7 @@ def enumerate_antichains(n: int, allow_large: bool = False) -> tuple:
         raise ValueError("need at least one source")
     if n > LARGE_N or (n == LARGE_N and not allow_large):
         raise LatticeSizeError(
-            f"lattice too large: n={n} (cap {ENUMERATION_CAP}; n={LARGE_N} needs allow_large=True)"
+            f"lattice too large: n={n} (n={LARGE_N} needs allow_large=True; larger n is not supported)"
         )
     subsets = nonempty_subsets(n)
     found = []
@@ -208,43 +207,9 @@ def enumerate_antichains(n: int, allow_large: bool = False) -> tuple:
 
 @lru_cache(maxsize=None)
 def enumerate_parthood(n: int, allow_large: bool = False) -> tuple:
-    """All parthood distributions for ``n`` sources, canonically ordered.
-
-    Uses a direct filter of all Boolean tables up to n=4; n=5 switches to
-    antichain generation and must be requested explicitly.  The order aligns
-    index-by-index with :func:`enumerate_antichains`.
-    """
-    if n < 1:
-        raise ValueError("need at least one source")
-    if n > LARGE_N or (n == LARGE_N and not allow_large):
-        raise LatticeSizeError(
-            f"lattice too large: n={n} (cap {ENUMERATION_CAP}; n={LARGE_N} needs allow_large=True)"
-        )
-    if n == LARGE_N:
-        return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n, allow_large))
-    size = 2**n
-    full = size - 1
-    found = []
-    # free bits are the subsets strictly between {} and the full set
-    free = [mask for mask in range(size) if mask not in (0, full)]
-    for assignment in range(2 ** len(free)):
-        values = [False] * size
-        values[full] = True
-        for bit, mask in enumerate(free):
-            values[mask] = bool((assignment >> bit) & 1)
-        monotone = True
-        for mask in range(size):
-            if not values[mask]:
-                continue
-            for i in range(n):
-                if not (mask >> i) & 1 and not values[mask | (1 << i)]:
-                    monotone = False
-                    break
-            if not monotone:
-                break
-        if monotone:
-            found.append(ParthoodDistribution(n, tuple(values)))
-    return tuple(sorted(found, key=lambda f: antichain_sort_key(parthood_to_antichain(f))))
+    """All parthood distributions for ``n`` sources, aligned index by index
+    with :func:`enumerate_antichains`."""
+    return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n, allow_large))
 
 
 # ----------------------------------------------------------------------
@@ -296,22 +261,38 @@ class RedundancyLattice:
     """The poset of antichains with the redundancy order, plus its exact
     Möbius coefficients.
 
-    Immutable after construction; Möbius values are memoized on demand.
+    Node ``k`` is held as one int ``Z_k``: bit ``s`` is set iff ``s`` masks a
+    proper nonempty source subset on which the node's parthood table is 0.
+    Each ``Z_k`` is a down-set of subsets, and the order is inclusion of
+    these down-sets, which makes the lattice free distributive.  So:
+
+    * ``alpha <= beta`` iff ``Z_alpha`` is a subset of ``Z_beta``;
+    * the lower covers of ``beta`` drop one maximal element of ``Z_beta``;
+    * ``mu(alpha, beta)`` is ``(-1)**|Z_beta - Z_alpha|`` when that gap holds
+      only maximal elements of ``Z_beta`` (a Boolean interval), else 0.
+
+    Immutable after construction.
     """
 
     def __init__(self, n: int, allow_large: bool = False):
         self.n = n
         self.nodes = enumerate_antichains(n, allow_large)
         self._index = {node: k for k, node in enumerate(self.nodes)}
-        # _down[i] = indices j with nodes[j] below-or-equal nodes[i]
-        self._down = [
-            frozenset(
-                j for j, below in enumerate(self.nodes) if lattice_leq(below, above)
+        full = (1 << n) - 1
+        # supersets[m] = bits of the proper subsets that contain subset m
+        supersets = [sum(1 << s for s in range(1, full) if s & m == m) for m in range(full + 1)]
+        self._zeros = []
+        self._maximal = []
+        for node in self.nodes:
+            ones = 0
+            for member in node.members:
+                ones |= supersets[_subset_mask(member, n)]
+            zeros = ((1 << full) - 2) & ~ones      # bits 1..full-1 are the proper subsets
+            self._zeros.append(zeros)
+            self._maximal.append(
+                sum(1 << s for s in range(1, full) if zeros & supersets[s] == 1 << s)
             )
-            for above in self.nodes
-        ]
-        self._moebius_memo: dict = {}
-        self._covers = None
+        self._by_zeros = {zeros: k for k, zeros in enumerate(self._zeros)}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -323,10 +304,12 @@ class RedundancyLattice:
             raise ValueError(f"antichain {node.label} is not a node of A_{self.n}") from None
 
     def leq(self, below: Antichain, above: Antichain) -> bool:
-        return self.index(below) in self._down[self.index(above)]
+        top = self._zeros[self.index(above)]
+        return self._zeros[self.index(below)] | top == top
 
     def down_set(self, above: Antichain) -> tuple:
-        return tuple(self.nodes[j] for j in sorted(self._down[self.index(above)]))
+        top = self._zeros[self.index(above)]
+        return tuple(node for node, zeros in zip(self.nodes, self._zeros) if zeros | top == top)
 
     @property
     def bottom(self) -> Antichain:
@@ -336,42 +319,38 @@ class RedundancyLattice:
     def top(self) -> Antichain:
         return Antichain.of(set(range(1, self.n + 1)))
 
-    def _mu(self, below: int, above: int) -> int:
-        if below == above:
-            return 1
-        key = (below, above)
-        cached = self._moebius_memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for mid in self._down[above]:
-            if mid != above and below in self._down[mid]:
-                total += self._mu(below, mid)
-        self._moebius_memo[key] = -total
-        return -total
-
     def moebius(self, below: Antichain, above: Antichain) -> int:
         """Möbius coefficient of the lattice order; the arguments must be
         comparable with ``below`` underneath ``above``."""
         i, j = self.index(below), self.index(above)
-        if i not in self._down[j]:
+        gap = self._zeros[i] ^ self._zeros[j]
+        if gap & self._zeros[i]:
             raise ValueError(f"incomparable antichains: {below.label} is not below {above.label}")
-        return self._mu(i, j)
+        return 0 if gap & ~self._maximal[j] else (-1) ** gap.bit_count()
+
+    def moebius_terms(self, above: Antichain) -> tuple:
+        """The ``(below, coefficient)`` pairs with a nonzero coefficient
+        under ``above``, in node order: one per subset of its maximal zeros."""
+        j = self.index(above)
+        zeros, maximal = self._zeros[j], self._maximal[j]
+        terms = []
+        gap = maximal
+        while True:
+            terms.append((self._by_zeros[zeros ^ gap], (-1) ** gap.bit_count()))
+            if not gap:
+                break
+            gap = (gap - 1) & maximal
+        return tuple((self.nodes[i], mu) for i, mu in sorted(terms))
 
     def covers(self) -> tuple:
         """Hasse-diagram edges as (lower, upper) pairs."""
-        if self._covers is None:
-            edges = []
-            for j, down in enumerate(self._down):
-                for i in down:
-                    if i == j:
-                        continue
-                    if any(k not in (i, j) and i in self._down[k] for k in down):
-                        continue
-                    edges.append((self.nodes[i], self.nodes[j]))
-            edges.sort(key=lambda e: (antichain_sort_key(e[0]), antichain_sort_key(e[1])))
-            self._covers = tuple(edges)
-        return self._covers
+        edges = sorted(
+            (self._by_zeros[zeros ^ (1 << s)], j)
+            for j, (zeros, maximal) in enumerate(zip(self._zeros, self._maximal))
+            for s in range(maximal.bit_length())
+            if maximal >> s & 1
+        )
+        return tuple((self.nodes[i], self.nodes[j]) for i, j in edges)
 
     def to_dot(self) -> str:
         lines = [
@@ -393,11 +372,11 @@ class RedundancyLattice:
             "covers": [[lower.label, upper.label] for lower, upper in self.covers()],
         }
         if include_moebius:
-            table = []
-            for j, above in enumerate(self.nodes):
-                for i in sorted(self._down[j]):
-                    table.append([self.nodes[i].label, above.label, self._mu(i, j)])
-            data["moebius"] = table
+            data["moebius"] = [
+                [below.label, above.label, self.moebius(below, above)]
+                for above in self.nodes
+                for below in self.down_set(above)
+            ]
         return data
 
 

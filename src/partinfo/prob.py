@@ -28,6 +28,9 @@ Symbol = Union[int, str]
 Selector = Union[tuple, str]
 
 
+MAX_DIGITS = 4300   # Python's default int <-> str limit; bounds decimal strings
+
+
 class DistributionError(ValueError):
     """A distribution table violates its contract."""
 
@@ -54,6 +57,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        mantissa, _, exponent = value.replace("_", "").lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").lstrip("0")[:5]   # any 5 digits pass the limit
+        digits = sum(c.isdecimal() for c in mantissa) + (int(exponent) if exponent.isdecimal() else 0)
+        if digits > MAX_DIGITS:
+            raise DistributionError(f"probability needs more than {MAX_DIGITS} digits: {value[:40]!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -427,7 +435,7 @@ class JointDistribution:
         try:
             n_sources = int(data["n_sources"])
             target_arity = int(data["target_arity"])
-            entries = data["outcomes"]
+            entries = list(data["outcomes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DistributionError(f"malformed distribution object: {exc}") from exc
         rows = []
@@ -437,6 +445,9 @@ class JointDistribution:
                 rows.append((outcome, as_fraction(entry["p"])))
             except (KeyError, TypeError) as exc:
                 raise DistributionError(f"malformed outcome entry {entry!r}") from exc
+            aux = () if outcome.aux is None else (outcome.aux,)
+            if not all(type(v) in (int, str) for v in outcome.sources + outcome.target + aux):
+                raise DistributionError(f"outcome symbols must be ints or strings: {entry!r}")
         return cls(n_sources, target_arity, rows)
 
     def dump(self, path) -> None:

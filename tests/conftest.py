@@ -95,6 +95,25 @@ def constant_measure(value: float = 1.0) -> RedundancyMeasure:
 # oracles (independent implementations)
 
 
+def monotone_parthood_tables(n: int) -> list:
+    """Every Boolean table on the subsets of {1..n} (indexed by mask, bit
+    ``i-1`` for source ``i``) that is 0 on the empty set, 1 on the full set
+    and monotone, found by trying all 2^(2^n - 2) assignments of the
+    subsets in between; single-source steps suffice for monotonicity."""
+    size = 2**n
+    full = size - 1
+    free = range(1, full)
+    found = []
+    for assignment in range(2 ** len(free)):
+        values = [False] * size
+        values[full] = True
+        for bit, mask in enumerate(free):
+            values[mask] = bool((assignment >> bit) & 1)
+        if all(values[mask | (1 << i)] for mask in range(size) if values[mask] for i in range(n)):
+            found.append(tuple(values))
+    return found
+
+
 def oracle_rows(d: JointDistribution):
     """Collapse a distribution to plain (sources, target, Fraction) rows."""
     merged = {}

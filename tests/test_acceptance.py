@@ -14,6 +14,7 @@ import pytest
 
 from partinfo import (
     Antichain,
+    ParthoodDistribution,
     atoms_from_redundancy,
     atoms_from_values,
     c_information,
@@ -27,14 +28,16 @@ from partinfo import (
     enumerate_parthood,
     get_measure,
     make_gate,
+    parthood_to_antichain,
     redundancy_from_atoms,
     redundancy_lattice,
     rsi,
     theorem_witness,
 )
 from partinfo.cli import main as cli_main
+from partinfo.lattice import antichain_sort_key
 
-from conftest import oracle_isx, oracle_rows, random_pair_copy
+from conftest import monotone_parthood_tables, oracle_isx, oracle_rows, random_pair_copy
 
 IMIN = get_measure("imin")
 ISX = get_measure("isx")
@@ -129,8 +132,9 @@ def test_criterion_06_lattice_counts():
         counts[n] = len(enumerate_parthood(n))
     elapsed = time.perf_counter() - start
     # independent oracle: filter every Boolean table by the axioms via an
-    # all-pairs subset implication scan (n <= 3), plus the antichain
-    # generation path for n = 4
+    # all-pairs subset implication scan (n <= 3), plus a single-step
+    # monotonicity filter over all 2^14 tables for n = 4, whose survivors,
+    # put in canonical antichain order, must match enumerate_parthood(4)
     oracle_counts = {}
     for n in (1, 2, 3):
         subsets = [
@@ -147,13 +151,20 @@ def test_criterion_06_lattice_counts():
                 continue
             hits += 1
         oracle_counts[n] = hits
-    oracle_counts[4] = len(enumerate_antichains(4))
+    tables = sorted(
+        monotone_parthood_tables(4),
+        key=lambda t: antichain_sort_key(parthood_to_antichain(ParthoodDistribution(4, t))),
+    )
+    oracle_counts[4] = len(tables)
+    aligned = [f.table for f in enumerate_parthood(4)] == tables
     ok = (
         counts == {1: 1, 2: 4, 3: 18, 4: 166}
         and oracle_counts == counts
+        and aligned
         and elapsed < 5.0
     )
-    report(6, ok, f"counts {counts} (oracle {oracle_counts}) in {elapsed:.2f} s")
+    report(6, ok, f"counts {counts} (oracle {oracle_counts}, n=4 order aligned: {aligned}) "
+                  f"in {elapsed:.2f} s")
 
 
 def test_criterion_07_moebius_round_trip_rational():

@@ -1,6 +1,9 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import time
+
+import pytest
 
 from partinfo import JointDistribution
 from partinfo.cli import main
@@ -147,6 +150,45 @@ def test_input_errors_exit_2(tmp_path, capsys):
     malformed.write_text("{oops")
     code, _, err = run_cli(capsys, "atoms", "--input", str(malformed), "--measure", "imin")
     assert code == 2 and "error" in err
+
+
+def _write_outcomes(path, outcomes):
+    path.write_text(json.dumps({"n_sources": 2, "target_arity": 1, "outcomes": outcomes}))
+    return str(path)
+
+
+@pytest.mark.parametrize("outcomes", [
+    [{"s": [[0], 1], "t": [0], "p": "1"}],
+    [{"s": [True, 1], "t": [0], "p": "1"}],
+    [{"s": [0, 1], "t": [1.0], "p": "1"}],
+    [{"s": [0, 1], "t": [0], "z": [0], "p": "1"}],
+    5,
+])
+def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
+    path = _write_outcomes(tmp_path / "bad.json", outcomes)
+    code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_symbols_may_be_ints_or_strings(tmp_path, capsys):
+    path = _write_outcomes(tmp_path / "ok.json", [
+        {"s": [0, "a"], "t": [0], "z": "x", "p": "1/2"},
+        {"s": [1, "b"], "t": [1], "z": "x", "p": "1/2"},
+    ])
+    code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("p", ["1e-10000000", "1e-1_000_000_000", "0." + "0" * 5000 + "1"])
+def test_huge_decimal_probability_exits_2_promptly(tmp_path, capsys, p):
+    path = _write_outcomes(tmp_path / "huge.json", [
+        {"s": [0, 0], "t": [0], "p": p},
+        {"s": [1, 1], "t": [1], "p": "1/2"},
+    ])
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
+    assert code == 2 and "4300 digits" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_emit_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Engine behavior: inversion, consistency, aggregates, conditionals, RSI."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,22 @@ def test_moebius_round_trip_float_path(rng):
         atoms = atoms_from_values(lattice, values)
         back = redundancy_from_atoms(lattice, atoms)
         assert all(abs(back[node] - values[node]) <= 1e-12 for node in lattice.nodes)
+
+
+def test_inversion_equals_full_moebius_sum_on_floats():
+    # the skipped zero coefficients contribute exact +-0.0, so the atoms are
+    # bit-identical to the left-to-right sum over the whole down-set
+    lattice = redundancy_lattice(4)
+    for seed in range(5):
+        rng = random.Random(seed)
+        values = {node: rng.uniform(-3, 3) for node in lattice.nodes}
+        full = {}
+        for above in lattice.nodes:
+            total = 0
+            for below in lattice.down_set(above):
+                total += lattice.moebius(below, above) * values[below]
+            full[above] = total
+        assert atoms_from_values(lattice, values) == full
 
 
 def test_conditional_atoms_with_independent_aux(gate_corpus):

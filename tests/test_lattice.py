@@ -9,6 +9,7 @@ from partinfo import (
     Antichain,
     LatticeSizeError,
     ParthoodDistribution,
+    RedundancyLattice,
     antichain_to_parthood,
     c_order_leq,
     degree_of_redundancy,
@@ -69,6 +70,9 @@ def test_cap_and_large_n():
 
 def test_n5_antichain_generation_behind_flag():
     assert len(enumerate_antichains(5, allow_large=True)) == 7579
+    lattice = RedundancyLattice(5, allow_large=True)
+    assert len(lattice) == 7579
+    assert len(lattice.covers()) == 35510
 
 
 def test_table_rows_for_two_sources():
@@ -160,14 +164,15 @@ def test_moebius_examples_for_two_sources():
         lattice.moebius(Antichain.of({1}), Antichain.of({2}))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_moebius_defining_identity_exhaustive(n):
     lattice = redundancy_lattice(n)
     for above in lattice.nodes:
-        for below in lattice.down_set(above):
+        down = lattice.down_set(above)
+        for below in down:
             total = sum(
                 lattice.moebius(mid, above)
-                for mid in lattice.down_set(above)
+                for mid in down
                 if lattice.leq(below, mid)
             )
             assert total == (1 if below == above else 0)
@@ -209,6 +214,22 @@ def test_three_source_lattice_structure():
         )
     assert lattice.bottom == Antichain.of({1}, {2}, {3})
     assert lattice.top == Antichain.of({1, 2, 3})
+
+
+def test_four_source_covers_have_nothing_in_between():
+    lattice = redundancy_lattice(4)
+    # the order straight from the antichain definition, not the bitmasks
+    below = {a: {b for b in lattice.nodes if lattice_leq(b, a)} for a in lattice.nodes}
+    assert all(set(lattice.down_set(a)) == below[a] for a in lattice.nodes)
+    expected = {
+        (lower, upper)
+        for upper in lattice.nodes
+        for lower in below[upper] - {upper}
+        if not any(lower in below[mid] for mid in below[upper] - {lower, upper})
+    }
+    covers = lattice.covers()
+    assert len(covers) == len(expected) == 452
+    assert set(covers) == expected
 
 
 def test_lattice_exports():
