@@ -7,13 +7,14 @@ Subcommands:
   table2   property matrix for every registered measure over the gate corpus
 
 Exit codes: 0 success/expected, 1 unexpected verdict, 2 input error,
-3 resource cap exceeded.
+3 resource cap exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 _MEASURE_LABELS = {
     "imin": "I_min",
@@ -229,6 +231,11 @@ def main(argv=None) -> int:
     except LatticeSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (DistributionError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

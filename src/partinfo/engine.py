@@ -37,12 +37,14 @@ class PidResult:
 
     ``atoms`` covers exactly the antichains of the lattice for ``n``
     sources; ``distribution_digest`` binds the result to its input table.
+    ``redundancy`` holds the measure values the atoms were inverted from.
     """
 
     n: int
     atoms: Mapping
     measure_id: str
     distribution_digest: str
+    redundancy: Mapping | None = None
 
     def atom(self, antichain: Antichain) -> float:
         try:
@@ -105,7 +107,7 @@ def atoms_from_redundancy(
                 f"measure {measure.id!r} failed on antichain {node.label}: {exc}"
             ) from exc
     atoms = atoms_from_values(lattice, values)
-    return PidResult(d.n_sources, atoms, measure.id, d.digest)
+    return PidResult(d.n_sources, atoms, measure.id, d.digest, values)
 
 
 # ----------------------------------------------------------------------

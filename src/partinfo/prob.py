@@ -441,7 +441,10 @@ class JointDistribution:
         rows = []
         for entry in entries:
             try:
-                outcome = Outcome(tuple(entry["s"]), tuple(entry["t"]), entry.get("z"))
+                sources, target = entry["s"], entry["t"]
+                if type(sources) is not list or type(target) is not list:
+                    raise DistributionError(f"outcome fields s and t must be arrays: {entry!r}")
+                outcome = Outcome(tuple(sources), tuple(target), entry.get("z"))
                 rows.append((outcome, as_fraction(entry["p"])))
             except (KeyError, TypeError) as exc:
                 raise DistributionError(f"malformed outcome entry {entry!r}") from exc

@@ -29,7 +29,6 @@ from .engine import (
     PidResult,
     atoms_from_redundancy,
     c_information,
-    conditional_atoms,
     consistency_check,
     rsi,
     rsi_decomposition_check,
@@ -38,7 +37,6 @@ from .gates import make_gate
 from .lattice import (
     Antichain,
     antichain_to_parthood,
-    enumerate_antichains,
     nonempty_subsets,
     redundancy_lattice,
     resolve_condition,
@@ -115,6 +113,18 @@ def _pid(d, measure) -> PidResult:
     return _memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
 
 
+def _split_target(d, measure, k):
+    """The chain-rule split of target component ``k``: the table with ``k`` as
+    its only target and its decomposition, and for each value z of ``k`` the
+    tuple (z, p(z), the table given z without ``k``, its decomposition)."""
+    first = d.restrict_target((k,))
+    rest = []
+    for z, pz in d.variable_marginal(("target", k)).items():
+        dz = d.condition_on(("target", k), z)
+        rest.append((z, float(pz), dz, _pid(dz, measure)))
+    return first, _pid(first, measure), rest
+
+
 # ----------------------------------------------------------------------
 # single properties
 
@@ -141,10 +151,6 @@ def _random_bijections(d: JointDistribution, rng: random.Random):
     return source_maps, target_map
 
 
-def _max_atom_delta(a: PidResult, b: PidResult) -> float:
-    return max(abs(a.atoms[node] - b.atoms[node]) for node in a.atoms)
-
-
 def check_rei(
     d: JointDistribution,
     measure: RedundancyMeasure,
@@ -169,7 +175,8 @@ def check_rei(
 
     def compare(d2: JointDistribution, label: str):
         nonlocal max_delta, witness, checked
-        delta = _max_atom_delta(base, _pid(d2, measure))
+        other = _pid(d2, measure)
+        delta = max(abs(value - other.atoms[node]) for node, value in base.atoms.items())
         checked += 1
         if delta > max_delta:
             max_delta = delta
@@ -218,16 +225,11 @@ def check_tcr(
         raise PreconditionError("TCR needs a target split")
     if d.n_sources > 3:
         raise PreconditionError("exhaustive TCR scan is capped at n=3")
-    first = d.restrict_target((1,))
-    conditionals = [
-        (pz, d.condition_on(("target", 1), value))
-        for value, pz in d.variable_marginal(("target", 1)).items()
-    ]
+    _, first, rest = _split_target(d, measure, 1)
     entries = []
-    for antichain in enumerate_antichains(d.n_sources):
-        lhs = measure.evaluate(d, antichain)
-        first_term = measure.evaluate(first, antichain)
-        cond_term = sum(float(pz) * measure.evaluate(dc, antichain) for pz, dc in conditionals)
+    for antichain, lhs in _pid(d, measure).redundancy.items():
+        first_term = first.redundancy[antichain]
+        cond_term = sum(pz * result.redundancy[antichain] for _, pz, _, result in rest)
         entries.append((antichain, lhs, first_term, cond_term, abs(lhs - first_term - cond_term)))
     worst = max(entries, key=lambda e: e[4])
     return _report(
@@ -250,7 +252,7 @@ def check_lm(
     if d.n_sources > 3:
         raise PreconditionError("exhaustive LM scan is capped at n=3")
     lattice = redundancy_lattice(d.n_sources)
-    values = {node: measure.evaluate(d, node) for node in lattice.nodes}
+    values = _pid(d, measure).redundancy
     worst = None
     pairs = 0
     for above in lattice.nodes:
@@ -279,8 +281,7 @@ def check_sm(
         raise PreconditionError("exhaustive SM scan is capped at n=3")
     worst = None
     pairs = 0
-    for antichain in enumerate_antichains(d.n_sources):
-        base = measure.evaluate(d, antichain)
+    for antichain, base in _pid(d, measure).redundancy.items():
         for extra in nonempty_subsets(d.n_sources):
             pairs += 1
             grown = measure.evaluate(d, antichain.sorted_members + (extra,))
@@ -308,8 +309,7 @@ def check_id(
 ) -> PropertyReport:
     """Identity property: with the source pair itself as target, redundancy
     must equal the mutual information between the sources."""
-    dc = _pair_copy(d)
-    value = measure.evaluate(dc, Antichain.of({1}, {2}))
+    value = _pid(_pair_copy(d), measure).redundancy[Antichain.of({1}, {2})]
     reference = d.mutual_information([("source", 1)], [("source", 2)])
     deviation = abs(value - reference)
     return _report(
@@ -339,7 +339,7 @@ def check_iid(
     dc = _pair_copy(d)
     if not _sources_independent(d):
         return _vacuous("iid", d, measure, tol, "sources are not independent")
-    value = measure.evaluate(dc, Antichain.of({1}, {2}))
+    value = _pid(dc, measure).redundancy[Antichain.of({1}, {2})]
     return _report("iid", measure.id, d.digest, abs(value) <= tol, tol,
                    {"redundancy": value}, {"redundancy": value})
 
@@ -410,8 +410,9 @@ def check_lemma1(
     if index <= strict:
         return _vacuous("l1", d, measure, tol, "redundancy-synergy index is not positive",
                         rsi=index)
+    values = _pid(d, measure).redundancy
     pairwise = {
-        f"({i},{j})": measure.evaluate(d, Antichain.of({i}, {j}))
+        f"({i},{j})": values[Antichain.of({i}, {j})]
         for i, j in itertools.combinations(range(1, d.n_sources + 1), 2)
     }
     return _report("l1", measure.id, d.digest, max(pairwise.values()) > strict, tol,
@@ -439,10 +440,11 @@ def check_corollary1(
     _, vacuous = _assume_lp("c1", d, measure, tol)
     if vacuous:
         return vacuous
+    values = _pid(d, measure).redundancy
     worst = None
     table = {}
     for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
-        value = measure.evaluate(d, Antichain.of({i}, {j}))
+        value = values[Antichain.of({i}, {j})]
         bound = min(d.marginal_mi({i}), d.marginal_mi({j}))
         table[f"({i},{j})"] = {"pairwise": value, "bound": bound}
         excess = value - bound
@@ -464,8 +466,13 @@ def check_lemma3(
     if d.n_sources > 3:
         raise PreconditionError("exhaustive scan is capped at n=3")
     on_full = _pid(d, measure)
-    on_first = _pid(d.restrict_target((1,)), measure)
-    on_rest = conditional_atoms(d, measure, ("target", 1))
+    _, on_first, rest = _split_target(d, measure, 1)
+    # the conditional decomposition: atoms given component 1, weighted by p(z)
+    rest_atoms = dict.fromkeys(on_full.atoms, 0.0)
+    for _, pz, _, result in rest:
+        for node in rest_atoms:
+            rest_atoms[node] += pz * result.atoms[node]
+    on_rest = PidResult(d.n_sources, rest_atoms, measure.id, d.digest)
     atom_residuals = {
         node: value - on_first.atoms[node] - on_rest.atoms[node]
         for node, value in on_full.atoms.items()
@@ -563,11 +570,11 @@ def theorem_witness(
     """Reproduce the impossibility proof steps on a 3-source distribution.
 
     Collects the redundancy-synergy index, the pairwise redundancies and
-    their strict positivity, the pair-target re-encodings, the chain-rule
-    split of each pair redundancy with the positivity-implied bounds on both
-    split terms, the identity-property evidence, and a local-positivity scan
-    over every decomposition the argument touches.  The verdicts identify
-    which of lp/rei/tcr/id the measure violates here.
+    their strict positivity, the chain-rule split of each pair redundancy
+    with the positivity-implied bounds on both split terms, the
+    identity-property evidence, and a local-positivity scan over every
+    decomposition the argument touches.  The verdicts identify which of
+    lp/rei/tcr/id the measure violates here; rei is :func:`check_rei`'s.
     """
     if d.n_sources != 3:
         raise PreconditionError("the impossibility argument uses three sources")
@@ -586,35 +593,26 @@ def theorem_witness(
     pairwise = {}
     chains = []
     id_evidence = []
-    reencoding_max = 0.0
     for i, j in itertools.combinations(range(1, 4), 2):
         args = Antichain.of({i}, {j})
         pair_label = f"({i},{j})"
-        pairwise[pair_label] = measure.evaluate(d, args)
+        pairwise[pair_label] = gate_result.redundancy[args]
 
-        # value on the pair target, which re-encodes onto the full target
         d_pair = d.retarget_to_sources((i, j))
         pair_result = _pid(d_pair, measure)
         scan(f"target (S_{i},S_{j})", pair_result)
-        reencoding_max = max(reencoding_max, _max_atom_delta(gate_result, pair_result))
-        value_pair = measure.evaluate(d_pair, args)
+        value_pair = pair_result.redundancy[args]
 
         # chain-rule split of the pair target: first S_j, then S_i given S_j
-        d_first = d.retarget_to_sources((j,))
-        first_result = _pid(d_first, measure)
+        d_first, first_result, rest = _split_target(d_pair, measure, 2)
         scan(f"target S_{j}", first_result)
-        first_term = measure.evaluate(d_first, args)
-
-        d_second = d.retarget_to_sources((i,))
-        cond_term = 0.0
-        cond_mi_i = 0.0
-        cond_mi_j = 0.0
-        for z, pz in d.variable_marginal(("source", j)).items():
-            dz = d_second.condition_on(("source", j), z)
-            scan(f"target S_{i} given S_{j}={z}", _pid(dz, measure))
-            cond_term += float(pz) * measure.evaluate(dz, args)
-            cond_mi_i += float(pz) * dz.marginal_mi({i})
-            cond_mi_j += float(pz) * dz.marginal_mi({j})
+        first_term = first_result.redundancy[args]
+        cond_term = cond_mi_i = cond_mi_j = 0.0
+        for z, pz, dz, result in rest:
+            scan(f"target S_{i} given S_{j}={z}", result)
+            cond_term += pz * result.redundancy[args]
+            cond_mi_i += pz * dz.marginal_mi({i})
+            cond_mi_j += pz * dz.marginal_mi({j})
         residual = abs(value_pair - first_term - cond_term)
         chains.append({
             "pair": pair_label,
@@ -635,12 +633,11 @@ def theorem_witness(
         })
 
     rei_report = check_rei(d, measure, trials=trials, seed=seed, tol=rei_tol)
-    reencoding_max = max(reencoding_max, rei_report.details["max_atom_delta"])
 
     min_atom = min(value for _, value, _ in lp_scan)
     verdicts = {
         "lp": "pass" if min_atom >= -tol else "fail",
-        "rei": "pass" if reencoding_max <= rei_tol else "fail",
+        "rei": rei_report.verdict,
         "tcr": "pass" if max(c["residual"] for c in chains) <= tol else "fail",
         "id": "pass" if max(e["deviation"] for e in id_evidence) <= tol else "fail",
     }
@@ -652,7 +649,7 @@ def theorem_witness(
         consistency_max_residual=consistency.max_residual,
         pairwise=pairwise,
         pairwise_strictly_positive=max(pairwise.values()) > STRICT_POSITIVITY,
-        reencoding_max_delta=reencoding_max,
+        reencoding_max_delta=rei_report.details["max_atom_delta"],
         chains=tuple(chains),
         id_evidence=tuple(id_evidence),
         lp_scan=tuple(lp_scan),

@@ -1,7 +1,11 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,9 @@ def _write_outcomes(path, outcomes):
     [{"s": [0, 1], "t": [1.0], "p": "1"}],
     [{"s": [0, 1], "t": [0], "z": [0], "p": "1"}],
     5,
+    [{"s": "01", "t": [0], "p": "1"}],
+    [{"s": [0, 1], "t": "0", "p": "1"}],
+    [{"s": {"0": 1, "1": 2}, "t": [0], "p": "1"}],
 ])
 def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
     path = _write_outcomes(tmp_path / "bad.json", outcomes)
@@ -243,3 +250,20 @@ def test_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
     tables = [run_cli(capsys, "table2", "--trials", "4") for _ in range(2)]
     assert tables[0] == tables[1]
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # about 0.5 MB of JSON, far more than a pipe buffers, so the writer is
+    # still writing when the pipe closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "partinfo.cli", "lattice", "--n", "4", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -33,7 +33,8 @@ from partinfo import (
     run_property,
     theorem_witness,
 )
-from partinfo import properties
+from partinfo import engine, properties
+from partinfo.measures import RedundancyMeasure
 from partinfo.properties import PROPERTY_IDS, PreconditionError
 
 from conftest import lookup_measure, random_pair_copy, random_rational_distribution
@@ -347,6 +348,18 @@ def test_no_measure_passes_either_impossible_triple(gate_corpus, measure):
     assert check_theorem2(gate_corpus["xor_source_copy"], measure, trials=2).verdict == "pass"
 
 
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("noise", [Fraction(1, 16), Fraction(1, 8)], ids=str)
+def test_theorem_witness_rei_is_check_rei_on_noisy_input(noise, measure):
+    # a pair target is not a re-encoding of a noisy target, so comparing
+    # against it would report a spurious rei failure
+    d = make_gate(GateSpec("xor_source_copy", noise))
+    witness = theorem_witness(d, measure, trials=4, seed=5)
+    report = check_rei(d, measure, trials=4, seed=5)
+    assert witness.verdicts["rei"] == report.verdict == "pass"
+    assert witness.reencoding_max_delta == report.details["max_atom_delta"]
+
+
 def test_theorem_checks_honour_trials(gate_corpus, monkeypatch):
     seen = []
     real = properties.check_rei
@@ -421,3 +434,39 @@ def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypat
     # the memo lives only for one call: a second call decomposes the input again
     run_all_checks(d, IMIN, trials=4)
     assert decomposed[d, "imin"] == 2
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+def test_run_all_checks_reads_redundancy_off_decompositions(monkeypatch, measure):
+    # every antichain value comes from a decomposition, and conditional
+    # tables are decomposed through the call memo, not conditional_atoms
+    depth = [0]
+    outside, conditional = [], []
+    real_decompose, real_conditional = engine.atoms_from_redundancy, engine.conditional_atoms
+    real_evaluate = RedundancyMeasure.evaluate
+
+    def decompose_spy(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_decompose(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def conditional_spy(*args, **kwargs):
+        conditional.append(args[0])
+        return real_conditional(*args, **kwargs)
+
+    def evaluate_spy(self, d, args):
+        if isinstance(args, Antichain) and not depth[0]:
+            outside.append(args.label)
+        return real_evaluate(self, d, args)
+
+    for module in (engine, properties):
+        for name, spy in (("atoms_from_redundancy", decompose_spy),
+                          ("conditional_atoms", conditional_spy)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(RedundancyMeasure, "evaluate", evaluate_spy)
+    run_all_checks(make_gate(GateSpec("xor_source_copy", Fraction(1, 8))), measure, trials=2)
+    assert outside == []
+    assert conditional == []
