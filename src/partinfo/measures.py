@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Sequence
 
 from .lattice import Antichain
@@ -62,27 +64,42 @@ def specific_information(d: JointDistribution, a) -> dict:
 
     I(a;t) = sum over realizations s_a of p(s_a|t) * log2( p(t|s_a) / p(t) ).
     Terms with p(s_a|t) = 0 contribute nothing; averaging the table against
-    p(t) recovers I(a;T).
+    p(t) recovers I(a;T).  Masses are integer weights over the kernel's
+    common denominator D, so p(t|s_a) / p(t) is the exact rational
+    w(s_a, t) * D / (w(s_a) * w(t)).
     """
-    indices = sorted(frozenset(a))
-    target = d.target_marginal()
-    if not indices:
-        return {t: 0.0 for t in target}
-    pairs = d.source_target_marginal(indices)
-    source = d.source_marginal(indices)
-    table = {t: 0.0 for t in target}
-    for (sa, t), p_sat in pairs.items():
-        ratio = p_sat / (source[sa] * target[t])
-        table[t] += float(p_sat / target[t]) * log2_fraction(ratio)
+    kernel = d._kernel()
+    table = dict.fromkeys(kernel.target_weights, 0.0)
+    a = frozenset(a)
+    if not a:
+        return table
+    source: dict = {}
+    pairs: dict = {}
+    for sa, t, w in zip(kernel.projections(a), kernel.targets, kernel.weights):
+        source[sa] = source.get(sa, 0) + w
+        pairs[sa, t] = pairs.get((sa, t), 0) + w
+    for (sa, t), w in pairs.items():
+        w_t = kernel.target_weights[t]
+        table[t] += w / w_t * log2_fraction(Fraction(w * kernel.denominator, source[sa] * w_t))
     return table
 
 
 def i_min(d: JointDistribution, args: Sequence) -> float:
-    """Minimum specific information, averaged over the target."""
-    tables = [specific_information(d, a) for a in args]
+    """Minimum specific information, averaged over the target.
+
+    Each subset's specific-information table is computed once per
+    distribution and kept in its kernel.
+    """
+    kernel = d._kernel()
+    tables = []
+    for a in map(frozenset, args):
+        table = kernel.si_tables.get(a)
+        if table is None:
+            table = kernel.si_tables[a] = specific_information(d, a)
+        tables.append(table)
     return sum(
-        float(p) * min(table[t] for table in tables)
-        for t, p in d.target_marginal().items()
+        w_t / kernel.denominator * min(table[t] for table in tables)
+        for t, w_t in kernel.target_weights.items()
     )
 
 
@@ -91,26 +108,21 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
 
     For each support point, condition on the event that at least one of the
     argument collections took its observed value, and average the pointwise
-    information this gives about the observed target value.  All event
-    probabilities are exact rationals; only the final log is floating point.
+    information this gives about the observed target value.  The event is
+    the union of the point's agree-masks over the arguments, and its mass is
+    an exact integer weight; only the final log is floating point.
     """
-    pairs = list(d.source_target_marginal().items())
-    target = d.target_marginal()
-    projections = [
-        [tuple(s[i - 1] for i in sorted(a)) for (s, _t), _p in pairs] for a in args
-    ]
+    kernel = d._kernel()
+    denominator = kernel.denominator
+    agree = [kernel.agree_masks(frozenset(a)) for a in args]
     total = 0.0
-    for k, ((s, t), p) in enumerate(pairs):
-        observed = [proj[k] for proj in projections]
-        p_event = Fraction(0)
-        p_target_event = Fraction(0)
-        for m, ((_s2, t2), p2) in enumerate(pairs):
-            if any(proj[m] == obs for proj, obs in zip(projections, observed)):
-                p_event += p2
-                if t2 == t:
-                    p_target_event += p2
-        ratio = (p_target_event / p_event) / target[t]
-        total += float(p) * log2_fraction(ratio)
+    for w, t, masks in zip(kernel.weights, kernel.targets, zip(*agree)):
+        event = reduce(or_, masks)
+        ratio = Fraction(
+            kernel.mass(event & kernel.target_masks[t]) * denominator,
+            kernel.mass(event) * kernel.target_weights[t],
+        )
+        total += w / denominator * log2_fraction(ratio)
     return total
 
 

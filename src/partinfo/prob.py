@@ -2,10 +2,11 @@
 
 Joint distributions over ``n`` source variables, a composite target
 ``T = (T_1, ..., T_k)``, and an optional auxiliary conditioning variable.
-Probabilities are :class:`fractions.Fraction` end to end; base-2 logarithms
-are applied only at the final step of each Shannon quantity, so the lattice
-algebra downstream never accumulates rounding error beyond the log
-evaluation itself.
+Probabilities are :class:`fractions.Fraction` at every interface, and the
+redundancy measures work on integer weights over one common denominator
+(see :class:`_Kernel`); base-2 logarithms are applied only at the final
+step of each Shannon quantity, so the lattice algebra downstream never
+accumulates rounding error beyond the log evaluation itself.
 
 Variables are addressed by *selectors*:
 
@@ -127,7 +128,7 @@ class JointDistribution:
     return new distributions.
     """
 
-    __slots__ = ("n_sources", "target_arity", "_rows", "_support", "_digest")
+    __slots__ = ("n_sources", "target_arity", "_rows", "_support", "_digest", "_measure_kernel")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
         if n_sources < 1:
@@ -177,6 +178,7 @@ class JointDistribution:
         self._rows = tuple(rows)
         self._support = support
         self._digest = None
+        self._measure_kernel = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -251,19 +253,18 @@ class JointDistribution:
     def target_marginal(self) -> dict:
         return self.marginal([("target", j) for j in range(1, self.target_arity + 1)])
 
-    def source_target_marginal(self, indices: Iterable[int] | None = None) -> dict:
-        """Marginal over (selected sources, full target), keyed (s_a, t)."""
-        idx = sorted(indices) if indices is not None else range(1, self.n_sources + 1)
-        sels = [("source", i) for i in idx]
-        k = len(sels)
-        joint = self.marginal(sels + [("target", j) for j in range(1, self.target_arity + 1)])
-        return {(key[:k], key[k:]): p for key, p in joint.items()}
-
     def variable_marginal(self, selector: Selector) -> dict:
         return {key[0]: p for key, p in self.marginal([selector]).items()}
 
     def variable_support(self, selector: Selector) -> tuple:
         return tuple(self.variable_marginal(selector).keys())
+
+    def _kernel(self) -> "_Kernel":
+        """The integer kernel the redundancy measures work on, built on first
+        use; safe to keep because the distribution never changes."""
+        if self._measure_kernel is None:
+            self._measure_kernel = _Kernel(self.n_sources, self._support)
+        return self._measure_kernel
 
     # ------------------------------------------------------------------
     # Shannon quantities (bits)
@@ -433,11 +434,15 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "JointDistribution":
         try:
-            n_sources = int(data["n_sources"])
-            target_arity = int(data["target_arity"])
+            n_sources = data["n_sources"]
+            target_arity = data["target_arity"]
             entries = list(data["outcomes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DistributionError(f"malformed distribution object: {exc}") from exc
+        if type(n_sources) is not int or type(target_arity) is not int:
+            raise DistributionError(
+                f"n_sources and target_arity must be integers: {n_sources!r}, {target_arity!r}"
+            )
         rows = []
         for entry in entries:
             try:
@@ -471,6 +476,71 @@ class JointDistribution:
             payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
             self._digest = hashlib.sha256(payload.encode()).hexdigest()
         return self._digest
+
+
+class _Kernel:
+    """The (sources, target) marginal of a support as integer weights.
+
+    Point ``k`` is the k-th distinct (sources, target) pair in canonical
+    support order (rows differing only in aux are merged) and has
+    probability ``weights[k] / denominator``.  Sets of points are int
+    bitmasks, bit ``k`` for point ``k``; ``mass`` sums their weights
+    exactly.  Per-subset tables are filled on first request and never
+    change afterwards.
+    """
+
+    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights",
+                 "target_weights", "target_masks", "si_tables", "_agree", "_byte_tables")
+
+    def __init__(self, n_sources: int, support):
+        merged: dict = {}
+        for outcome, p in support:
+            key = (outcome.sources, outcome.target)
+            merged[key] = merged.get(key, 0) + p
+        denominator = math.lcm(*(p.denominator for p in merged.values()))
+        self.n_sources = n_sources
+        self.denominator = denominator
+        self.sources = [s for s, _ in merged]
+        self.targets = [t for _, t in merged]
+        self.weights = [p.numerator * (denominator // p.denominator) for p in merged.values()]
+        self.target_weights: dict = {}     # target value -> weight, first-appearance order
+        self.target_masks: dict = {}       # target value -> its points
+        for k, (t, w) in enumerate(zip(self.targets, self.weights)):
+            self.target_weights[t] = self.target_weights.get(t, 0) + w
+            self.target_masks[t] = self.target_masks.get(t, 0) | 1 << k
+        self.si_tables: dict = {}          # subset -> specific-information table
+        self._agree: dict = {}
+        # _byte_tables[j][b]: total weight of the points 8j + i for the bits i of b
+        self._byte_tables = []
+        for j in range(0, len(self.weights), 8):
+            table = [0]
+            for w in self.weights[j : j + 8]:
+                table += [x + w for x in table]
+            self._byte_tables.append(table)
+
+    def projections(self, subset) -> list:
+        """Each point's source values on ``subset`` (1-based source indices)."""
+        indices = sorted(subset)
+        for i in indices:
+            if not isinstance(i, int) or not 1 <= i <= self.n_sources:
+                raise DistributionError(f"source index {i!r} out of range 1..{self.n_sources}")
+        return [tuple(s[i - 1] for i in indices) for s in self.sources]
+
+    def agree_masks(self, subset: frozenset) -> list:
+        """Per point, the mask of the points that agree with it on ``subset``."""
+        masks = self._agree.get(subset)
+        if masks is None:
+            projections = self.projections(subset)
+            groups: dict = {}
+            for k, value in enumerate(projections):
+                groups[value] = groups.get(value, 0) | 1 << k
+            masks = self._agree[subset] = [groups[value] for value in projections]
+        return masks
+
+    def mass(self, mask: int) -> int:
+        """Total weight of the points in ``mask``."""
+        tables = self._byte_tables
+        return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
 
 
 def _merge_rows(rows) -> list:

@@ -177,6 +177,22 @@ def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("header", [
+    {"n_sources": 2.9},
+    {"n_sources": 2.0},
+    {"n_sources": "2"},
+    {"target_arity": True},
+    {"target_arity": None},
+])
+def test_non_integer_header_fields_exit_2(tmp_path, capsys, header):
+    data = {"n_sources": 2, "target_arity": 1,
+            "outcomes": [{"s": [0, 1], "t": [0], "p": "1"}], **header}
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "atoms", "--input", str(path), "--measure", "imin")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_symbols_may_be_ints_or_strings(tmp_path, capsys):
     path = _write_outcomes(tmp_path / "ok.json", [
         {"s": [0, "a"], "t": [0], "z": "x", "p": "1/2"},

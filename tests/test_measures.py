@@ -10,6 +10,7 @@ from partinfo import (
     JointDistribution,
     Outcome,
     RedundancyMeasure,
+    atoms_from_redundancy,
     available_measures,
     conformance_suite,
     enumerate_antichains,
@@ -21,6 +22,11 @@ from partinfo import (
 )
 
 from conftest import oracle_imin, oracle_isx, oracle_rows, random_rational_distribution
+
+try:
+    from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+except ImportError:  # the generated-table test below is skipped
+    st = None
 
 BOTTOM2 = Antichain.of({1}, {2})
 
@@ -90,6 +96,74 @@ def test_measures_match_oracles_on_random_tables(rng):
         for args in argsets:
             assert abs(i_min(d, [frozenset(a) for a in args]) - oracle_imin(rows, args)) <= 1e-12
             assert abs(i_sx(d, [frozenset(a) for a in args]) - oracle_isx(rows, args)) <= 1e-12
+
+
+def test_aux_rows_sharing_sources_and_target_are_merged():
+    # rows that differ only in aux must act as one (sources, target) point,
+    # down to the last bit of every atom
+    aux_rows = [
+        (Outcome((0, 0), (0,), "a"), Fraction(1, 7)),
+        (Outcome((0, 0), (0,), "b"), Fraction(1, 11)),
+        (Outcome((0, 1), (1,), "a"), Fraction(2, 9)),
+        (Outcome((1, 0), (1,), "b"), Fraction(1, 5)),
+        (Outcome((1, 1), (0,), "a"), Fraction(1, 13)),
+        (Outcome((1, 1), (0,), "b"), Fraction(1, 9)),
+        (Outcome((0, 1), (0,), "b"), 1 - Fraction(1, 7) - Fraction(1, 11) - Fraction(2, 9)
+         - Fraction(1, 5) - Fraction(1, 13) - Fraction(1, 9)),
+    ]
+    merged = {}
+    for outcome, p in aux_rows:
+        key = (outcome.sources, outcome.target)
+        merged[key] = merged.get(key, 0) + p
+    with_aux = JointDistribution(2, 1, aux_rows)
+    without_aux = JointDistribution(2, 1, [(Outcome(s, t), p) for (s, t), p in merged.items()])
+    for measure_id in ("imin", "isx"):
+        measure = get_measure(measure_id)
+        got = atoms_from_redundancy(with_aux, measure)
+        want = atoms_from_redundancy(without_aux, measure)
+        assert got.redundancy == want.redundancy
+        assert got.atoms == want.atoms
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_measures_match_oracles_on_generated_tables():
+    symbols = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b"]))
+    masses = st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12)
+
+    # no shrink phase: on a failure, shrinking through the oracles takes minutes
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3), label="n")
+        arity = data.draw(st.integers(1, 2), label="target arity")
+        aux = symbols if data.draw(st.booleans(), label="aux") else st.none()
+        cells = data.draw(st.lists(
+            st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity), aux),
+            min_size=1, max_size=10, unique=True,
+        ), label="cells")
+        raw = data.draw(st.lists(masses, min_size=len(cells), max_size=len(cells)), label="masses")
+        rows = [(Outcome(s, t, z), m / sum(raw)) for (s, t, z), m in zip(cells, raw)]
+        # any argument tuple: non-antichains and repeated members included
+        args = data.draw(st.lists(
+            st.frozensets(st.integers(1, n), min_size=1), min_size=1, max_size=4,
+        ), label="args")
+
+        d = JointDistribution(n, arity, rows)
+        reference = oracle_rows(d)
+        imin, isx = i_min(d, args), i_sx(d, args)
+        assert abs(imin - oracle_imin(reference, args)) <= 1e-12
+        assert abs(isx - oracle_isx(reference, args)) <= 1e-12
+
+        # an equal table built separately, its caches warmed in another order
+        twin = JointDistribution(n, arity, rows[::-1])
+        for a in reversed(args):
+            i_min(twin, (a,))
+            i_sx(twin, (a,))
+        assert i_min(twin, args) == imin and i_sx(twin, args) == isx
+        assert i_min(d, args) == imin and i_sx(d, args) == isx
+
+    check()
 
 
 def test_imin_bounded_by_member_informations(gate_corpus):
