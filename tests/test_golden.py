@@ -1,0 +1,116 @@
+"""Byte-identity of CLI output against recorded digests.
+
+``golden_digests.json`` holds the sha256 of stdout for a fixed command set:
+``check --property all`` on the four corpus gates at two noise levels for
+both measures, ``atoms`` on two seeded n=4 tables, ``table2`` and
+``lattice --n 3``, all in JSON.  Any change to an atom, a verdict or a
+formatting detail shows up here.  Python 3.12 made ``sum()`` of floats
+compensated, which moves the last bits of some atoms, so the file keeps one
+set of digests for interpreters before 3.12 and one for 3.12 on.  When an
+output change is intended, regenerate the current interpreter's set with
+``PYTHONPATH=src python tests/test_golden.py`` (once on each side of 3.12)
+and say in the change log why the output moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from partinfo.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+GATES = ("xor", "copy2", "and", "xor_source_copy")
+MEASURES = ("imin", "isx")
+TABLES = ("plain", "aux")
+FAMILY = "python>=3.12" if sys.version_info >= (3, 12) else "python<3.12"
+
+
+def _write_tables(directory: Path) -> dict:
+    """Two seeded n=4 tables (ternary sources, binary target, 64 rows with
+    weights over their sum): a plain one, and one with an aux column whose
+    rows may share (sources, target) and may carry zero probability."""
+    grid = list(itertools.product(range(3), range(3), range(3), range(3), range(2)))
+    paths = {}
+    for name, aux in zip(TABLES, ((), ("a", "b"))):
+        rng = random.Random(f"golden:{name}")
+        cells = rng.sample([c + (z,) for c in grid for z in aux] if aux else grid, 64)
+        weights = [rng.randint(0 if aux else 1, 6) for _ in cells]
+        total = sum(weights)
+        outcomes = []
+        for cell, w in zip(cells, weights):
+            entry = {"s": list(cell[:4]), "t": [cell[4]], "p": f"{w}/{total}"}
+            if aux:
+                entry["z"] = cell[5]
+            outcomes.append(entry)
+        path = directory / f"golden-{name}.json"
+        path.write_text(json.dumps({"n_sources": 4, "target_arity": 1, "outcomes": outcomes}))
+        paths[name] = str(path)
+    return paths
+
+
+def golden_commands(tables: dict) -> dict:
+    """Command name -> argv, given the path of each n=4 table."""
+    commands = {}
+    for gate, noise, measure in itertools.product(GATES, ("0", "1/8"), MEASURES):
+        commands[f"check {gate} q={noise} {measure}"] = [
+            "check", "--gate", gate, "--noise", noise, "--measure", measure,
+            "--property", "all", "--seed", "5", "--format", "json",
+        ]
+    for name, path in tables.items():
+        for measure in MEASURES:
+            commands[f"atoms {name} {measure}"] = [
+                "atoms", "--input", path, "--measure", measure, "--format", "json",
+            ]
+    commands["table2"] = ["table2", "--format", "json"]
+    commands["lattice n=3"] = ["lattice", "--n", "3", "--format", "json"]
+    return commands
+
+
+def stdout_digest(argv) -> tuple:
+    """Exit code and sha256 of what ``partinfo`` writes to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    return golden_commands(_write_tables(tmp_path_factory.mktemp("golden")))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())[FAMILY]
+
+
+def test_every_command_has_a_recorded_digest(commands, recorded):
+    assert sorted(recorded) == sorted(commands)
+
+
+@pytest.mark.parametrize("name", sorted(golden_commands(dict.fromkeys(TABLES, "-"))))
+def test_output_matches_recorded_digest(commands, recorded, name):
+    assert stdout_digest(commands[name]) == (0, recorded[name])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {}
+        for name, argv in golden_commands(_write_tables(Path(tmp))).items():
+            code, digest = stdout_digest(argv)
+            if code != 0:
+                sys.exit(f"{name} exited {code}")
+            digests[name] = digest
+    families = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    families[FAMILY] = digests
+    DIGESTS.write_text(json.dumps(families, indent=2, sort_keys=True) + "\n")
