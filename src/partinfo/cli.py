@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -47,6 +48,27 @@ _MEASURE_LABELS = {
     "iunion_blackwell": "I_union^<",
 }
 _MARKS = {"pass": "✓", "fail": "✗", "vacuous": "n/a"}
+_TOL_HELP = "tolerance of every check (default: 1e-9, and 1e-12 for rei's atom comparisons)"
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan        # rejected below
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1              # rejected below
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms = sub.add_parser("atoms", help="compute the information atoms")
     add_input_flags(p_atoms)
     p_atoms.add_argument("--measure", required=True, help="registered measure id")
-    p_atoms.add_argument("--tol", type=float, default=1e-9)
+    p_atoms.add_argument("--tol", type=_tolerance, default=1e-9)
     p_atoms.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="run property checks")
@@ -74,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--measure", required=True)
     p_check.add_argument("--property", default="all",
                          help="property id (%s) or 'all'" % ",".join(PROPERTY_IDS))
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, default=32)
+    p_check.add_argument("--trials", type=_count, default=32)
     p_check.add_argument("--expect", metavar="FILE",
                          help="JSON mapping property -> expected verdict")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
@@ -88,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     p_table = sub.add_parser("table2", help="property matrix over the gate corpus")
-    p_table.add_argument("--tol", type=float, default=1e-9)
+    p_table.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
     p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--trials", type=int, default=32)
+    p_table.add_argument("--trials", type=_count, default=32)
     p_table.add_argument("--expect", metavar="FILE",
                          help="expectations JSON (default: packaged table)")
     p_table.add_argument("--format", choices=("text", "json"), default="text")
@@ -137,6 +159,13 @@ def _render_report(report) -> str:
 
 
 def _cmd_check(args) -> int:
+    expected = _read_json(args.expect) if args.expect else {}
+    if not isinstance(expected, dict) or not all(
+        k in PROPERTY_IDS and isinstance(v, str) and v in _MARKS for k, v in expected.items()
+    ):
+        raise DistributionError(
+            f"{args.expect}: expected a JSON object of property id -> pass, fail or vacuous"
+        )
     d = _load_distribution(args)
     measure = get_measure(args.measure)
     if args.property == "all":
@@ -154,7 +183,6 @@ def _cmd_check(args) -> int:
         for report in reports:
             print(_render_report(report))
     if args.expect:
-        expected = json.loads(Path(args.expect).read_text())
         mismatches = [
             (r.property_id, expected[r.property_id], r.verdict)
             for r in reports
@@ -180,14 +208,30 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DistributionError(f"cannot parse {path}: {exc}") from exc
+
+
 def _default_expectations() -> dict:
     return json.loads(resources.files("partinfo").joinpath("table2_expected.json").read_text())
 
 
 def _cmd_table2(args) -> int:
+    expected = _read_json(args.expect) if args.expect else _default_expectations()
+    if not (
+        isinstance(expected, dict)
+        and isinstance(expected.get("measures"), dict)
+        and all(isinstance(row, dict) for row in expected["measures"].values())
+        and isinstance(expected.get("not_implemented", []), list)
+        and all(isinstance(mid, str) for mid in expected.get("not_implemented", []))
+    ):
+        raise DistributionError(f"{args.expect}: expected an object with \"measures\" "
+                                "as an object of objects")
     measures = [get_measure(mid) for mid in available_measures()]
     matrix = property_matrix(measures, tol=args.tol, trials=args.trials, seed=args.seed)
-    expected = json.loads(Path(args.expect).read_text()) if args.expect else _default_expectations()
 
     if args.format == "json":
         print(json.dumps({"computed": matrix, "expected": expected["measures"]},

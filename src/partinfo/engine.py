@@ -17,9 +17,9 @@ from typing import Mapping
 from .lattice import (
     Antichain,
     RedundancyLattice,
-    antichain_to_parthood,
     degree_of_redundancy,
     nonempty_subsets,
+    parthood_by_antichain,
     redundancy_lattice,
     resolve_condition,
 )
@@ -180,10 +180,9 @@ def c_information(result: PidResult, condition, args) -> float:
     """Sum the atoms whose parthood distribution satisfies the condition."""
     cond = resolve_condition(condition)
     selected = normalize_args(args)
+    parthood = parthood_by_antichain(result.n)
     return sum(
-        value
-        for antichain, value in result.atoms.items()
-        if cond(selected, antichain_to_parthood(antichain, result.n))
+        value for antichain, value in result.atoms.items() if cond(selected, parthood[antichain])
     )
 
 

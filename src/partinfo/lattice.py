@@ -212,6 +212,14 @@ def enumerate_parthood(n: int, allow_large: bool = False) -> tuple:
     return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n, allow_large))
 
 
+@lru_cache(maxsize=None)
+def parthood_by_antichain(n: int) -> dict:
+    """Antichain -> its parthood distribution, for every antichain of ``n``
+    sources (read off the cached enumerations; n=5 is built on request)."""
+    allow_large = n == LARGE_N
+    return dict(zip(enumerate_antichains(n, allow_large), enumerate_parthood(n, allow_large)))
+
+
 # ----------------------------------------------------------------------
 # logical conditions on parthood distributions
 

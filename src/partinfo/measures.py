@@ -17,13 +17,13 @@ runtime without touching the decomposition engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from operator import or_
 from typing import Callable, Sequence
 
-from .lattice import Antichain
-from .prob import JointDistribution, log2_fraction
+from .lattice import Antichain, enumerate_antichains, nonempty_subsets
+from .prob import JointDistribution, log2_ratio
 
 
 def normalize_args(args) -> tuple:
@@ -70,17 +70,16 @@ def specific_information(d: JointDistribution, a) -> dict:
     """
     kernel = d._kernel()
     table = dict.fromkeys(kernel.target_weights, 0.0)
-    a = frozenset(a)
+    a = sorted(frozenset(a))
     if not a:
         return table
-    source: dict = {}
-    pairs: dict = {}
-    for sa, t, w in zip(kernel.projections(a), kernel.targets, kernel.weights):
-        source[sa] = source.get(sa, 0) + w
-        pairs[sa, t] = pairs.get((sa, t), 0) + w
-    for (sa, t), w in pairs.items():
+    sources = [("source", i) for i in a]
+    targets = [("target", j) for j in range(1, d.target_arity + 1)]
+    w_source = d._marginal_weights(sources)
+    for key, w in d._marginal_weights(sources + targets).items():
+        t = key[len(a):]
         w_t = kernel.target_weights[t]
-        table[t] += w / w_t * log2_fraction(Fraction(w * kernel.denominator, source[sa] * w_t))
+        table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[key[: len(a)]] * w_t)
     return table
 
 
@@ -118,11 +117,8 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     total = 0.0
     for w, t, masks in zip(kernel.weights, kernel.targets, zip(*agree)):
         event = reduce(or_, masks)
-        ratio = Fraction(
-            kernel.mass(event & kernel.target_masks[t]) * denominator,
-            kernel.mass(event) * kernel.target_weights[t],
-        )
-        total += w / denominator * log2_fraction(ratio)
+        total += w / denominator * log2_ratio(kernel.mass(event & kernel.target_masks[t]) * denominator,
+                                              kernel.mass(event) * kernel.target_weights[t])
     return total
 
 
@@ -184,10 +180,6 @@ def conformance_suite(
 ) -> ConformanceReport:
     """Check symmetry, self-redundancy, and superset invariance by direct
     evaluation over every antichain argument tuple (n <= 3)."""
-    from itertools import permutations
-
-    from .lattice import enumerate_antichains, nonempty_subsets
-
     n = d.n_sources
     if n > 3:
         raise ValueError("conformance scan is exhaustive and capped at n=3")

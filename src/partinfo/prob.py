@@ -2,10 +2,10 @@
 
 Joint distributions over ``n`` source variables, a composite target
 ``T = (T_1, ..., T_k)``, and an optional auxiliary conditioning variable.
-Probabilities are :class:`fractions.Fraction` at every interface, and the
-redundancy measures work on integer weights over one common denominator
-(see :class:`_Kernel`); base-2 logarithms are applied only at the final
-step of each Shannon quantity, so the lattice algebra downstream never
+Probabilities are :class:`fractions.Fraction` at every interface; inside,
+every computation adds integer weights over one common denominator, and
+base-2 logarithms (of gcd-reduced integer ratios) are applied only at the
+final step of each Shannon quantity, so the lattice algebra downstream never
 accumulates rounding error beyond the log evaluation itself.
 
 Variables are addressed by *selectors*:
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Symbol = Union[int, str]
@@ -72,20 +73,28 @@ def as_fraction(value) -> Fraction:
     raise DistributionError(f"cannot parse probability {value!r}")
 
 
-def log2_fraction(q: Fraction) -> float:
-    """log2 of a positive rational, evaluated without intermediate overflow."""
-    if q <= 0:
-        raise ValueError(f"log2 of non-positive rational {q}")
-    return math.log2(q.numerator) - math.log2(q.denominator)
+def log2_ratio(a: int, b: int) -> float:
+    """log2(a / b) for positive integers, as the difference of the logs of
+    the reduced numerator and denominator (so equal ratios give equal bits)."""
+    g = math.gcd(a, b)
+    return math.log2(a // g) - math.log2(b // g)
+
+
+def _check_injective(name: str, table: Mapping, support) -> list:
+    """The images of ``support`` under ``table``, which must map it one-to-one."""
+    images = []
+    for value in support:
+        if value not in table:
+            raise EncodingError(f"{name} is missing support value {value!r}")
+        images.append(table[value])
+    if len(set(images)) != len(images):
+        raise EncodingError(f"{name} is not invertible on the support")
+    return images
 
 
 def _symbol_key(symbol) -> tuple:
     # total order over possibly mixed int/str alphabets
     return (type(symbol).__name__, str(symbol))
-
-
-def _tuple_key(values: tuple) -> tuple:
-    return tuple(_symbol_key(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,8 @@ class Outcome:
     aux: Symbol | None = None
 
     def sort_key(self) -> tuple:
-        aux_part = () if self.aux is None else (_symbol_key(self.aux),)
-        return (_tuple_key(self.sources), _tuple_key(self.target), aux_part)
+        aux = () if self.aux is None else (_symbol_key(self.aux),)
+        return (tuple(map(_symbol_key, self.sources)), tuple(map(_symbol_key, self.target)), aux)
 
 
 def _normalize_selector(selector: Selector) -> tuple:
@@ -118,6 +127,16 @@ def _normalize_selector(selector: Selector) -> tuple:
     raise DistributionError(f"bad variable selector {selector!r}")
 
 
+class _Weights:
+    """(outcome, integer weight) rows over one denominator: how a derived
+    distribution is handed its table."""
+
+    __slots__ = ("rows", "denominator")
+
+    def __init__(self, rows: list, denominator: int):
+        self.rows, self.denominator = rows, denominator
+
+
 class JointDistribution:
     """Finite joint distribution of sources, composite target, optional aux.
 
@@ -126,57 +145,60 @@ class JointDistribution:
     support is nonempty.  Zero-probability rows may be present but are
     ignored by every functional.  Instances are immutable; all operations
     return new distributions.
+
+    The table is held once, as integer weights over the reduced common
+    denominator ``D``: row ``(o, w)`` has probability ``w / D``, and the
+    weights sum to ``D`` with no common factor, so equal distributions hold
+    equal rows.
     """
 
-    __slots__ = ("n_sources", "target_arity", "_rows", "_support", "_digest", "_measure_kernel")
+    __slots__ = ("n_sources", "target_arity", "_rows", "_weights", "_denominator",
+                 "_digest", "_measure_kernel")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
         if n_sources < 1:
             raise DistributionError("need at least one source variable")
         if target_arity < 0:
             raise DistributionError("target arity cannot be negative")
+        weighted = isinstance(outcomes, _Weights)
+        denominator = outcomes.denominator if weighted else 1
         rows = []
-        has_aux = None
-        for outcome, prob in outcomes:
+        for outcome, prob in outcomes.rows if weighted else outcomes:
             if not isinstance(outcome, Outcome):
                 sources, target = outcome[0], outcome[1]
                 aux = outcome[2] if len(outcome) > 2 else None
                 outcome = Outcome(tuple(sources), tuple(target), aux)
-            p = as_fraction(prob)
-            if len(outcome.sources) != n_sources:
-                raise DistributionError(
-                    f"outcome {outcome} has {len(outcome.sources)} source values, expected {n_sources}"
-                )
-            if len(outcome.target) != target_arity:
-                raise DistributionError(
-                    f"outcome {outcome} has {len(outcome.target)} target values, expected {target_arity}"
-                )
-            if p < 0 or p > 1:
-                raise DistributionError(f"probability {p} outside [0, 1]")
-            row_has_aux = outcome.aux is not None
-            if has_aux is None:
-                has_aux = row_has_aux
-            elif has_aux != row_has_aux:
-                raise DistributionError("auxiliary value must be present on all outcomes or none")
+            p = prob if weighted else as_fraction(prob)
+            if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
+                raise DistributionError(f"outcome {outcome} does not have {n_sources} source "
+                                        f"and {target_arity} target values")
+            if p < 0 or p > denominator:
+                raise DistributionError(f"probability {Fraction(p, denominator)} outside [0, 1]")
             rows.append((outcome, p))
         if not rows:
             raise DistributionError("empty outcome table")
+        if len({o.aux is None for o, _ in rows}) > 1:
+            raise DistributionError("auxiliary value must be present on all outcomes or none")
+        if not weighted:
+            denominator = math.lcm(*(p.denominator for _, p in rows))
+            rows = [(o, p.numerator * (denominator // p.denominator)) for o, p in rows]
         rows.sort(key=lambda item: item[0].sort_key())
         seen = set()
         for outcome, _ in rows:
             if outcome in seen:
                 raise DistributionError(f"duplicate outcome {outcome}")
             seen.add(outcome)
-        total = sum(p for _, p in rows)
-        if total != 1:
-            raise DistributionError(f"probabilities sum to {total}, expected exactly 1")
-        support = tuple((o, p) for o, p in rows if p > 0)
-        if not support:
-            raise DistributionError("support is empty")
+        total = sum(w for _, w in rows)
+        if total != denominator:    # as denominator >= 1, this also keeps the support nonempty
+            raise DistributionError(
+                f"probabilities sum to {Fraction(total, denominator)}, expected exactly 1"
+            )
+        g = math.gcd(*(w for _, w in rows))
         self.n_sources = n_sources
         self.target_arity = target_arity
-        self._rows = tuple(rows)
-        self._support = support
+        self._rows = tuple((o, w // g) for o, w in rows)
+        self._weights = tuple(row for row in self._rows if row[1])
+        self._denominator = denominator // g
         self._digest = None
         self._measure_kernel = None
 
@@ -186,53 +208,74 @@ class JointDistribution:
     @property
     def outcomes(self) -> tuple:
         """All table rows, including explicit zero-probability ones."""
-        return self._rows
+        return tuple((o, Fraction(w, self._denominator)) for o, w in self._rows)
 
     @property
     def support(self) -> tuple:
         """Positive-probability rows in canonical order."""
-        return self._support
+        return tuple((o, Fraction(w, self._denominator)) for o, w in self._weights)
 
     @property
     def has_aux(self) -> bool:
-        return self._support[0][0].aux is not None
+        return self._weights[0][0].aux is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return (
-            self.n_sources == other.n_sources
-            and self.target_arity == other.target_arity
-            and self._support == other._support
-        )
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash((self.n_sources, self.target_arity, self._support))
+        return hash(self._identity())
+
+    def _identity(self) -> tuple:
+        return (self.n_sources, self.target_arity, self._denominator, self._weights)
 
     def __repr__(self) -> str:
         return (
             f"JointDistribution(n_sources={self.n_sources}, "
-            f"target_arity={self.target_arity}, support={len(self._support)} outcomes)"
+            f"target_arity={self.target_arity}, support={len(self._weights)} outcomes)"
         )
 
     # ------------------------------------------------------------------
     # marginals
 
-    def _selector_value(self, outcome: Outcome, selector: tuple):
-        kind = selector[0]
-        if kind == "source":
-            i = selector[1]
-            if not 1 <= i <= self.n_sources:
-                raise DistributionError(f"source index {i} out of range 1..{self.n_sources}")
-            return outcome.sources[i - 1]
-        if kind == "target":
-            j = selector[1]
-            if not 1 <= j <= self.target_arity:
-                raise DistributionError(f"target component {j} out of range 1..{self.target_arity}")
-            return outcome.target[j - 1]
-        if not self.has_aux:
-            raise DistributionError("distribution has no auxiliary variable")
-        return outcome.aux
+    def _check_indices(self, kind: str, indices) -> None:
+        bound = self.n_sources if kind == "source" else self.target_arity
+        for i in indices:
+            if not 1 <= i <= bound:
+                name = "source index" if kind == "source" else "target component"
+                raise DistributionError(f"{name} {i} out of range 1..{bound}")
+
+    def _key(self, selectors: Sequence[Selector]):
+        """A function from an outcome to the tuple of the selected values."""
+        n = self.n_sources
+        positions = []      # in the row sources + target + (aux,)
+        for kind, *index in map(_normalize_selector, selectors):
+            if kind != "aux":
+                self._check_indices(kind, index)
+                positions.append(index[0] - 1 + (n if kind == "target" else 0))
+            elif not self.has_aux:
+                raise DistributionError("distribution has no auxiliary variable")
+            else:
+                positions.append(n + self.target_arity)
+        if positions == list(range(n, n + self.target_arity)):
+            return attrgetter("target")
+        if len(positions) > 1:
+            pick = itemgetter(*positions)
+        else:               # a slice keeps the one value (or none) in a tuple
+            pick = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+        if all(i < n for i in positions):
+            return lambda o: pick(o.sources)
+        return lambda o: pick(o.sources + o.target + (o.aux,))
+
+    def _marginal_weights(self, selectors: Sequence[Selector]) -> dict:
+        """Value tuple -> integer weight over ``D``, in canonical support order."""
+        key = self._key(selectors)
+        out: dict = {}
+        for outcome, w in self._weights:
+            k = key(outcome)
+            out[k] = out.get(k, 0) + w
+        return out
 
     def marginal(self, selectors: Sequence[Selector]) -> dict:
         """Joint marginal over the selected variables.
@@ -240,12 +283,12 @@ class JointDistribution:
         Returns a mapping from value tuples to exact probabilities, in the
         canonical support order (so downstream float sums are deterministic).
         """
-        sels = [_normalize_selector(s) for s in selectors]
-        out: dict = {}
-        for outcome, p in self._support:
-            key = tuple(self._selector_value(outcome, s) for s in sels)
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
+        d = self._denominator
+        return {k: Fraction(w, d) for k, w in self._marginal_weights(selectors).items()}
+
+    def marginal_support(self, selectors: Sequence[Selector]) -> tuple:
+        """The value tuples of :meth:`marginal`, without their probabilities."""
+        return tuple(dict.fromkeys(map(self._key(selectors), (o for o, _ in self._weights))))
 
     def source_marginal(self, indices: Iterable[int]) -> dict:
         return self.marginal([("source", i) for i in sorted(indices)])
@@ -257,36 +300,34 @@ class JointDistribution:
         return {key[0]: p for key, p in self.marginal([selector]).items()}
 
     def variable_support(self, selector: Selector) -> tuple:
-        return tuple(self.variable_marginal(selector).keys())
+        key = self._key([selector])
+        return tuple(dict.fromkeys(key(o)[0] for o, _ in self._weights))
 
     def _kernel(self) -> "_Kernel":
-        """The integer kernel the redundancy measures work on, built on first
-        use; safe to keep because the distribution never changes."""
+        """The per-subset tables the redundancy measures work on, built on
+        first use; safe to keep because the distribution never changes."""
         if self._measure_kernel is None:
-            self._measure_kernel = _Kernel(self.n_sources, self._support)
+            self._measure_kernel = _Kernel(self)
         return self._measure_kernel
 
     # ------------------------------------------------------------------
-    # Shannon quantities (bits)
+    # Shannon quantities (bits); a probability w / D enters as the float w / D
 
     def entropy(self, selectors: Sequence[Selector]) -> float:
         """Shannon entropy of the joint marginal over ``selectors``."""
-        return -sum(float(p) * log2_fraction(p) for p in self.marginal(selectors).values())
+        d = self._denominator
+        return -sum(w / d * log2_ratio(w, d) for w in self._marginal_weights(selectors).values())
 
     def mutual_information(self, left: Sequence[Selector], right: Sequence[Selector]) -> float:
         """I(left; right) in bits, from exact joint/marginal ratios."""
-        left = [_normalize_selector(s) for s in left]
-        right = [_normalize_selector(s) for s in right]
         if not left or not right:
             return 0.0
-        joint = self.marginal(list(left) + list(right))
-        p_left = self.marginal(left)
-        p_right = self.marginal(right)
-        k = len(left)
+        joint = self._marginal_weights(list(left) + list(right))
+        w_left, w_right = self._marginal_weights(left), self._marginal_weights(right)
+        d, k = self._denominator, len(left)
         total = 0.0
-        for key, p in joint.items():
-            ratio = p / (p_left[key[:k]] * p_right[key[k:]])
-            total += float(p) * log2_fraction(ratio)
+        for key, w in joint.items():
+            total += w / d * log2_ratio(w * d, w_left[key[:k]] * w_right[key[k:]])
         return total
 
     def marginal_mi(self, a: Iterable[int]) -> float:
@@ -302,7 +343,15 @@ class JointDistribution:
         )
 
     # ------------------------------------------------------------------
-    # transformations
+    # transformations: each child gets its table as integer weights
+
+    def _derived(self, target_arity: int, rows) -> "JointDistribution":
+        """The distribution of ``rows`` (outcome, weight over ``D``), equal outcomes merged."""
+        merged: dict = {}
+        for outcome, w in rows:
+            merged[outcome] = merged.get(outcome, 0) + w
+        weights = _Weights(list(merged.items()), self._denominator)
+        return JointDistribution(self.n_sources, target_arity, weights)
 
     def condition_on(self, selector: Selector, value) -> "JointDistribution":
         """Condition on ``variable == value`` and renormalize.
@@ -312,52 +361,37 @@ class JointDistribution:
         stays in place as a constant so the source arity is preserved.
         """
         sel = _normalize_selector(selector)
-        mass = Fraction(0)
-        for outcome, p in self._support:
-            if self._selector_value(outcome, sel) == value:
-                mass += p
+        key = self._key([sel])
+        kept = [(o, w) for o, w in self._weights if key(o) == (value,)]
+        mass = sum(w for _, w in kept)
         if mass == 0:
             raise ConditioningError(f"conditioning on null event {sel!r} == {value!r}")
-        new_rows = []
-        kind = sel[0]
-        for outcome, p in self._support:
-            if self._selector_value(outcome, sel) != value:
-                continue
-            if kind == "source":
-                new_outcome = outcome
-            elif kind == "target":
-                j = sel[1]
-                target = outcome.target[: j - 1] + outcome.target[j:]
-                new_outcome = Outcome(outcome.sources, target, outcome.aux)
-            else:
-                new_outcome = Outcome(outcome.sources, outcome.target, None)
-            new_rows.append((new_outcome, p / mass))
-        arity = self.target_arity - (1 if kind == "target" else 0)
-        return JointDistribution(self.n_sources, arity, _merge_rows(new_rows))
+        if sel[0] == "target":
+            j = sel[1]
+            kept = [(Outcome(o.sources, o.target[: j - 1] + o.target[j:], o.aux), w) for o, w in kept]
+        elif sel[0] == "aux":
+            kept = [(Outcome(o.sources, o.target, None), w) for o, w in kept]
+        # the kept rows all share the conditioned value, so none merge
+        arity = self.target_arity - (sel[0] == "target")
+        return JointDistribution(self.n_sources, arity, _Weights(kept, mass))
 
     def restrict_target(self, components: Sequence[int]) -> "JointDistribution":
         """Marginalize the target down to the given components (1-based, in order)."""
         comps = list(components)
-        for j in comps:
-            if not 1 <= j <= self.target_arity:
-                raise DistributionError(f"target component {j} out of range 1..{self.target_arity}")
-        rows = []
-        for outcome, p in self._support:
-            target = tuple(outcome.target[j - 1] for j in comps)
-            rows.append((Outcome(outcome.sources, target, outcome.aux), p))
-        return JointDistribution(self.n_sources, len(comps), _merge_rows(rows))
+        self._check_indices("target", comps)
+        return self._derived(len(comps), (
+            (Outcome(o.sources, tuple(o.target[j - 1] for j in comps), o.aux), w)
+            for o, w in self._weights
+        ))
 
     def retarget_to_sources(self, indices: Sequence[int]) -> "JointDistribution":
         """Replace the target by a copy of the selected sources (1-based)."""
         idx = list(indices)
-        for i in idx:
-            if not 1 <= i <= self.n_sources:
-                raise DistributionError(f"source index {i} out of range 1..{self.n_sources}")
-        rows = []
-        for outcome, p in self._support:
-            target = tuple(outcome.sources[i - 1] for i in idx)
-            rows.append((Outcome(outcome.sources, target, outcome.aux), p))
-        return JointDistribution(self.n_sources, len(idx), _merge_rows(rows))
+        self._check_indices("source", idx)
+        return self._derived(len(idx), (
+            (Outcome(o.sources, tuple(o.sources[i - 1] for i in idx), o.aux), w)
+            for o, w in self._weights
+        ))
 
     def reencode(
         self,
@@ -374,49 +408,33 @@ class JointDistribution:
         support.
         """
         source_maps = dict(source_maps or {})
-        for i in source_maps:
-            if not 1 <= i <= self.n_sources:
-                raise DistributionError(f"source index {i} out of range 1..{self.n_sources}")
-            support = self.variable_support(("source", i))
-            table = source_maps[i]
-            images = []
-            for value in support:
-                if value not in table:
-                    raise EncodingError(f"source {i} table is missing support value {value!r}")
-                images.append(table[value])
-            if len(set(images)) != len(images):
-                raise EncodingError(f"source {i} table is not invertible on the support")
+        sources = dict.fromkeys(o.sources for o, _ in self._weights)   # distinct, in order
+        for i, table in source_maps.items():
+            self._check_indices("source", (i,))
+            _check_injective(f"source {i} table", table, dict.fromkeys(s[i - 1] for s in sources))
         new_arity = self.target_arity
         if target_map is not None:
-            support = tuple(self.target_marginal().keys())
-            images = []
-            for value in support:
-                if value not in target_map:
-                    raise EncodingError(f"target table is missing support value {value!r}")
-                image = tuple(target_map[value])
-                images.append(image)
-            if len(set(images)) != len(images):
-                raise EncodingError("target table is not invertible on the support")
-            arities = {len(image) for image in images}
+            targets = dict.fromkeys(o.target for o, _ in self._weights)
+            target_map = {t: tuple(target_map[t]) for t in targets if t in target_map}
+            arities = {len(image) for image in _check_injective("target table", target_map, targets)}
             if len(arities) != 1:
                 raise EncodingError("target table maps to tuples of mixed arity")
             new_arity = arities.pop()
-        rows = []
-        for outcome, p in self._support:
-            sources = tuple(
-                source_maps[i][outcome.sources[i - 1]] if i in source_maps else outcome.sources[i - 1]
-                for i in range(1, self.n_sources + 1)
-            )
-            target = tuple(target_map[outcome.target]) if target_map is not None else outcome.target
-            rows.append((Outcome(sources, target, outcome.aux), p))
-        return JointDistribution(self.n_sources, new_arity, rows)
+        maps = [source_maps.get(i) for i in range(1, self.n_sources + 1)]
+        relabelled = {s: tuple(v if m is None else m[v] for v, m in zip(s, maps)) for s in sources}
+        rows = [
+            (Outcome(relabelled[o.sources], o.target if target_map is None else target_map[o.target],
+                     o.aux), w)
+            for o, w in self._weights
+        ]
+        return JointDistribution(self.n_sources, new_arity, _Weights(rows, self._denominator))
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_dict(self) -> dict:
         outcomes = []
-        for outcome, p in self._support:
+        for outcome, p in self.support:
             entry = {
                 "s": list(outcome.sources),
                 "t": list(outcome.target),
@@ -465,7 +483,7 @@ class JointDistribution:
     def load(cls, path) -> "JointDistribution":
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DistributionError(f"cannot parse {path}: {exc}") from exc
         return cls.from_json_dict(data)
 
@@ -479,7 +497,7 @@ class JointDistribution:
 
 
 class _Kernel:
-    """The (sources, target) marginal of a support as integer weights.
+    """Per-subset tables over the (sources, target) marginal of a distribution.
 
     Point ``k`` is the k-th distinct (sources, target) pair in canonical
     support order (rows differing only in aux are merged) and has
@@ -492,21 +510,17 @@ class _Kernel:
     __slots__ = ("n_sources", "denominator", "sources", "targets", "weights",
                  "target_weights", "target_masks", "si_tables", "_agree", "_byte_tables")
 
-    def __init__(self, n_sources: int, support):
-        merged: dict = {}
-        for outcome, p in support:
-            key = (outcome.sources, outcome.target)
-            merged[key] = merged.get(key, 0) + p
-        denominator = math.lcm(*(p.denominator for p in merged.values()))
-        self.n_sources = n_sources
-        self.denominator = denominator
-        self.sources = [s for s, _ in merged]
-        self.targets = [t for _, t in merged]
-        self.weights = [p.numerator * (denominator // p.denominator) for p in merged.values()]
-        self.target_weights: dict = {}     # target value -> weight, first-appearance order
+    def __init__(self, d: JointDistribution):
+        n = self.n_sources = d.n_sources
+        targets = [("target", j) for j in range(1, d.target_arity + 1)]
+        points = d._marginal_weights([("source", i) for i in range(1, n + 1)] + targets)
+        self.denominator = d._denominator
+        self.sources = [key[:n] for key in points]
+        self.targets = [key[n:] for key in points]
+        self.weights = list(points.values())
+        self.target_weights = d._marginal_weights(targets)     # target value -> weight
         self.target_masks: dict = {}       # target value -> its points
-        for k, (t, w) in enumerate(zip(self.targets, self.weights)):
-            self.target_weights[t] = self.target_weights.get(t, 0) + w
+        for k, t in enumerate(self.targets):
             self.target_masks[t] = self.target_masks.get(t, 0) | 1 << k
         self.si_tables: dict = {}          # subset -> specific-information table
         self._agree: dict = {}
@@ -541,10 +555,3 @@ class _Kernel:
         """Total weight of the points in ``mask``."""
         tables = self._byte_tables
         return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
-
-
-def _merge_rows(rows) -> list:
-    merged: dict = {}
-    for outcome, p in rows:
-        merged[outcome] = merged.get(outcome, Fraction(0)) + p
-    return list(merged.items())

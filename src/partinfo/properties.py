@@ -36,8 +36,8 @@ from .engine import (
 from .gates import make_gate
 from .lattice import (
     Antichain,
-    antichain_to_parthood,
     nonempty_subsets,
+    parthood_by_antichain,
     redundancy_lattice,
     resolve_condition,
 )
@@ -139,13 +139,17 @@ def check_lp(result: PidResult, tol: float = 1e-9) -> PropertyReport:
     )
 
 
+def _target(d: JointDistribution) -> list:
+    return [("target", j) for j in range(1, d.target_arity + 1)]
+
+
 def _random_bijections(d: JointDistribution, rng: random.Random):
     source_maps = {}
     for i in range(1, d.n_sources + 1):
         values = list(d.variable_support(("source", i)))
         shuffled = rng.sample(values, len(values))
         source_maps[i] = dict(zip(values, shuffled))
-    targets = list(d.target_marginal().keys())
+    targets = list(d.marginal_support(_target(d)))
     shuffled = rng.sample(targets, len(targets))
     target_map = dict(zip(targets, shuffled))
     return source_maps, target_map
@@ -192,15 +196,15 @@ def check_rei(
             for perm in itertools.permutations(values):
                 compare(d.reencode(source_maps={i: dict(zip(values, perm))}),
                         f"source {i} permutation {perm}")
-    targets = tuple(d.target_marginal().keys())
+    targets = d.marginal_support(_target(d))
     if d.target_arity >= 1 and len(targets) <= 4:
         for perm in itertools.permutations(targets):
             compare(d.reencode(target_map=dict(zip(targets, perm))),
                     "target permutation")
 
     for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
-        triples = {(o.sources[i - 1], o.sources[j - 1], o.target) for o, _ in d.support}
-        forward = {(si, sj): t for si, sj, t in triples}
+        triples = d.marginal_support([("source", i), ("source", j)] + _target(d))
+        forward = {key[:2]: key[2:] for key in triples}
         if len(forward) < len(triples) or len(set(forward.values())) < len(forward):
             continue                  # the pair does not determine the target one-to-one
         pair = d.retarget_to_sources((i, j))
@@ -477,7 +481,7 @@ def check_lemma3(
         node: value - on_first.atoms[node] - on_rest.atoms[node]
         for node, value in on_full.atoms.items()
     }
-    parthoods = {node: antichain_to_parthood(node, d.n_sources) for node in atom_residuals}
+    parthoods = parthood_by_antichain(d.n_sources)
     worst_gap = 0.0
     checks = 0
     for name in ("red", "union", "ws", "vul"):
@@ -658,10 +662,11 @@ def theorem_witness(
     )
 
 
-def _theorem_check(property_id, third, d, measure, tol, trials, seed) -> PropertyReport:
+def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -> PropertyReport:
     """Passes when lp, rei and ``third`` (id or tcr) do not all hold on ``d``."""
-    witness = _memoized(("witness", d, measure, tol, trials, seed),
-                        lambda: theorem_witness(d, measure, tol=tol, trials=trials, seed=seed))
+    witness = _memoized(("witness", d, measure, tol, rei_tol, trials, seed),
+                        lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
+                                                trials=trials, seed=seed))
     verdicts = witness.verdicts
     if third == "id":
         evidence = {"pairwise": witness.pairwise}
@@ -676,31 +681,32 @@ def _theorem_check(property_id, third, d, measure, tol, trials, seed) -> Propert
 
 def check_theorem1(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = 1e-9, trials: int = 8, seed: int = 0,
+    tol: float = 1e-9, trials: int = 8, seed: int = 0, rei_tol: float = 1e-12,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the identity property
     cannot all hold: the check passes when the measure indeed violates at
     least one of them on this input."""
-    return _theorem_check("t1", "id", d, measure, tol, trials, seed)
+    return _theorem_check("t1", "id", d, measure, tol, rei_tol, trials, seed)
 
 
 def check_theorem2(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = 1e-9, trials: int = 8, seed: int = 0,
+    tol: float = 1e-9, trials: int = 8, seed: int = 0, rei_tol: float = 1e-12,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the target chain rule
     cannot all hold: the check passes when at least one of them fails here."""
-    return _theorem_check("t2", "tcr", d, measure, tol, trials, seed)
+    return _theorem_check("t2", "tcr", d, measure, tol, rei_tol, trials, seed)
 
 
 # ----------------------------------------------------------------------
 # dispatch and corpus runs
 
-#: property id -> check(d, measure, tol, trials, seed)
+#: property id -> check(d, measure, tol, rei_tol, trials, seed); rei_tol is
+#: the tolerance of rei's atom comparisons, also inside the t1/t2 witness
 _CHECKS = {
     "lp": lambda d, m, tol, *_: check_lp(_pid(d, m), tol),
-    # rei compares atoms at its own 1e-12 default rather than at tol
-    "rei": lambda d, m, tol, trials, seed: check_rei(d, m, trials=trials, seed=seed),
+    "rei": lambda d, m, tol, rei_tol, trials, seed:
+        check_rei(d, m, trials=trials, seed=seed, tol=rei_tol),
     "tcr": lambda d, m, tol, *_: check_tcr(d, m, tol),
     "lm": lambda d, m, tol, *_: check_lm(d, m, tol),
     "sm": lambda d, m, tol, *_: check_sm(d, m, tol),
@@ -711,8 +717,10 @@ _CHECKS = {
     "c1": lambda d, m, tol, *_: check_corollary1(d, m, tol),
     "l3": lambda d, m, tol, *_: check_lemma3(d, m, tol),
     "l4": lambda d, m, tol, *_: check_lemma4_equivalents(_pid(dc := _pair_copy(d), m), dc, tol),
-    "t1": check_theorem1,
-    "t2": check_theorem2,
+    "t1": lambda d, m, tol, rei_tol, trials, seed:
+        check_theorem1(d, m, tol, trials, seed, rei_tol),
+    "t2": lambda d, m, tol, rei_tol, trials, seed:
+        check_theorem2(d, m, tol, trials, seed, rei_tol),
 }
 PROPERTY_IDS = tuple(_CHECKS)
 
@@ -721,15 +729,20 @@ def run_property(
     property_id: str,
     d: JointDistribution,
     measure: RedundancyMeasure,
-    tol: float = 1e-9,
+    tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
 ) -> PropertyReport:
-    """Run one named check, downgrading unmet preconditions to 'vacuous'."""
+    """Run one named check, downgrading unmet preconditions to 'vacuous'.
+
+    A given ``tol`` applies to every check.  Without one, the checks use
+    1e-9, and rei compares atoms (also inside the t1/t2 witness) at 1e-12.
+    """
     if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
+    rei_tol, tol = (1e-12, 1e-9) if tol is None else (tol, tol)
     try:
-        return _CHECKS[property_id](d, measure, tol, trials, seed)
+        return _CHECKS[property_id](d, measure, tol, rei_tol, trials, seed)
     except PreconditionError as exc:
         return _vacuous(property_id, d, measure, tol, str(exc))
 
@@ -738,7 +751,7 @@ def run_property(
 def run_all_checks(
     d: JointDistribution,
     measure: RedundancyMeasure,
-    tol: float = 1e-9,
+    tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
 ) -> tuple:
@@ -756,7 +769,7 @@ TABLE_GATES = ("xor", "copy2", "and", "xor_source_copy")
 def property_matrix(
     measures: Sequence[RedundancyMeasure],
     gate_ids: Sequence[str] = TABLE_GATES,
-    tol: float = 1e-9,
+    tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
 ) -> dict:

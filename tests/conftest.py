@@ -193,3 +193,95 @@ def oracle_isx(rows, argsets) -> float:
         ratio = (p_t_event / p_event) / p_t
         total += float(p) * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
     return total
+
+
+# ----------------------------------------------------------------------
+# plain-Fraction reference for the probability core: rows are
+# (sources, target, aux, Fraction) tuples, zero rows allowed; selectors are
+# ("source", i), ("target", j) or "aux", as in JointDistribution
+
+
+def _canonical_key(row) -> tuple:
+    """Canonical row order: symbols compared as (type name, str)."""
+    def key(values):
+        return tuple((type(v).__name__, str(v)) for v in values)
+    sources, target, aux, _ = row
+    return (key(sources), key(target), () if aux is None else key((aux,)))
+
+
+def reference_support(rows) -> list:
+    """Positive rows in canonical order, as (Outcome, Fraction) pairs."""
+    return [(Outcome(s, t, z), p) for s, t, z, p in sorted(rows, key=_canonical_key) if p > 0]
+
+
+def _reference_value(row, selector):
+    sources, target, aux, _ = row
+    if selector == "aux":
+        return aux
+    kind, index = selector
+    return (sources if kind == "source" else target)[index - 1]
+
+
+def reference_marginal(rows, selectors) -> dict:
+    out = {}
+    for row in sorted(rows, key=_canonical_key):
+        if row[3] > 0:
+            key = tuple(_reference_value(row, s) for s in selectors)
+            out[key] = out.get(key, Fraction(0)) + row[3]
+    return out
+
+
+def _reference_log2(q: Fraction) -> float:
+    return math.log2(q.numerator) - math.log2(q.denominator)
+
+
+def reference_entropy(rows, selectors) -> float:
+    return -sum(float(p) * _reference_log2(p) for p in reference_marginal(rows, selectors).values())
+
+
+def reference_mutual_information(rows, left, right) -> float:
+    joint = reference_marginal(rows, list(left) + list(right))
+    p_left, p_right = reference_marginal(rows, left), reference_marginal(rows, right)
+    total = 0.0
+    for key, p in joint.items():
+        ratio = p / (p_left[key[: len(left)]] * p_right[key[len(left):]])
+        total += float(p) * _reference_log2(ratio)
+    return total
+
+
+def _merged_support(rows) -> list:
+    merged = {}
+    for s, t, z, p in rows:
+        if p > 0:
+            merged[s, t, z] = merged.get((s, t, z), Fraction(0)) + p
+    return reference_support([(s, t, z, p) for (s, t, z), p in merged.items()])
+
+
+def reference_condition_on(rows, selector, value) -> list:
+    kept = [row for row in rows if row[3] > 0 and _reference_value(row, selector) == value]
+    mass = sum(row[3] for row in kept)
+    out = []
+    for s, t, z, p in kept:
+        if selector == "aux":
+            z = None
+        elif selector[0] == "target":
+            t = t[: selector[1] - 1] + t[selector[1]:]
+        out.append((s, t, z, p / mass))
+    return _merged_support(out)
+
+
+def reference_restrict_target(rows, components) -> list:
+    return _merged_support([(s, tuple(t[j - 1] for j in components), z, p) for s, t, z, p in rows])
+
+
+def reference_retarget_to_sources(rows, indices) -> list:
+    return _merged_support([(s, tuple(s[i - 1] for i in indices), z, p) for s, t, z, p in rows])
+
+
+def reference_reencode(rows, source_maps, target_map) -> list:
+    out = []
+    for s, t, z, p in rows:
+        if p > 0:
+            s = tuple(source_maps[i][v] if i in source_maps else v for i, v in enumerate(s, 1))
+            out.append((s, target_map[t], z, p))
+    return _merged_support(out)

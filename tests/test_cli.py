@@ -283,3 +283,86 @@ def test_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_AUX = ('{"n_sources": 1, "target_arity": 1, "outcomes": [{"s": [0], "t": [0], "p": "1", "z": '
+             + "[" * 5000 + "]" * 5000 + "}]}")
+_CHECK_LP = ["check", "--gate", "xor", "--measure", "imin", "--property", "lp"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["atoms", "--measure", "imin", "--input"], _DEEP),
+    (["atoms", "--measure", "imin", "--input"], _DEEP_AUX),
+    (_CHECK_LP + ["--expect"], _DEEP),
+    (_CHECK_LP + ["--expect"], '"x"'),
+    (_CHECK_LP + ["--expect"], '"lp"'),
+    (_CHECK_LP + ["--expect"], '["lp"]'),
+    (_CHECK_LP + ["--expect"], '{"lp": 1}'),
+    (_CHECK_LP + ["--expect"], '{"lp": ["pass"]}'),
+    (_CHECK_LP + ["--expect"], '{"lp": "passed"}'),
+    (_CHECK_LP + ["--expect"], '{"lpp": "pass"}'),
+    (["table2", "--expect"], _DEEP),
+    (["table2", "--expect"], "[1]"),
+    (["table2", "--expect"], '{"measures": 3}'),
+    (["table2", "--expect"], '{"measures": {"imin": 3}}'),
+    (["table2", "--expect"], '{"not_implemented": []}'),
+    (["table2", "--expect"], '{"measures": {}, "not_implemented": [[]]}'),
+])
+def test_malformed_json_files_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
+_BAD_FLAGS = [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "-0.5e-9"),
+              ("--tol", "x"), ("--trials", "-3"), ("--trials", "1.5")]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (argv, flag, value)
+    for argv in (["check", "--gate", "xor", "--measure", "imin"], ["table2"],
+                 ["atoms", "--gate", "xor", "--measure", "imin"])
+    for flag, value in _BAD_FLAGS
+    if argv[0] != "atoms" or flag == "--tol"          # atoms takes no --trials
+])
+def test_bad_tol_and_trials_exit_2(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_zero_tol_and_trials_are_valid(capsys):
+    code, out, _ = run_cli(capsys, *_CHECK_LP[:-1], "rei", "--tol", "0", "--trials", "0",
+                           "--format", "json")
+    (report,) = json.loads(out)
+    assert code == 0
+    assert report["tolerance"] == 0 and report["details"]["trials"] == 0
+
+
+@pytest.mark.parametrize("extra, rei_tol, lp_tol", [
+    ([], 1e-12, 1e-9),
+    (["--tol", "1e-20"], 1e-20, 1e-20),
+])
+def test_rei_honours_tol_only_when_given(capsys, extra, rei_tol, lp_tol):
+    for prop, want in (("rei", rei_tol), ("lp", lp_tol)):
+        code, out, _ = run_cli(capsys, *_CHECK_LP[:-1], prop, "--format", "json", *extra)
+        assert code == 0 and json.loads(out)[0]["tolerance"] == want
+
+
+@pytest.mark.parametrize("extra, want", [([], None), (["--tol", "0.5"], 0.5)])
+def test_table2_hands_tol_to_every_check(capsys, monkeypatch, extra, want):
+    from partinfo import properties
+
+    seen = set()
+    real = properties.run_property
+
+    def spy(*args, **kwargs):
+        seen.add(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "run_property", spy)
+    run_cli(capsys, "table2", "--trials", "1", *extra)
+    assert seen == {want}

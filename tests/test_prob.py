@@ -14,7 +14,24 @@ from partinfo import (
     as_fraction,
 )
 
-from conftest import oracle_mi, oracle_rows, random_rational_distribution
+from conftest import (
+    oracle_mi,
+    oracle_rows,
+    random_rational_distribution,
+    reference_condition_on,
+    reference_entropy,
+    reference_marginal,
+    reference_mutual_information,
+    reference_reencode,
+    reference_restrict_target,
+    reference_retarget_to_sources,
+    reference_support,
+)
+
+try:
+    from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+except ImportError:  # the generated-table test below is skipped
+    st = None
 
 
 def test_marginal_mi_examples(gate_corpus):
@@ -207,3 +224,64 @@ def test_aux_variable_support_and_conditioning():
     conditioned = d.condition_on("aux", "a")
     assert not conditioned.has_aux
     assert sum(p for _, p in conditioned.support) == 1
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_integer_core_matches_fraction_reference_on_generated_tables():
+    symbols = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b", "1"]))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3), label="n")
+        arity = data.draw(st.integers(1, 2), label="target arity")
+        aux = symbols if data.draw(st.booleans(), label="aux") else st.none()
+        cells = data.draw(st.lists(
+            st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity), aux),
+            min_size=1, max_size=10, unique=True,
+        ), label="cells")
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=len(cells),
+                                     max_size=len(cells)).filter(any), label="weights")
+        rows = [(s, t, z, Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+        d = JointDistribution(n, arity, [(Outcome(s, t, z), p) for s, t, z, p in rows])
+        assert list(d.support) == reference_support(rows)
+
+        def assert_table(child, arity, support):
+            # equal to a table built from scratch: the weights are reduced
+            assert list(child.support) == support
+            twin = JointDistribution(n, arity, support)
+            assert child == twin and hash(child) == hash(twin)
+
+        target = [("target", j) for j in range(1, arity + 1)]
+        selectors = [("source", i) for i in range(1, n + 1)] + target + (["aux"] if d.has_aux else [])
+        chosen = st.lists(st.sampled_from(selectors), min_size=1, max_size=3)
+        left, right = data.draw(chosen, label="left"), data.draw(chosen, label="right")
+        assert list(d.marginal(left).items()) == list(reference_marginal(rows, left).items())
+        assert d.entropy(left) == reference_entropy(rows, left)
+        assert d.mutual_information(left, right) == reference_mutual_information(rows, left, right)
+        sources = data.draw(st.frozensets(st.integers(1, n), min_size=1), label="sources")
+        assert d.marginal_mi(sources) == reference_mutual_information(
+            rows, [("source", i) for i in sorted(sources)], target)
+
+        selector = left[0]
+        value = data.draw(st.sampled_from(sorted(reference_marginal(rows, [selector]), key=repr)))[0]
+        assert_table(d.condition_on(selector, value), arity - (selector[0] == "target"),
+                     reference_condition_on(rows, selector, value))
+        components = data.draw(st.lists(st.integers(1, arity), max_size=3), label="components")
+        assert_table(d.restrict_target(components), len(components),
+                     reference_restrict_target(rows, components))
+        indices = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3), label="indices")
+        assert_table(d.retarget_to_sources(indices), len(indices),
+                     reference_retarget_to_sources(rows, indices))
+
+        source_maps = {}
+        for i in data.draw(st.frozensets(st.integers(1, n)), label="relabelled sources"):
+            values = d.variable_support(("source", i))
+            source_maps[i] = dict(zip(values, data.draw(st.permutations(values))))
+        targets = list(reference_marginal(rows, target))
+        target_map = dict(zip(targets, data.draw(st.permutations(targets), label="targets")))
+        assert_table(d.reencode(source_maps, target_map), arity,
+                     reference_reencode(rows, source_maps, target_map))
+
+    check()

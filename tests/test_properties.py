@@ -373,6 +373,26 @@ def test_theorem_checks_honour_trials(gate_corpus, monkeypatch):
     assert seen == [32]
 
 
+def _relabel_sensitive_measure(scale: float) -> RedundancyMeasure:
+    # scale * P(S_1 = T_1): relabelling source 1 or the target moves it by up to scale
+    def fn(d, args):
+        return scale * float(sum(p for o, p in d.support if o.sources[:1] == o.target[:1]))
+
+    return RedundancyMeasure("relabel_sensitive", fn)
+
+
+@pytest.mark.parametrize("tol, rei", [(None, "fail"), (1e-7, "fail"), (1e-5, "pass")])
+def test_given_tol_reaches_rei_and_the_theorem_witness(gate_corpus, tol, rei):
+    measure = _relabel_sensitive_measure(1e-6)
+    reports = {r.property_id: r for r in run_all_checks(gate_corpus["xor_source_copy"], measure,
+                                                        tol=tol, trials=2)}
+    assert reports["rei"].verdict == rei
+    assert reports["rei"].tolerance == (1e-12 if tol is None else tol)
+    assert reports["lp"].tolerance == (1e-9 if tol is None else tol)
+    for theorem in ("t1", "t2"):
+        assert reports[theorem].details["verdicts"]["rei"] == rei
+
+
 def test_theorem_checks_are_vacuous_off_three_sources(gate_corpus):
     assert run_property("t1", gate_corpus["copy2"], IMIN).verdict == "vacuous"
     assert run_property("t2", gate_corpus["copy2"], IMIN).verdict == "vacuous"
