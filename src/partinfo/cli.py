@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .engine import atoms_from_redundancy, consistency_check
 from .gates import GateSpec, gate_ids, make_gate
-from .lattice import LatticeSizeError, redundancy_lattice
+from .lattice import LARGE_N, LatticeSizeError, redundancy_lattice
 from .measures import UNIMPLEMENTED_MEASURES, available_measures, get_measure
 from .prob import DistributionError, JointDistribution
 from .properties import (
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice = sub.add_parser("lattice", help="emit the antichain lattice")
     p_lattice.add_argument("--n", type=int, default=3)
     p_lattice.add_argument("--allow-large", action="store_true",
-                           help="permit n=5 (antichain generation)")
+                           help="permit n=5 (text and DOT only)")
     p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     p_table = sub.add_parser("table2", help="property matrix over the gate corpus")
@@ -195,6 +195,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.format == "json" and args.n == LARGE_N:
+        raise LatticeSizeError(
+            f"lattice too large for JSON: n={LARGE_N} has 7,813,193 Möbius rows; "
+            "--allow-large works with --format text or dot"
+        )
     lattice = redundancy_lattice(args.n, allow_large=args.allow_large)
     if args.format == "dot":
         sys.stdout.write(lattice.to_dot())
@@ -202,9 +207,9 @@ def _cmd_lattice(args) -> int:
         print(json.dumps(lattice.to_json_dict(), indent=2, sort_keys=True))
     else:
         print(f"antichain lattice for n={args.n}: {len(lattice)} nodes, "
-              f"{len(lattice.covers())} cover relations")
-        for node in lattice.nodes:
-            print(f"  {node.label}")
+              f"{len(lattice.cover_pairs)} cover relations")
+        for label in lattice.labels:
+            print(f"  {label}")
     return EXIT_OK
 
 

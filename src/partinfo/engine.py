@@ -70,23 +70,35 @@ def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
 
     Works for exact rationals and floats alike; the coefficients are exact
     integers, so a rational input stays rational.  Only the nonzero
-    coefficients are summed, in node order.
+    coefficients are summed, in node order.  Every coefficient is +1 or -1,
+    so a term is added or subtracted, which gives the same floats bit for
+    bit as adding ``mu * value``.
     """
-    atoms = {}
-    for above in lattice.nodes:
+    v = [values[node] for node in lattice.nodes]
+    atoms = []
+    for terms in lattice.moebius_index_terms:
         total = 0
-        for below, mu in lattice.moebius_terms(above):
-            total += mu * values[below]
-        atoms[above] = total
-    return atoms
+        for i, mu in terms:
+            if mu > 0:
+                total += v[i]
+            else:
+                total -= v[i]
+        atoms.append(total)
+    return dict(zip(lattice.nodes, atoms))
 
 
 def redundancy_from_atoms(lattice: RedundancyLattice, atoms: Mapping) -> dict:
-    """Downward lattice sums of atoms: the redundancy each antichain carries."""
-    return {
-        above: sum(atoms[below] for below in lattice.down_set(above))
-        for above in lattice.nodes
-    }
+    """Downward lattice sums of atoms: the redundancy each antichain carries.
+
+    A zeta transform: one addition per cover, along
+    :attr:`RedundancyLattice.zeta_pairs`.  Rationals come out exact; float
+    sums follow that cover order, not node order, so they can differ from a
+    left-to-right sum over the down-set in the last bits.
+    """
+    g = [atoms[node] for node in lattice.nodes]
+    for lower, upper in lattice.zeta_pairs:
+        g[upper] += g[lower]
+    return dict(zip(lattice.nodes, g))
 
 
 def atoms_from_redundancy(

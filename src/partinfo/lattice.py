@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 SourceSubset = frozenset
 
 
 class LatticeSizeError(ValueError):
-    """Requested enumeration exceeds the configured size cap."""
+    """Requested lattice lies beyond ``LARGE_N`` sources, or needs ``allow_large``."""
 
 
 LARGE_N = 5                  # the largest n, and only behind allow_large
@@ -279,7 +279,9 @@ class RedundancyLattice:
     * ``mu(alpha, beta)`` is ``(-1)**|Z_beta - Z_alpha|`` when that gap holds
       only maximal elements of ``Z_beta`` (a Boolean interval), else 0.
 
-    Immutable after construction.
+    Immutable after construction.  The export and the engine work on node
+    indices; their tables (labels, covers, Möbius terms) are built on first
+    use, so a caller pays only for what it reads.
     """
 
     def __init__(self, n: int, allow_large: bool = False):
@@ -336,55 +338,92 @@ class RedundancyLattice:
             raise ValueError(f"incomparable antichains: {below.label} is not below {above.label}")
         return 0 if gap & ~self._maximal[j] else (-1) ** gap.bit_count()
 
-    def moebius_terms(self, above: Antichain) -> tuple:
-        """The ``(below, coefficient)`` pairs with a nonzero coefficient
-        under ``above``, in node order: one per subset of its maximal zeros."""
-        j = self.index(above)
-        zeros, maximal = self._zeros[j], self._maximal[j]
-        terms = []
-        gap = maximal
-        while True:
-            terms.append((self._by_zeros[zeros ^ gap], (-1) ** gap.bit_count()))
-            if not gap:
-                break
-            gap = (gap - 1) & maximal
-        return tuple((self.nodes[i], mu) for i, mu in sorted(terms))
+    @cached_property
+    def labels(self) -> tuple:
+        """``Antichain.label`` of every node, in node order."""
+        return tuple(node.label for node in self.nodes)
+
+    @cached_property
+    def zeta_pairs(self) -> tuple:
+        """The covers as ``(lower, upper)`` index pairs in zeta-transform
+        order: grouped by the subset ``s`` that ``Z_upper`` has and
+        ``Z_lower`` lacks, the groups in (size, mask) order of ``s``.
+
+        Running ``g[upper] += g[lower]`` along them turns atoms into down-set
+        sums, one addition per cover.  After the groups up to ``s``, ``g[k]``
+        sums the atoms of the nodes that ``Z_k`` reaches by dropping subsets
+        up to ``s``.  A subset comes before its supersets, so a node whose
+        zeros hold ``s`` but not as a maximal element has no such node
+        without ``s`` yet, and needs no step for it.
+        """
+        by_subset = {}
+        for j, (zeros, maximal) in enumerate(zip(self._zeros, self._maximal)):
+            for s in range(maximal.bit_length()):
+                if maximal >> s & 1:
+                    by_subset.setdefault(s, []).append((self._by_zeros[zeros ^ (1 << s)], j))
+        return tuple(
+            pair
+            for s in sorted(by_subset, key=lambda s: (s.bit_count(), s))
+            for pair in by_subset[s]
+        )
+
+    @cached_property
+    def cover_pairs(self) -> tuple:
+        """Hasse-diagram edges as sorted ``(lower, upper)`` index pairs."""
+        return tuple(sorted(self.zeta_pairs))
+
+    @cached_property
+    def moebius_index_terms(self) -> tuple:
+        """Per node ``j``: the ``(i, mu)`` pairs with ``mu = moebius(node i,
+        node j)`` nonzero, in node order; one per subset of the maximal zeros
+        of node ``j``."""
+        table = []
+        for zeros, maximal in zip(self._zeros, self._maximal):
+            terms = []
+            gap = maximal
+            while True:
+                terms.append((self._by_zeros[zeros ^ gap], -1 if gap.bit_count() & 1 else 1))
+                if not gap:
+                    break
+                gap = (gap - 1) & maximal
+            terms.sort()
+            table.append(tuple(terms))
+        return tuple(table)
 
     def covers(self) -> tuple:
         """Hasse-diagram edges as (lower, upper) pairs."""
-        edges = sorted(
-            (self._by_zeros[zeros ^ (1 << s)], j)
-            for j, (zeros, maximal) in enumerate(zip(self._zeros, self._maximal))
-            for s in range(maximal.bit_length())
-            if maximal >> s & 1
-        )
-        return tuple((self.nodes[i], self.nodes[j]) for i, j in edges)
+        return tuple((self.nodes[i], self.nodes[j]) for i, j in self.cover_pairs)
 
     def to_dot(self) -> str:
+        labels = self.labels
         lines = [
             "digraph redundancy_lattice {",
             "  rankdir=BT;",
             '  node [shape=box, fontname="Helvetica"];',
         ]
-        for node in self.nodes:
-            lines.append(f'  "{node.label}";')
-        for lower, upper in self.covers():
-            lines.append(f'  "{lower.label}" -> "{upper.label}";')
+        lines.extend(f'  "{label}";' for label in labels)
+        lines.extend(f'  "{labels[i]}" -> "{labels[j]}";' for i, j in self.cover_pairs)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self, include_moebius: bool = True) -> dict:
+        labels = self.labels
         data = {
             "n": self.n,
-            "nodes": [node.label for node in self.nodes],
-            "covers": [[lower.label, upper.label] for lower, upper in self.covers()],
+            "nodes": list(labels),
+            "covers": [[labels[i], labels[j]] for i, j in self.cover_pairs],
         }
         if include_moebius:
-            data["moebius"] = [
-                [below.label, above.label, self.moebius(below, above)]
-                for above in self.nodes
-                for below in self.down_set(above)
-            ]
+            # every comparable pair, upper node major: mu is (-1)**|gap| when
+            # the gap holds only maximal zeros of the upper node, else 0
+            rows = []
+            for top, maximal, above in zip(self._zeros, self._maximal, labels):
+                for zeros, below in zip(self._zeros, labels):
+                    if zeros | top == top:
+                        gap = zeros ^ top
+                        mu = 0 if gap & ~maximal else -1 if gap.bit_count() & 1 else 1
+                        rows.append([below, above, mu])
+            data["moebius"] = rows
         return data
 
 

@@ -31,6 +31,12 @@ Selector = Union[tuple, str]
 
 
 MAX_DIGITS = 4300   # Python's default int <-> str limit; bounds decimal strings
+MAX_QUOTE = 200     # characters of an offending input value quoted in an error
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to ``MAX_QUOTE`` characters, with an ellipsis if cut."""
+    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "..."
 
 
 class DistributionError(ValueError):
@@ -67,10 +73,10 @@ def as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DistributionError(f"cannot parse probability {value!r}") from exc
+            raise DistributionError(f"cannot parse probability {_clip(repr(value))}") from exc
     if isinstance(value, float):
         return Fraction(str(value))
-    raise DistributionError(f"cannot parse probability {value!r}")
+    raise DistributionError(f"cannot parse probability {_clip(repr(value))}")
 
 
 def log2_ratio(a: int, b: int) -> float:
@@ -170,10 +176,12 @@ class JointDistribution:
                 outcome = Outcome(tuple(sources), tuple(target), aux)
             p = prob if weighted else as_fraction(prob)
             if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
-                raise DistributionError(f"outcome {outcome} does not have {n_sources} source "
-                                        f"and {target_arity} target values")
+                raise DistributionError(f"outcome {_clip(repr(outcome))} does not have "
+                                        f"{n_sources} source and {target_arity} target values")
             if p < 0 or p > denominator:
-                raise DistributionError(f"probability {Fraction(p, denominator)} outside [0, 1]")
+                raise DistributionError(
+                    f"probability {_clip(str(Fraction(p, denominator)))} outside [0, 1]"
+                )
             rows.append((outcome, p))
         if not rows:
             raise DistributionError("empty outcome table")
@@ -186,7 +194,7 @@ class JointDistribution:
         seen = set()
         for outcome, _ in rows:
             if outcome in seen:
-                raise DistributionError(f"duplicate outcome {outcome}")
+                raise DistributionError(f"duplicate outcome {_clip(repr(outcome))}")
             seen.add(outcome)
         total = sum(w for _, w in rows)
         if total != denominator:    # as denominator >= 1, this also keeps the support nonempty
@@ -459,21 +467,26 @@ class JointDistribution:
             raise DistributionError(f"malformed distribution object: {exc}") from exc
         if type(n_sources) is not int or type(target_arity) is not int:
             raise DistributionError(
-                f"n_sources and target_arity must be integers: {n_sources!r}, {target_arity!r}"
+                f"n_sources and target_arity must be integers: "
+                f"{_clip(repr(n_sources))}, {_clip(repr(target_arity))}"
             )
         rows = []
         for entry in entries:
             try:
                 sources, target = entry["s"], entry["t"]
                 if type(sources) is not list or type(target) is not list:
-                    raise DistributionError(f"outcome fields s and t must be arrays: {entry!r}")
+                    raise DistributionError(
+                        f"outcome fields s and t must be arrays: {_clip(repr(entry))}"
+                    )
                 outcome = Outcome(tuple(sources), tuple(target), entry.get("z"))
                 rows.append((outcome, as_fraction(entry["p"])))
             except (KeyError, TypeError) as exc:
-                raise DistributionError(f"malformed outcome entry {entry!r}") from exc
+                raise DistributionError(f"malformed outcome entry {_clip(repr(entry))}") from exc
             aux = () if outcome.aux is None else (outcome.aux,)
             if not all(type(v) in (int, str) for v in outcome.sources + outcome.target + aux):
-                raise DistributionError(f"outcome symbols must be ints or strings: {entry!r}")
+                raise DistributionError(
+                    f"outcome symbols must be ints or strings: {_clip(repr(entry))}"
+                )
         return cls(n_sources, target_arity, rows)
 
     def dump(self, path) -> None:

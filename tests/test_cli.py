@@ -129,6 +129,17 @@ def test_lattice_resource_cap(capsys):
     assert code == 3
 
 
+def test_lattice_n5_json_is_refused_before_the_build(capsys, monkeypatch):
+    from partinfo import cli
+
+    monkeypatch.setattr(cli, "redundancy_lattice", None)    # a build would fail loudly
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lattice", "--n", "5", "--allow-large", "--format", "json")
+    assert code == 3 and out == ""
+    assert "too large for JSON" in err and "text" in err and "dot" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oversized_distribution_hits_resource_cap(tmp_path, capsys):
     import itertools
     from fractions import Fraction
@@ -175,6 +186,19 @@ def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
     path = _write_outcomes(tmp_path / "bad.json", outcomes)
     code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("outcomes", [
+    [{"s": [1] * 5000, "t": "x"}],
+    [{"s": [1] * 5000, "t": [0], "p": "1"}],
+    [{"s": [0, 1], "t": [0], "p": "x" * 5000}],
+    [{"s": [0, 1], "t": [0], "p": "9" * 4000}],
+])
+def test_error_lines_quote_long_entries_briefly(tmp_path, capsys, outcomes):
+    path = _write_outcomes(tmp_path / "long.json", outcomes)
+    code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
+    assert code == 2 and err.startswith("error: ") and err.endswith("\n")
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("header", [

@@ -29,6 +29,11 @@ from partinfo import (
 
 from conftest import constant_measure, random_rational_distribution
 
+try:
+    from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+except ImportError:  # the generated-vector test below is skipped
+    st = None
+
 IMIN = get_measure("imin")
 ISX = get_measure("isx")
 BOTTOM2 = Antichain.of({1}, {2})
@@ -149,6 +154,47 @@ def test_moebius_round_trip_exact_on_rationals(rng):
             atoms = atoms_from_values(lattice, values)
             assert all(isinstance(v, Fraction) for v in atoms.values())
             assert redundancy_from_atoms(lattice, atoms) == values
+
+
+def down_set_sums(lattice, atoms):
+    """Reference down-sum: scan the down-set of every node, in node order."""
+    return {above: sum(atoms[below] for below in lattice.down_set(above)) for above in lattice.nodes}
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_round_trip_and_zeta_down_sum_on_generated_vectors():
+    fractions = st.builds(Fraction, st.integers(-96, 96), st.integers(1, 12))
+    floats = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+    # no shrink phase: shrinking 166-entry vectors takes minutes
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        lattice = redundancy_lattice(data.draw(st.integers(1, 4), label="n"))
+        size = len(lattice)
+        exact = dict(zip(lattice.nodes, data.draw(
+            st.lists(fractions, min_size=size, max_size=size), label="values")))
+        atoms = atoms_from_values(lattice, exact)
+        assert redundancy_from_atoms(lattice, atoms) == exact
+        assert redundancy_from_atoms(lattice, exact) == down_set_sums(lattice, exact)
+        approx = dict(zip(lattice.nodes, data.draw(
+            st.lists(floats, min_size=size, max_size=size), label="atoms")))
+        zeta = redundancy_from_atoms(lattice, approx)
+        scan = down_set_sums(lattice, approx)
+        assert all(abs(zeta[node] - scan[node]) <= 1e-12 for node in lattice.nodes)
+
+    check()
+
+
+def test_moebius_round_trip_exact_n5():
+    lattice = redundancy_lattice(5, allow_large=True)
+    assert len(lattice.zeta_pairs) == 35510     # one addition per cover
+    rng = random.Random(5)
+    values = {node: Fraction(rng.randrange(-64, 65), rng.randrange(1, 13)) for node in lattice.nodes}
+    atoms = atoms_from_values(lattice, values)
+    assert all(isinstance(v, Fraction) for v in atoms.values())
+    assert redundancy_from_atoms(lattice, atoms) == values
 
 
 def test_moebius_round_trip_float_path(rng):

@@ -3,13 +3,14 @@
 ``golden_digests.json`` holds the sha256 of stdout for a fixed command set:
 ``check --property all`` on the four corpus gates at two noise levels for
 both measures, ``atoms`` on two seeded n=4 tables, ``table2`` and
-``lattice --n 3``, all in JSON.  Any change to an atom, a verdict or a
-formatting detail shows up here.  Python 3.12 made ``sum()`` of floats
-compensated, which moves the last bits of some atoms, so the file keeps one
-set of digests for interpreters before 3.12 and one for 3.12 on.  When an
-output change is intended, regenerate the current interpreter's set with
-``PYTHONPATH=src python tests/test_golden.py`` (once on each side of 3.12)
-and say in the change log why the output moved.
+``lattice --n 3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT.
+Any change to an atom, a verdict or a formatting detail shows up here.
+Python 3.12 made ``sum()`` of floats compensated, which moves the last bits
+of some atoms, so the file keeps one set of digests for interpreters before
+3.12 and one for 3.12 on.  When an output change is intended, regenerate
+the current interpreter's set with ``PYTHONPATH=src python
+tests/test_golden.py`` (once on each side of 3.12) and say in the change
+log why the output moved.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def golden_commands(tables: dict) -> dict:
             ]
     commands["table2"] = ["table2", "--format", "json"]
     commands["lattice n=3"] = ["lattice", "--n", "3", "--format", "json"]
+    commands["lattice n=4 json"] = ["lattice", "--n", "4", "--format", "json"]
+    commands["lattice n=4 dot"] = ["lattice", "--n", "4", "--format", "dot"]
     return commands
 
 
