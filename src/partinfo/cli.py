@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--gate", choices=gate_ids(), help="built-in gate distribution")
         group.add_argument("--input", metavar="FILE", help="distribution JSON file")
-        p.add_argument("--noise", default="0", help="gate noise level (rational, e.g. 1/8)")
+        p.add_argument("--noise", help="gate noise level (rational, e.g. 1/8; default 0)")
         p.add_argument("--emit", metavar="FILE", help="write the distribution JSON and continue")
 
     p_atoms = sub.add_parser("atoms", help="compute the information atoms")
@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_distribution(args) -> JointDistribution:
     if args.gate:
-        d = make_gate(GateSpec(args.gate, args.noise))
+        d = make_gate(GateSpec(args.gate, "0" if args.noise is None else args.noise))
+    elif args.noise is not None:
+        raise DistributionError("--noise applies to --gate only, not to --input")
     else:
         d = JointDistribution.load(args.input)
     if args.emit:

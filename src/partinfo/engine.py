@@ -3,10 +3,11 @@
 Given a redundancy measure evaluated on every antichain, the information
 atoms are obtained by Möbius inversion over the redundancy lattice; summing
 atoms back down the lattice reproduces the measure.  Any aggregate selected
-by a logical condition on parthood distributions (redundant, union,
-weak-synergy, vulnerable information, or a user-supplied predicate) is then
-a plain sum of atoms, and the consistency equations tie the atom sums to
-the mutual-information terms of the input distribution.
+by a named logical condition on parthood distributions (redundant, union,
+weak-synergy or vulnerable information) is then a plain sum of atoms, and
+the consistency equations tie the atom sums to the mutual-information terms
+of the input distribution.  Both read each atom's parthood off its node's
+zero set in the lattice.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from typing import Mapping
 from .lattice import (
     Antichain,
     RedundancyLattice,
+    condition_test,
     degree_of_redundancy,
     nonempty_subsets,
-    parthood_by_antichain,
+    parthood_lattice,
     redundancy_lattice,
-    resolve_condition,
 )
 from .measures import RedundancyMeasure, normalize_args
 from .prob import JointDistribution, Selector
@@ -170,16 +171,16 @@ def consistency_check(
     result: PidResult, d: JointDistribution, tol: float = 1e-9
 ) -> ConsistencyReport:
     """Check that atoms whose parthood table marks a subset sum to that
-    subset's mutual information, for every nonempty subset of sources."""
+    subset's mutual information, for every nonempty subset of sources: atom
+    k counts toward S iff S is not in the zero set of node k."""
     if result.n != d.n_sources:
         raise ValueError("result and distribution have different source counts")
+    lattice = parthood_lattice(d.n_sources)
+    atoms = [(value, lattice.zero_set(node)) for node, value in result.atoms.items()]
     entries = []
     for subset in nonempty_subsets(d.n_sources):
-        atom_sum = sum(
-            value
-            for antichain, value in result.atoms.items()
-            if any(m <= subset for m in antichain.members)
-        )
+        part_of = condition_test("red", (subset,), d.n_sources)
+        atom_sum = sum(value for value, zeros in atoms if part_of(zeros))
         entries.append(ConsistencyEntry(subset, atom_sum, d.marginal_mi(subset)))
     return ConsistencyReport(tuple(entries), tol)
 
@@ -189,13 +190,11 @@ def consistency_check(
 
 
 def c_information(result: PidResult, condition, args) -> float:
-    """Sum the atoms whose parthood distribution satisfies the condition."""
-    cond = resolve_condition(condition)
-    selected = normalize_args(args)
-    parthood = parthood_by_antichain(result.n)
-    return sum(
-        value for antichain, value in result.atoms.items() if cond(selected, parthood[antichain])
-    )
+    """Sum the atoms whose parthood distribution satisfies the named
+    condition (``red``, ``union``, ``ws`` or ``vul``) on ``args``."""
+    selected = condition_test(condition, normalize_args(args), result.n)
+    lattice = parthood_lattice(result.n)
+    return sum(value for node, value in result.atoms.items() if selected(lattice.zero_set(node)))
 
 
 def conditional_atoms(

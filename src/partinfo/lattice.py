@@ -212,55 +212,6 @@ def enumerate_parthood(n: int, allow_large: bool = False) -> tuple:
     return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n, allow_large))
 
 
-@lru_cache(maxsize=None)
-def parthood_by_antichain(n: int) -> dict:
-    """Antichain -> its parthood distribution, for every antichain of ``n``
-    sources (read off the cached enumerations; n=5 is built on request)."""
-    allow_large = n == LARGE_N
-    return dict(zip(enumerate_antichains(n, allow_large), enumerate_parthood(n, allow_large)))
-
-
-# ----------------------------------------------------------------------
-# logical conditions on parthood distributions
-
-def c_red(args: Sequence, f: ParthoodDistribution) -> bool:
-    return all(f.value(a) for a in args)
-
-
-def c_union(args: Sequence, f: ParthoodDistribution) -> bool:
-    return any(f.value(a) for a in args)
-
-
-def c_ws(args: Sequence, f: ParthoodDistribution) -> bool:
-    return all(not f.value(a) for a in args)
-
-
-def c_vul(args: Sequence, f: ParthoodDistribution) -> bool:
-    return any(not f.value(a) for a in args)
-
-
-CONDITIONS = {"red": c_red, "union": c_union, "ws": c_ws, "vul": c_vul}
-
-
-def resolve_condition(condition) -> Callable:
-    """Accept a registered condition name or a callable ``(args, f) -> bool``."""
-    if callable(condition):
-        return condition
-    try:
-        return CONDITIONS[condition]
-    except KeyError:
-        raise ValueError(f"unknown condition {condition!r}; known: {sorted(CONDITIONS)}") from None
-
-
-def c_order_leq(condition, x_args: Sequence, y_args: Sequence, n: int) -> bool:
-    """Order induced by a condition: x before y iff C(x;f) implies C(y;f) for
-    every parthood distribution f (checked by exhaustive scan)."""
-    cond = resolve_condition(condition)
-    x = tuple(frozenset(a) for a in x_args)
-    y = tuple(frozenset(a) for a in y_args)
-    return all(cond(y, f) for f in enumerate_parthood(n) if cond(x, f))
-
-
 # ----------------------------------------------------------------------
 # the redundancy lattice
 
@@ -312,6 +263,11 @@ class RedundancyLattice:
             return self._index[node]
         except KeyError:
             raise ValueError(f"antichain {node.label} is not a node of A_{self.n}") from None
+
+    def zero_set(self, node: Antichain) -> int:
+        """``Z`` of ``node``: bit ``s`` is set iff the node's parthood table
+        is 0 on the proper nonempty subset that ``s`` masks."""
+        return self._zeros[self.index(node)]
 
     def leq(self, below: Antichain, above: Antichain) -> bool:
         top = self._zeros[self.index(above)]
@@ -431,3 +387,51 @@ class RedundancyLattice:
 def redundancy_lattice(n: int, allow_large: bool = False) -> RedundancyLattice:
     """Shared immutable lattice instance for ``n`` sources."""
     return RedundancyLattice(n, allow_large)
+
+
+def parthood_lattice(n: int) -> RedundancyLattice:
+    """The shared lattice whose zero sets answer parthood questions for
+    ``n`` sources; n = ``LARGE_N`` is built on request."""
+    # called as the decomposition and the CLI call it: lru_cache keys on the
+    # call's form, so redundancy_lattice(4, False) would build a second lattice
+    return redundancy_lattice(n, allow_large=True) if n == LARGE_N else redundancy_lattice(n)
+
+
+# ----------------------------------------------------------------------
+# logical conditions on parthood distributions
+#
+# With A the OR of 1 << mask(a) over the arguments a, a node's parthood
+# table f is 0 on a exactly when bit mask(a) is in the node's zero set Z, so
+# each condition is one integer test of (A, Z).
+
+CONDITIONS = {
+    "red": lambda bits, zeros: not bits & zeros,        # f(a) = 1 for every a
+    "union": lambda bits, zeros: bool(bits & ~zeros),   # f(a) = 1 for some a
+    "ws": lambda bits, zeros: not bits & ~zeros,        # f(a) = 0 for every a
+    "vul": lambda bits, zeros: bool(bits & zeros),      # f(a) = 0 for some a
+}
+
+
+def condition_test(condition: str, args: Sequence, n: int) -> Callable[[int], bool]:
+    """The named condition on the argument collections, as a test of a
+    node's zero set (see :meth:`RedundancyLattice.zero_set`)."""
+    if not isinstance(condition, str) or condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}; conditions are named: "
+                         f"{sorted(CONDITIONS)}")
+    bits = 0
+    for a in args:
+        mask = _subset_mask(a, n)
+        if not mask:
+            raise ValueError("condition arguments must be nonempty index sets")
+        bits |= 1 << mask
+    test = CONDITIONS[condition]
+    return lambda zeros: test(bits, zeros)
+
+
+def c_order_leq(condition: str, x_args: Sequence, y_args: Sequence, n: int) -> bool:
+    """Order induced by a condition: x before y iff C(x;f) implies C(y;f) for
+    every parthood distribution f (checked on every node's zero set)."""
+    x = condition_test(condition, x_args, n)
+    y = condition_test(condition, y_args, n)
+    lattice = parthood_lattice(n)
+    return all(y(z) for z in map(lattice.zero_set, lattice.nodes) if x(z))

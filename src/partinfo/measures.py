@@ -179,10 +179,8 @@ def conformance_suite(
     measure: RedundancyMeasure, d: JointDistribution, tol: float = 1e-12
 ) -> ConformanceReport:
     """Check symmetry, self-redundancy, and superset invariance by direct
-    evaluation over every antichain argument tuple (n <= 3)."""
+    evaluation over every antichain argument tuple."""
     n = d.n_sources
-    if n > 3:
-        raise ValueError("conformance scan is exhaustive and capped at n=3")
     violations = []
     checked = 0
     subsets = nonempty_subsets(n)

@@ -34,13 +34,7 @@ from .engine import (
     rsi_decomposition_check,
 )
 from .gates import make_gate
-from .lattice import (
-    Antichain,
-    nonempty_subsets,
-    parthood_by_antichain,
-    redundancy_lattice,
-    resolve_condition,
-)
+from .lattice import Antichain, condition_test, nonempty_subsets, redundancy_lattice
 from .measures import RedundancyMeasure
 from .prob import DistributionError, JointDistribution
 
@@ -227,8 +221,6 @@ def check_tcr(
     antichain argument."""
     if d.target_arity < 2:
         raise PreconditionError("TCR needs a target split")
-    if d.n_sources > 3:
-        raise PreconditionError("exhaustive TCR scan is capped at n=3")
     _, first, rest = _split_target(d, measure, 1)
     entries = []
     for antichain, lhs in _pid(d, measure).redundancy.items():
@@ -253,8 +245,6 @@ def check_lm(
     d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
 ) -> PropertyReport:
     """Monotonicity along the redundancy lattice, over every comparable pair."""
-    if d.n_sources > 3:
-        raise PreconditionError("exhaustive LM scan is capped at n=3")
     lattice = redundancy_lattice(d.n_sources)
     values = _pid(d, measure).redundancy
     worst = None
@@ -281,8 +271,6 @@ def check_sm(
     d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
 ) -> PropertyReport:
     """Monotonicity under adding a source collection to the argument tuple."""
-    if d.n_sources > 3:
-        raise PreconditionError("exhaustive SM scan is capped at n=3")
     worst = None
     pairs = 0
     for antichain, base in _pid(d, measure).redundancy.items():
@@ -467,36 +455,31 @@ def check_lemma3(
     residuals the condition selects."""
     if d.target_arity < 2:
         raise PreconditionError("chain-rule equivalence needs a target split")
-    if d.n_sources > 3:
-        raise PreconditionError("exhaustive scan is capped at n=3")
     on_full = _pid(d, measure)
     _, on_first, rest = _split_target(d, measure, 1)
     # the conditional decomposition: atoms given component 1, weighted by p(z)
-    rest_atoms = dict.fromkeys(on_full.atoms, 0.0)
+    on_rest = dict.fromkeys(on_full.atoms, 0.0)
     for _, pz, _, result in rest:
-        for node in rest_atoms:
-            rest_atoms[node] += pz * result.atoms[node]
-    on_rest = PidResult(d.n_sources, rest_atoms, measure.id, d.digest)
+        for node in on_rest:
+            on_rest[node] += pz * result.atoms[node]
     atom_residuals = {
-        node: value - on_first.atoms[node] - on_rest.atoms[node]
+        node: value - on_first.atoms[node] - on_rest[node]
         for node, value in on_full.atoms.items()
     }
-    parthoods = parthood_by_antichain(d.n_sources)
+    lattice = redundancy_lattice(d.n_sources)
+    zeros = [lattice.zero_set(node) for node in atom_residuals]
     worst_gap = 0.0
     checks = 0
     for name in ("red", "union", "ws", "vul"):
-        cond = resolve_condition(name)
         for antichain in atom_residuals:
-            args = antichain.sorted_members
+            selected = condition_test(name, antichain.sorted_members, d.n_sources)
+            picked = [node for node, z in zip(atom_residuals, zeros) if selected(z)]
             aggregate = (
-                c_information(on_full, name, args)
-                - c_information(on_first, name, args)
-                - c_information(on_rest, name, args)
+                sum(on_full.atoms[node] for node in picked)
+                - sum(on_first.atoms[node] for node in picked)
+                - sum(on_rest[node] for node in picked)
             )
-            atom_sum = sum(
-                residual for node, residual in atom_residuals.items()
-                if cond(args, parthoods[node])
-            )
+            atom_sum = sum(atom_residuals[node] for node in picked)
             worst_gap = max(worst_gap, abs(aggregate - atom_sum))
             checks += 1
     max_atom_residual = max(abs(v) for v in atom_residuals.values())

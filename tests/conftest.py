@@ -95,6 +95,15 @@ def constant_measure(value: float = 1.0) -> RedundancyMeasure:
 # oracles (independent implementations)
 
 
+#: each named condition by its definition on a parthood table f
+TABLE_CONDITIONS = {
+    "red": lambda args, f: all(f.value(a) for a in args),
+    "union": lambda args, f: any(f.value(a) for a in args),
+    "ws": lambda args, f: all(not f.value(a) for a in args),
+    "vul": lambda args, f: any(not f.value(a) for a in args),
+}
+
+
 def monotone_parthood_tables(n: int) -> list:
     """Every Boolean table on the subsets of {1..n} (indexed by mask, bit
     ``i-1`` for source ``i``) that is 0 on the empty set, 1 on the full set

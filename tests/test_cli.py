@@ -261,6 +261,18 @@ def test_noisy_gate_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", [["atoms"], ["check", "--property", "lp"]])
+def test_noise_with_input_exits_2(tmp_path, capsys, command):
+    emitted = tmp_path / "xor.json"
+    assert run_cli(capsys, "atoms", "--gate", "xor", "--measure", "imin",
+                   "--emit", str(emitted))[0] == 0
+    code, out, err = run_cli(capsys, *command, "--input", str(emitted),
+                             "--noise", "1/8", "--measure", "imin")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--noise" in err
+
+
 def test_table2_matches_packaged_expectations(capsys):
     code, out, err = run_cli(capsys, "table2", "--trials", "6")
     assert code == 0, err
@@ -305,6 +317,7 @@ def test_closed_stdout_exits_141_quietly():
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
 

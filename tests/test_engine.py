@@ -13,6 +13,7 @@ from partinfo import (
     PidResult,
     RedundancyMeasure,
     atoms_from_redundancy,
+    antichain_to_parthood,
     atoms_from_values,
     c_information,
     c_order_leq,
@@ -27,7 +28,9 @@ from partinfo import (
     rsi_decomposition_check,
 )
 
-from conftest import constant_measure, random_rational_distribution
+from partinfo.lattice import nonempty_subsets
+
+from conftest import TABLE_CONDITIONS, constant_measure, random_rational_distribution
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -312,3 +315,45 @@ def test_condition_order_implies_ordered_aggregates(rng):
                     low = c_information(result, condition, x.sorted_members)
                     high = c_information(result, condition, y.sorted_members)
                     assert low <= high + 1e-12
+
+
+def test_c_information_sums_the_atoms_a_table_walk_selects(rng):
+    lattice = redundancy_lattice(4)
+    tables = {node: antichain_to_parthood(node, 4) for node in lattice.nodes}
+    for _ in range(2):
+        result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", "-")
+        for name, by_table in TABLE_CONDITIONS.items():
+            for antichain in lattice.nodes:
+                args = antichain.sorted_members
+                oracle = sum(value for node, value in result.atoms.items()
+                             if by_table(args, tables[node]))
+                assert c_information(result, name, args) == oracle, (name, antichain.label)
+
+
+def test_consistency_residuals_equal_a_table_walk(rng):
+    d = random_rational_distribution(rng, n_sources=4)
+    lattice = redundancy_lattice(4)
+    tables = {node: antichain_to_parthood(node, 4) for node in lattice.nodes}
+    result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", "-")
+    report = consistency_check(result, d)
+    assert [e.subset for e in report.entries] == list(nonempty_subsets(4))
+    for entry in report.entries:
+        oracle = sum(value for node, value in result.atoms.items()
+                     if tables[node].value(entry.subset))
+        assert entry.residual == abs(oracle - d.marginal_mi(entry.subset))
+
+
+def test_callable_condition_is_rejected(gate_corpus):
+    result = atoms_from_redundancy(gate_corpus["xor"], IMIN)
+    with pytest.raises(ValueError, match="conditions are named"):
+        c_information(result, lambda args, f: True, ({1},))
+
+
+def test_parthood_questions_reuse_the_decomposition_lattice(gate_corpus):
+    d = gate_corpus["xor_source_copy"]
+    result = atoms_from_redundancy(d, IMIN)
+    cached = redundancy_lattice.cache_info().currsize
+    consistency_check(result, d)
+    c_information(result, "union", ({1}, {2}))
+    c_order_leq("ws", ({1},), ({2},), 3)
+    assert redundancy_lattice.cache_info().currsize == cached

@@ -19,6 +19,9 @@ from partinfo import (
     parthood_to_antichain,
     redundancy_lattice,
 )
+from partinfo.lattice import CONDITIONS, condition_test
+
+from conftest import TABLE_CONDITIONS
 
 
 def brute_force_parthood_tables(n):
@@ -151,6 +154,41 @@ def test_lattice_order_agrees_with_redundancy_condition_order(n):
             assert lattice_leq(alpha, beta) == c_order_leq(
                 "red", alpha.sorted_members, beta.sorted_members, n
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_condition_masks_match_parthood_tables(n):
+    assert set(CONDITIONS) == set(TABLE_CONDITIONS)
+    lattice = redundancy_lattice(n)
+    nodes = [(lattice.zero_set(node), antichain_to_parthood(node, n)) for node in lattice.nodes]
+    for name, by_table in TABLE_CONDITIONS.items():
+        for antichain in lattice.nodes:
+            args = antichain.sorted_members
+            by_mask = condition_test(name, args, n)
+            for zeros, f in nodes:
+                assert by_mask(zeros) == by_table(args, f), (name, antichain.label, f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_c_order_leq_matches_a_scan_of_parthood_tables(n):
+    antichains = enumerate_antichains(n)
+    for name, by_table in TABLE_CONDITIONS.items():
+        for x in antichains:
+            for y in antichains:
+                want = all(by_table(y.sorted_members, f) for f in enumerate_parthood(n)
+                           if by_table(x.sorted_members, f))
+                assert c_order_leq(name, x.sorted_members, y.sorted_members, n) == want
+
+
+def test_conditions_are_named_only():
+    with pytest.raises(ValueError, match="conditions are named"):
+        c_order_leq(lambda args, f: True, ({1},), ({2},), 2)
+    with pytest.raises(ValueError, match="conditions are named"):
+        condition_test("intersection", ({1},), 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        condition_test("red", ({1}, set()), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        condition_test("red", ({3},), 2)
 
 
 def test_moebius_examples_for_two_sources():

@@ -1,6 +1,8 @@
 """Property checks, equivalence chains, and the impossibility witnesses."""
 
+import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from partinfo import (
     run_property,
     theorem_witness,
 )
-from partinfo import engine, properties
+from partinfo import JointDistribution, Outcome, conformance_suite, engine, properties
 from partinfo.measures import RedundancyMeasure
 from partinfo.properties import PROPERTY_IDS, PreconditionError
 
@@ -490,3 +492,33 @@ def test_run_all_checks_reads_redundancy_off_decompositions(monkeypatch, measure
     run_all_checks(make_gate(GateSpec("xor_source_copy", Fraction(1, 8))), measure, trials=2)
     assert outside == []
     assert conditional == []
+
+
+# ----------------------------------------------------------------------
+# four sources: the exhaustive scans run at every lattice size
+
+
+def four_source_split_target() -> JointDistribution:
+    """All 16 binary source tuples with seeded weights; the target is
+    (S1 xor S2, S3 and S4), so the chain-rule checks have a split."""
+    rng = random.Random(8)
+    sources = list(itertools.product((0, 1), repeat=4))
+    weights = [rng.randint(1, 6) for _ in sources]
+    rows = [(Outcome(s, (s[0] ^ s[1], s[2] & s[3])), Fraction(w, sum(weights)))
+            for s, w in zip(sources, weights)]
+    return JointDistribution(4, 2, rows)
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+def test_checks_run_at_four_sources(measure):
+    d = four_source_split_target()
+    reports = {r.property_id: r for r in run_all_checks(d, measure, trials=2)}
+    assert set(reports) == set(PROPERTY_IDS)
+    for report in reports.values():
+        assert "capped" not in report.details.get("reason", ""), report
+    for pid in ("tcr", "lm", "sm", "l3"):
+        assert reports[pid].verdict in ("pass", "fail"), reports[pid]
+    for pid in ("l1", "l2", "c1", "l3"):
+        assert reports[pid].verdict != "fail", reports[pid]
+    assert reports["l3"].details["aggregates_checked"] == 4 * 166
+    assert conformance_suite(measure, d).passed
