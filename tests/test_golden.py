@@ -1,9 +1,10 @@
 """Byte-identity of CLI output against recorded digests.
 
 ``golden_digests.json`` holds the sha256 of stdout for a fixed command set:
-``check --property all`` on the four corpus gates at two noise levels for
-both measures, ``atoms`` on two seeded n=4 tables, ``table2`` and
-``lattice --n 3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT.
+``check --property all`` on the four corpus gates at two noise levels and
+on a seeded n=3 table whose first target component is ternary, for both
+measures, ``atoms`` on two seeded n=4 tables, ``table2`` and ``lattice --n
+3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT.
 Any change to an atom, a verdict or a formatting detail shows up here.
 Python 3.12 made ``sum()`` of floats compensated, which moves the last bits
 of some atoms, so the file keeps one set of digests for interpreters before
@@ -33,6 +34,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 GATES = ("xor", "copy2", "and", "xor_source_copy")
 MEASURES = ("imin", "isx")
 TABLES = ("plain", "aux")
+SPLIT = "split"
 FAMILY = "python>=3.12" if sys.version_info >= (3, 12) else "python<3.12"
 
 
@@ -56,7 +58,25 @@ def _write_tables(directory: Path) -> dict:
         path = directory / f"golden-{name}.json"
         path.write_text(json.dumps({"n_sources": 4, "target_arity": 1, "outcomes": outcomes}))
         paths[name] = str(path)
+    paths[SPLIT] = str(_write_split_table(directory))
     return paths
+
+
+def _write_split_table(directory: Path) -> Path:
+    """A seeded n=3 table over binary sources whose target is (S1+S2+S3 mod
+    3, S1*S2 mod 2), so the chain-rule checks split along a ternary first
+    component."""
+    rng = random.Random("golden:split")
+    sources = list(itertools.product(range(2), repeat=3))
+    weights = [rng.randint(1, 6) for _ in sources]
+    total = sum(weights)
+    outcomes = [
+        {"s": list(s), "t": [sum(s) % 3, s[0] * s[1] % 2], "p": f"{w}/{total}"}
+        for s, w in zip(sources, weights)
+    ]
+    path = directory / "golden-split.json"
+    path.write_text(json.dumps({"n_sources": 3, "target_arity": 2, "outcomes": outcomes}))
+    return path
 
 
 def golden_commands(tables: dict) -> dict:
@@ -67,11 +87,15 @@ def golden_commands(tables: dict) -> dict:
             "check", "--gate", gate, "--noise", noise, "--measure", measure,
             "--property", "all", "--seed", "5", "--format", "json",
         ]
-    for name, path in tables.items():
-        for measure in MEASURES:
-            commands[f"atoms {name} {measure}"] = [
-                "atoms", "--input", path, "--measure", measure, "--format", "json",
-            ]
+    for measure in MEASURES:
+        commands[f"check {SPLIT} {measure}"] = [
+            "check", "--input", tables[SPLIT], "--measure", measure,
+            "--property", "all", "--seed", "5", "--format", "json",
+        ]
+    for name, measure in itertools.product(TABLES, MEASURES):
+        commands[f"atoms {name} {measure}"] = [
+            "atoms", "--input", tables[name], "--measure", measure, "--format", "json",
+        ]
     commands["table2"] = ["table2", "--format", "json"]
     commands["lattice n=3"] = ["lattice", "--n", "3", "--format", "json"]
     commands["lattice n=4 json"] = ["lattice", "--n", "4", "--format", "json"]
@@ -101,7 +125,7 @@ def test_every_command_has_a_recorded_digest(commands, recorded):
     assert sorted(recorded) == sorted(commands)
 
 
-@pytest.mark.parametrize("name", sorted(golden_commands(dict.fromkeys(TABLES, "-"))))
+@pytest.mark.parametrize("name", sorted(golden_commands(dict.fromkeys(TABLES + (SPLIT,), "-"))))
 def test_output_matches_recorded_digest(commands, recorded, name):
     assert stdout_digest(commands[name]) == (0, recorded[name])
 
