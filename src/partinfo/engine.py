@@ -8,15 +8,21 @@ weak-synergy or vulnerable information) is then a plain sum of atoms, and
 the consistency equations tie the atom sums to the mutual-information terms
 of the input distribution.  Both read each atom's parthood off its node's
 zero set in the lattice.
+
+Within a :func:`call_memo` call, :func:`decompose` decomposes each
+(distribution, measure) pair once; :func:`split_on` conditions a table on
+each value of a variable and decomposes the pieces through that memo, and
+:func:`conditional_atoms` averages them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Mapping
 
 from .lattice import (
-    Antichain,
     RedundancyLattice,
     condition_test,
     degree_of_redundancy,
@@ -26,6 +32,10 @@ from .lattice import (
 )
 from .measures import RedundancyMeasure, normalize_args
 from .prob import JointDistribution, Selector
+
+
+#: the memo of the call_memo() call in progress, if any
+_memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
 
 class MeasureEvaluationError(RuntimeError):
@@ -46,16 +56,6 @@ class PidResult:
     measure_id: str
     distribution_digest: str
     redundancy: Mapping | None = None
-
-    def atom(self, antichain: Antichain) -> float:
-        try:
-            return self.atoms[antichain]
-        except KeyError:
-            raise ValueError(f"no atom for antichain {antichain.label}") from None
-
-    @property
-    def antichains(self) -> tuple:
-        return tuple(self.atoms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,6 +121,45 @@ def atoms_from_redundancy(
             ) from exc
     atoms = atoms_from_values(lattice, values)
     return PidResult(d.n_sources, atoms, measure.id, d.digest, values)
+
+
+@contextmanager
+def call_memo():
+    """Give the decorated call a memo that is dropped when the call returns."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memoized(key, compute):
+    """``compute()``, once per ``key`` within a :func:`call_memo` call."""
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
+    """:func:`atoms_from_redundancy`, once per (distribution, measure) within a
+    :func:`call_memo` call."""
+    # equal distributions share one canonical support, so a memo hit gives
+    # the same atoms, bit for bit, as decomposing again
+    return memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
+
+
+def split_on(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> list:
+    """The chain-rule split of ``d`` along the variable ``z``: for each value
+    of ``z``, the tuple (value, p(value) as a float, ``d`` given the value,
+    its decomposition)."""
+    split = []
+    for value, pz in d.variable_marginal(z).items():
+        dz = d.condition_on(z, value)
+        split.append((value, float(pz), dz, decompose(dz, measure)))
+    return split
 
 
 # ----------------------------------------------------------------------
@@ -197,25 +236,13 @@ def c_information(result: PidResult, condition, args) -> float:
     return sum(value for node, value in result.atoms.items() if selected(lattice.zero_set(node)))
 
 
-def conditional_atoms(
-    d: JointDistribution,
-    measure: RedundancyMeasure,
-    z: Selector,
-    lattice: RedundancyLattice | None = None,
-) -> PidResult:
-    """Atoms of the conditional decomposition given a variable Z.
-
-    Each value z of Z conditions the distribution; the same measure is
-    inverted on each conditional table and the atom vectors are averaged
-    with weights p(z).
-    """
-    lattice = lattice if lattice is not None else redundancy_lattice(d.n_sources)
-    weights = d.variable_marginal(z)
-    acc = {node: 0.0 for node in lattice.nodes}
-    for value, pz in weights.items():
-        sub = atoms_from_redundancy(d.condition_on(z, value), measure, lattice=lattice)
-        for node in lattice.nodes:
-            acc[node] += float(pz) * sub.atoms[node]
+def conditional_atoms(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> PidResult:
+    """Atoms of the conditional decomposition given a variable Z: the atoms
+    of each table in :func:`split_on`, averaged with weights p(z)."""
+    acc = dict.fromkeys(redundancy_lattice(d.n_sources).nodes, 0.0)
+    for _, pz, _, sub in split_on(d, measure, z):
+        for node in acc:
+            acc[node] += pz * sub.atoms[node]
     return PidResult(d.n_sources, acc, measure.id, d.digest)
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
-SourceSubset = frozenset
-
 
 class LatticeSizeError(ValueError):
     """Requested lattice lies beyond ``LARGE_N`` sources, or needs ``allow_large``."""

@@ -22,7 +22,7 @@ from itertools import permutations
 from operator import or_
 from typing import Callable, Sequence
 
-from .lattice import Antichain, enumerate_antichains, nonempty_subsets
+from .lattice import Antichain, nonempty_subsets, redundancy_lattice
 from .prob import JointDistribution, log2_ratio
 
 
@@ -192,7 +192,7 @@ def conformance_suite(
         if abs(value - reference) > tol:
             violations.append(ConformanceViolation("self_redundancy", (subset,), value, reference))
 
-    for antichain in enumerate_antichains(n):
+    for antichain in redundancy_lattice(n).nodes:
         members = antichain.sorted_members
         base = measure.evaluate(d, members)
         for perm in permutations(members):

@@ -12,26 +12,28 @@ Property ids: lp, rei, tcr, lm, sm, id, iid (single properties) and l1, l2,
 c1, l3, l4, t1, t2 (lemma/corollary/impossibility checks).
 
 Decompositions and theorem witnesses are shared within a single
-``run_all_checks`` or ``property_matrix`` call, keyed by (distribution,
-measure), and dropped when that call returns.
+``run_all_checks`` or ``property_matrix`` call through the engine's call
+memo, keyed by (distribution, measure), and dropped when that call returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import (
     PidResult,
-    atoms_from_redundancy,
     c_information,
+    call_memo,
+    conditional_atoms,
     consistency_check,
+    decompose,
+    memoized,
     rsi,
     rsi_decomposition_check,
+    split_on,
 )
 from .gates import make_gate
 from .lattice import Antichain, condition_test, nonempty_subsets, redundancy_lattice
@@ -40,9 +42,6 @@ from .prob import DistributionError, JointDistribution
 
 #: threshold above which a value counts as strictly positive
 STRICT_POSITIVITY = 1e-9
-
-#: the memo of the run_all_checks or property_matrix call in progress, if any
-_memo: ContextVar = ContextVar("partinfo_properties_memo", default=None)
 
 
 class PreconditionError(DistributionError):
@@ -80,43 +79,6 @@ def _report(property_id, measure_id, digest, passed, tol, witness, details) -> P
 def _vacuous(property_id, d, measure, tol, reason, **details) -> PropertyReport:
     return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol, None,
                           {"reason": reason, **details})
-
-
-@contextmanager
-def _call_memo():
-    """Give the decorated call a memo that is dropped when the call returns."""
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _memoized(key, compute):
-    memo = _memo.get()
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _pid(d, measure) -> PidResult:
-    # equal distributions share one canonical support, so a memo hit gives
-    # the same atoms, bit for bit, as decomposing again
-    return _memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
-
-
-def _split_target(d, measure, k):
-    """The chain-rule split of target component ``k``: the table with ``k`` as
-    its only target and its decomposition, and for each value z of ``k`` the
-    tuple (z, p(z), the table given z without ``k``, its decomposition)."""
-    first = d.restrict_target((k,))
-    rest = []
-    for z, pz in d.variable_marginal(("target", k)).items():
-        dz = d.condition_on(("target", k), z)
-        rest.append((z, float(pz), dz, _pid(dz, measure)))
-    return first, _pid(first, measure), rest
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +127,7 @@ def check_rei(
     target one-to-one is also checked: with the pair itself as target, the
     distribution is a re-encoding of the input, so its atoms must agree.
     """
-    base = _pid(d, measure)
+    base = decompose(d, measure)
     rng = random.Random(seed)
     max_delta = 0.0
     witness = None
@@ -173,7 +135,7 @@ def check_rei(
 
     def compare(d2: JointDistribution, label: str):
         nonlocal max_delta, witness, checked
-        other = _pid(d2, measure)
+        other = decompose(d2, measure)
         delta = max(abs(value - other.atoms[node]) for node, value in base.atoms.items())
         checked += 1
         if delta > max_delta:
@@ -221,9 +183,10 @@ def check_tcr(
     antichain argument."""
     if d.target_arity < 2:
         raise PreconditionError("TCR needs a target split")
-    _, first, rest = _split_target(d, measure, 1)
+    first = decompose(d.restrict_target((1,)), measure)
+    rest = split_on(d, measure, ("target", 1))
     entries = []
-    for antichain, lhs in _pid(d, measure).redundancy.items():
+    for antichain, lhs in decompose(d, measure).redundancy.items():
         first_term = first.redundancy[antichain]
         cond_term = sum(pz * result.redundancy[antichain] for _, pz, _, result in rest)
         entries.append((antichain, lhs, first_term, cond_term, abs(lhs - first_term - cond_term)))
@@ -246,7 +209,7 @@ def check_lm(
 ) -> PropertyReport:
     """Monotonicity along the redundancy lattice, over every comparable pair."""
     lattice = redundancy_lattice(d.n_sources)
-    values = _pid(d, measure).redundancy
+    values = decompose(d, measure).redundancy
     worst = None
     pairs = 0
     for above in lattice.nodes:
@@ -273,7 +236,7 @@ def check_sm(
     """Monotonicity under adding a source collection to the argument tuple."""
     worst = None
     pairs = 0
-    for antichain, base in _pid(d, measure).redundancy.items():
+    for antichain, base in decompose(d, measure).redundancy.items():
         for extra in nonempty_subsets(d.n_sources):
             pairs += 1
             grown = measure.evaluate(d, antichain.sorted_members + (extra,))
@@ -301,7 +264,7 @@ def check_id(
 ) -> PropertyReport:
     """Identity property: with the source pair itself as target, redundancy
     must equal the mutual information between the sources."""
-    value = _pid(_pair_copy(d), measure).redundancy[Antichain.of({1}, {2})]
+    value = decompose(_pair_copy(d), measure).redundancy[Antichain.of({1}, {2})]
     reference = d.mutual_information([("source", 1)], [("source", 2)])
     deviation = abs(value - reference)
     return _report(
@@ -331,7 +294,7 @@ def check_iid(
     dc = _pair_copy(d)
     if not _sources_independent(d):
         return _vacuous("iid", d, measure, tol, "sources are not independent")
-    value = _pid(dc, measure).redundancy[Antichain.of({1}, {2})]
+    value = decompose(dc, measure).redundancy[Antichain.of({1}, {2})]
     return _report("iid", measure.id, d.digest, abs(value) <= tol, tol,
                    {"redundancy": value}, {"redundancy": value})
 
@@ -380,7 +343,7 @@ def check_lemma4_equivalents(
 def _assume_lp(property_id, d, measure, tol):
     """The smallest atom of the decomposition, and the 'vacuous' report that a
     check assuming local positivity returns instead when an atom is negative."""
-    min_atom = min(_pid(d, measure).atoms.values())
+    min_atom = min(decompose(d, measure).atoms.values())
     if min_atom < -tol:
         return min_atom, _vacuous(property_id, d, measure, tol, "local positivity fails",
                                   min_atom=min_atom)
@@ -402,7 +365,7 @@ def check_lemma1(
     if index <= strict:
         return _vacuous("l1", d, measure, tol, "redundancy-synergy index is not positive",
                         rsi=index)
-    values = _pid(d, measure).redundancy
+    values = decompose(d, measure).redundancy
     pairwise = {
         f"({i},{j})": values[Antichain.of({i}, {j})]
         for i, j in itertools.combinations(range(1, d.n_sources + 1), 2)
@@ -432,7 +395,7 @@ def check_corollary1(
     _, vacuous = _assume_lp("c1", d, measure, tol)
     if vacuous:
         return vacuous
-    values = _pid(d, measure).redundancy
+    values = decompose(d, measure).redundancy
     worst = None
     table = {}
     for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
@@ -455,13 +418,9 @@ def check_lemma3(
     residuals the condition selects."""
     if d.target_arity < 2:
         raise PreconditionError("chain-rule equivalence needs a target split")
-    on_full = _pid(d, measure)
-    _, on_first, rest = _split_target(d, measure, 1)
-    # the conditional decomposition: atoms given component 1, weighted by p(z)
-    on_rest = dict.fromkeys(on_full.atoms, 0.0)
-    for _, pz, _, result in rest:
-        for node in on_rest:
-            on_rest[node] += pz * result.atoms[node]
+    on_full = decompose(d, measure)
+    on_first = decompose(d.restrict_target((1,)), measure)
+    on_rest = conditional_atoms(d, measure, ("target", 1)).atoms
     atom_residuals = {
         node: value - on_first.atoms[node] - on_rest[node]
         for node, value in on_full.atoms.items()
@@ -527,24 +486,6 @@ class TheoremWitness:
     def lp_rei_id_all_pass(self) -> bool:
         return all(self.verdicts[p] == "pass" for p in ("lp", "rei", "id"))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "measure": self.measure_id,
-            "distribution_digest": self.distribution_digest,
-            "rsi": self.rsi_value,
-            "rsi_residual": self.rsi_residual,
-            "consistency_max_residual": self.consistency_max_residual,
-            "pairwise_redundancies": self.pairwise,
-            "pairwise_strictly_positive": self.pairwise_strictly_positive,
-            "reencoding_max_delta": self.reencoding_max_delta,
-            "chains": list(self.chains),
-            "id_evidence": list(self.id_evidence),
-            "lp_scan": [list(entry) for entry in self.lp_scan],
-            "lp_witness": self.lp_witness,
-            "verdicts": self.verdicts,
-            "tolerance": self.tolerance,
-        }
-
 
 def theorem_witness(
     d: JointDistribution,
@@ -565,7 +506,7 @@ def theorem_witness(
     """
     if d.n_sources != 3:
         raise PreconditionError("the impossibility argument uses three sources")
-    gate_result = _pid(d, measure)
+    gate_result = decompose(d, measure)
     consistency = consistency_check(gate_result, d, tol)
     rsi_report = rsi_decomposition_check(gate_result, d, tol)
 
@@ -586,16 +527,17 @@ def theorem_witness(
         pairwise[pair_label] = gate_result.redundancy[args]
 
         d_pair = d.retarget_to_sources((i, j))
-        pair_result = _pid(d_pair, measure)
+        pair_result = decompose(d_pair, measure)
         scan(f"target (S_{i},S_{j})", pair_result)
         value_pair = pair_result.redundancy[args]
 
         # chain-rule split of the pair target: first S_j, then S_i given S_j
-        d_first, first_result, rest = _split_target(d_pair, measure, 2)
+        d_first = d_pair.restrict_target((2,))
+        first_result = decompose(d_first, measure)
         scan(f"target S_{j}", first_result)
         first_term = first_result.redundancy[args]
         cond_term = cond_mi_i = cond_mi_j = 0.0
-        for z, pz, dz, result in rest:
+        for z, pz, dz, result in split_on(d_pair, measure, ("target", 2)):
             scan(f"target S_{i} given S_{j}={z}", result)
             cond_term += pz * result.redundancy[args]
             cond_mi_i += pz * dz.marginal_mi({i})
@@ -647,9 +589,9 @@ def theorem_witness(
 
 def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -> PropertyReport:
     """Passes when lp, rei and ``third`` (id or tcr) do not all hold on ``d``."""
-    witness = _memoized(("witness", d, measure, tol, rei_tol, trials, seed),
-                        lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
-                                                trials=trials, seed=seed))
+    witness = memoized(("witness", d, measure, tol, rei_tol, trials, seed),
+                       lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
+                                               trials=trials, seed=seed))
     verdicts = witness.verdicts
     if third == "id":
         evidence = {"pairwise": witness.pairwise}
@@ -687,7 +629,7 @@ def check_theorem2(
 #: property id -> check(d, measure, tol, rei_tol, trials, seed); rei_tol is
 #: the tolerance of rei's atom comparisons, also inside the t1/t2 witness
 _CHECKS = {
-    "lp": lambda d, m, tol, *_: check_lp(_pid(d, m), tol),
+    "lp": lambda d, m, tol, *_: check_lp(decompose(d, m), tol),
     "rei": lambda d, m, tol, rei_tol, trials, seed:
         check_rei(d, m, trials=trials, seed=seed, tol=rei_tol),
     "tcr": lambda d, m, tol, *_: check_tcr(d, m, tol),
@@ -699,7 +641,8 @@ _CHECKS = {
     "l2": lambda d, m, tol, *_: check_lemma2(d, m, tol),
     "c1": lambda d, m, tol, *_: check_corollary1(d, m, tol),
     "l3": lambda d, m, tol, *_: check_lemma3(d, m, tol),
-    "l4": lambda d, m, tol, *_: check_lemma4_equivalents(_pid(dc := _pair_copy(d), m), dc, tol),
+    "l4": lambda d, m, tol, *_:
+        check_lemma4_equivalents(decompose(dc := _pair_copy(d), m), dc, tol),
     "t1": lambda d, m, tol, rei_tol, trials, seed:
         check_theorem1(d, m, tol, trials, seed, rei_tol),
     "t2": lambda d, m, tol, rei_tol, trials, seed:
@@ -730,7 +673,7 @@ def run_property(
         return _vacuous(property_id, d, measure, tol, str(exc))
 
 
-@_call_memo()
+@call_memo()
 def run_all_checks(
     d: JointDistribution,
     measure: RedundancyMeasure,
@@ -748,7 +691,7 @@ TABLE_PROPERTIES = ("lp", "tcr", "rei", "id")
 TABLE_GATES = ("xor", "copy2", "and", "xor_source_copy")
 
 
-@_call_memo()
+@call_memo()
 def property_matrix(
     measures: Sequence[RedundancyMeasure],
     gate_ids: Sequence[str] = TABLE_GATES,

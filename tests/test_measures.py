@@ -1,6 +1,7 @@
 """Redundancy measures against independent oracles and shared conformance."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,17 @@ def test_conformance_suite_passes_for_shipped_measures(gate_corpus):
         for measure_id in ("imin", "isx"):
             report = conformance_suite(get_measure(measure_id), d, tol=1e-12)
             assert report.passed, report.violations
+
+
+def test_conformance_suite_reuses_the_decomposition_lattice():
+    # the suite walks the nodes of the lattice the decomposition built, so
+    # an n=4 process enumerates the 166 antichains once, not per call form
+    d = random_rational_distribution(random.Random(4), n_sources=4)
+    measure = get_measure("imin")
+    atoms_from_redundancy(d, measure)
+    before = enumerate_antichains.cache_info()
+    assert conformance_suite(measure, d).passed
+    assert enumerate_antichains.cache_info() == before
 
 
 def test_conformance_flags_asymmetric_fake_measure(gate_corpus):

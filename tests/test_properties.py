@@ -437,7 +437,7 @@ def test_run_all_checks_matches_lone_checks(gate_id, noise, measure):
 def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypatch):
     decomposed = Counter()
     witnesses = []
-    real_pid, real_witness = properties.atoms_from_redundancy, properties.theorem_witness
+    real_pid, real_witness = engine.atoms_from_redundancy, properties.theorem_witness
 
     def pid_spy(d, measure, *args, **kwargs):
         decomposed[d, measure.id] += 1
@@ -447,7 +447,7 @@ def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypat
         witnesses.append(args[0])
         return real_witness(*args, **kwargs)
 
-    monkeypatch.setattr(properties, "atoms_from_redundancy", pid_spy)
+    monkeypatch.setattr(engine, "atoms_from_redundancy", pid_spy)
     monkeypatch.setattr(properties, "theorem_witness", witness_spy)
     d = gate_corpus["xor_source_copy"]
     run_all_checks(d, IMIN, trials=4)
@@ -460,23 +460,25 @@ def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypat
 
 @pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
 def test_run_all_checks_reads_redundancy_off_decompositions(monkeypatch, measure):
-    # every antichain value comes from a decomposition, and conditional
-    # tables are decomposed through the call memo, not conditional_atoms
+    # every antichain value comes from a decomposition, conditional tables
+    # reach the engine's split, and no (table, measure) pair is decomposed twice
     depth = [0]
     outside, conditional = [], []
-    real_decompose, real_conditional = engine.atoms_from_redundancy, engine.conditional_atoms
+    decomposed = Counter()
+    real_decompose, real_split = engine.atoms_from_redundancy, engine.split_on
     real_evaluate = RedundancyMeasure.evaluate
 
-    def decompose_spy(*args, **kwargs):
+    def decompose_spy(d, m, *args, **kwargs):
+        decomposed[d, m.id] += 1
         depth[0] += 1
         try:
-            return real_decompose(*args, **kwargs)
+            return real_decompose(d, m, *args, **kwargs)
         finally:
             depth[0] -= 1
 
-    def conditional_spy(*args, **kwargs):
-        conditional.append(args[0])
-        return real_conditional(*args, **kwargs)
+    def split_spy(d, m, z):
+        conditional.append(z)
+        return real_split(d, m, z)
 
     def evaluate_spy(self, d, args):
         if isinstance(args, Antichain) and not depth[0]:
@@ -484,14 +486,16 @@ def test_run_all_checks_reads_redundancy_off_decompositions(monkeypatch, measure
         return real_evaluate(self, d, args)
 
     for module in (engine, properties):
-        for name, spy in (("atoms_from_redundancy", decompose_spy),
-                          ("conditional_atoms", conditional_spy)):
+        for name, spy in (("atoms_from_redundancy", decompose_spy), ("split_on", split_spy)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
     monkeypatch.setattr(RedundancyMeasure, "evaluate", evaluate_spy)
     run_all_checks(make_gate(GateSpec("xor_source_copy", Fraction(1, 8))), measure, trials=2)
     assert outside == []
-    assert conditional == []
+    # tcr and l3 split the target on its first component, the witness each
+    # pair target on its second
+    assert set(conditional) == {("target", 1), ("target", 2)}
+    assert max(decomposed.values()) == 1
 
 
 # ----------------------------------------------------------------------
