@@ -4,7 +4,8 @@
 ``check --property all`` on the four corpus gates at two noise levels and
 on a seeded n=3 table whose first target component is ternary, for both
 measures, ``atoms`` on two seeded n=4 tables, ``table2`` and ``lattice --n
-3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT.
+3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT and ``lattice --n 5
+--allow-large`` in DOT.
 Any change to an atom, a verdict or a formatting detail shows up here.
 Python 3.12 made ``sum()`` of floats compensated, which moves the last bits
 of some atoms, so the file keeps one set of digests for interpreters before
@@ -100,6 +101,7 @@ def golden_commands(tables: dict) -> dict:
     commands["lattice n=3"] = ["lattice", "--n", "3", "--format", "json"]
     commands["lattice n=4 json"] = ["lattice", "--n", "4", "--format", "json"]
     commands["lattice n=4 dot"] = ["lattice", "--n", "4", "--format", "dot"]
+    commands["lattice n=5 dot"] = ["lattice", "--n", "5", "--allow-large", "--format", "dot"]
     return commands
 
 
