@@ -120,6 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_served(n: int, allow_large: bool = False) -> None:
+    """The size rule: n < ``LARGE_N``, and n = ``LARGE_N`` for ``lattice --allow-large``."""
+    if n > LARGE_N or (n == LARGE_N and not allow_large):
+        raise LatticeSizeError(f"lattice too large: n={n} (the CLI serves n < {LARGE_N}, "
+                               f"and n = {LARGE_N} to lattice --allow-large)")
+
+
 def _load_distribution(args) -> JointDistribution:
     if args.gate:
         d = make_gate(GateSpec(args.gate, "0" if args.noise is None else args.noise))
@@ -135,6 +142,7 @@ def _load_distribution(args) -> JointDistribution:
 def _cmd_atoms(args) -> int:
     d = _load_distribution(args)
     measure = get_measure(args.measure)
+    _require_served(d.n_sources)
     result = atoms_from_redundancy(d, measure)
     report = consistency_check(result, d, args.tol)
     if args.format == "json":
@@ -170,13 +178,14 @@ def _cmd_check(args) -> int:
         )
     d = _load_distribution(args)
     measure = get_measure(args.measure)
+    if args.property != "all" and args.property not in PROPERTY_IDS:
+        raise DistributionError(
+            f"unknown property {args.property!r}; known: {', '.join(PROPERTY_IDS)} or 'all'"
+        )
+    _require_served(d.n_sources)
     if args.property == "all":
         reports = run_all_checks(d, measure, tol=args.tol, trials=args.trials, seed=args.seed)
     else:
-        if args.property not in PROPERTY_IDS:
-            raise DistributionError(
-                f"unknown property {args.property!r}; known: {', '.join(PROPERTY_IDS)} or 'all'"
-            )
         reports = (run_property(args.property, d, measure,
                                 tol=args.tol, trials=args.trials, seed=args.seed),)
     if args.format == "json":
@@ -202,7 +211,8 @@ def _cmd_lattice(args) -> int:
             f"lattice too large for JSON: n={LARGE_N} has 7,813,193 Möbius rows; "
             "--allow-large works with --format text or dot"
         )
-    lattice = redundancy_lattice(args.n, allow_large=args.allow_large)
+    _require_served(args.n, args.allow_large)
+    lattice = redundancy_lattice(args.n)
     if args.format == "dot":
         sys.stdout.write(lattice.to_dot())
     elif args.format == "json":

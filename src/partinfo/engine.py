@@ -10,8 +10,9 @@ of the input distribution.  Both read each atom's parthood off its node's
 zero set in the lattice.
 
 Within a :func:`call_memo` call, :func:`decompose` decomposes each
-(distribution, measure) pair once; :func:`split_on` conditions a table on
-each value of a variable and decomposes the pieces through that memo, and
+(distribution, measure) pair once and :func:`split_on` splits each
+(distribution, measure, variable) triple once: it conditions the table on
+each value of the variable and decomposes the pieces through that memo.
 :func:`conditional_atoms` averages them.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .lattice import (
@@ -27,7 +29,6 @@ from .lattice import (
     condition_test,
     degree_of_redundancy,
     nonempty_subsets,
-    parthood_lattice,
     redundancy_lattice,
 )
 from .measures import RedundancyMeasure, normalize_args
@@ -56,6 +57,11 @@ class PidResult:
     measure_id: str
     distribution_digest: str
     redundancy: Mapping | None = None
+
+    @cached_property
+    def zero_sets(self) -> tuple:
+        """:meth:`RedundancyLattice.zero_set` of each atom's node, in atom order."""
+        return tuple(map(redundancy_lattice(self.n).zero_set, self.atoms))
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,15 +108,9 @@ def redundancy_from_atoms(lattice: RedundancyLattice, atoms: Mapping) -> dict:
     return dict(zip(lattice.nodes, g))
 
 
-def atoms_from_redundancy(
-    d: JointDistribution,
-    measure: RedundancyMeasure,
-    lattice: RedundancyLattice | None = None,
-) -> PidResult:
+def atoms_from_redundancy(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
     """Evaluate ``measure`` on every antichain and invert to atoms."""
-    lattice = lattice if lattice is not None else redundancy_lattice(d.n_sources)
-    if lattice.n != d.n_sources:
-        raise ValueError(f"lattice is for n={lattice.n}, distribution has n={d.n_sources}")
+    lattice = redundancy_lattice(d.n_sources)
     values = {}
     for node in lattice.nodes:
         try:
@@ -151,15 +151,20 @@ def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
     return memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
 
 
-def split_on(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> list:
+def split_on(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> tuple:
     """The chain-rule split of ``d`` along the variable ``z``: for each value
     of ``z``, the tuple (value, p(value) as a float, ``d`` given the value,
-    its decomposition)."""
-    split = []
-    for value, pz in d.variable_marginal(z).items():
-        dz = d.condition_on(z, value)
-        split.append((value, float(pz), dz, decompose(dz, measure)))
-    return split
+    its decomposition); once per (d, measure, z) within a :func:`call_memo`
+    call."""
+
+    def split():
+        pieces = []
+        for value, pz in d.variable_marginal(z).items():
+            dz = d.condition_on(z, value)
+            pieces.append((value, float(pz), dz, decompose(dz, measure)))
+        return tuple(pieces)
+
+    return memoized(("split", d, measure, z), split)
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +219,10 @@ def consistency_check(
     k counts toward S iff S is not in the zero set of node k."""
     if result.n != d.n_sources:
         raise ValueError("result and distribution have different source counts")
-    lattice = parthood_lattice(d.n_sources)
-    atoms = [(value, lattice.zero_set(node)) for node, value in result.atoms.items()]
-    entries = []
-    for subset in nonempty_subsets(d.n_sources):
-        part_of = condition_test("red", (subset,), d.n_sources)
-        atom_sum = sum(value for value, zeros in atoms if part_of(zeros))
-        entries.append(ConsistencyEntry(subset, atom_sum, d.marginal_mi(subset)))
-    return ConsistencyReport(tuple(entries), tol)
+    return ConsistencyReport(tuple(
+        ConsistencyEntry(subset, c_information(result, "red", (subset,)), d.marginal_mi(subset))
+        for subset in nonempty_subsets(d.n_sources)
+    ), tol)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +233,8 @@ def c_information(result: PidResult, condition, args) -> float:
     """Sum the atoms whose parthood distribution satisfies the named
     condition (``red``, ``union``, ``ws`` or ``vul``) on ``args``."""
     selected = condition_test(condition, normalize_args(args), result.n)
-    lattice = parthood_lattice(result.n)
-    return sum(value for node, value in result.atoms.items() if selected(lattice.zero_set(node)))
+    return sum(value for value, zeros in zip(result.atoms.values(), result.zero_sets)
+               if selected(zeros))
 
 
 def conditional_atoms(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> PidResult:

@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Sequence
 
 
 class LatticeSizeError(ValueError):
-    """Requested lattice lies beyond ``LARGE_N`` sources, or needs ``allow_large``."""
+    """Requested lattice lies beyond ``LARGE_N`` sources."""
 
 
-LARGE_N = 5                  # the largest n, and only behind allow_large
+LARGE_N = 5                  # the largest n the library builds
 
 
 def _subset_mask(subset: Iterable[int], n: int) -> int:
@@ -179,14 +179,12 @@ def degree_of_redundancy(antichain: Antichain) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_antichains(n: int, allow_large: bool = False) -> tuple:
+def enumerate_antichains(n: int) -> tuple:
     """All antichains over nonempty subsets of {1..n}, canonically ordered."""
     if n < 1:
         raise ValueError("need at least one source")
-    if n > LARGE_N or (n == LARGE_N and not allow_large):
-        raise LatticeSizeError(
-            f"lattice too large: n={n} (n={LARGE_N} needs allow_large=True; larger n is not supported)"
-        )
+    if n > LARGE_N:
+        raise LatticeSizeError(f"lattice too large: n={n} (at most n={LARGE_N} is supported)")
     subsets = nonempty_subsets(n)
     found = []
 
@@ -204,10 +202,10 @@ def enumerate_antichains(n: int, allow_large: bool = False) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def enumerate_parthood(n: int, allow_large: bool = False) -> tuple:
+def enumerate_parthood(n: int) -> tuple:
     """All parthood distributions for ``n`` sources, aligned index by index
     with :func:`enumerate_antichains`."""
-    return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n, allow_large))
+    return tuple(antichain_to_parthood(a, n) for a in enumerate_antichains(n))
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +231,9 @@ class RedundancyLattice:
     use, so a caller pays only for what it reads.
     """
 
-    def __init__(self, n: int, allow_large: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        self.nodes = enumerate_antichains(n, allow_large)
+        self.nodes = enumerate_antichains(n)
         self._index = {node: k for k, node in enumerate(self.nodes)}
         full = (1 << n) - 1
         # supersets[m] = bits of the proper subsets that contain subset m
@@ -360,39 +358,29 @@ class RedundancyLattice:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self, include_moebius: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         labels = self.labels
-        data = {
+        # every comparable pair, upper node major: mu is (-1)**|gap| when the
+        # gap holds only maximal zeros of the upper node, else 0
+        rows = []
+        for top, maximal, above in zip(self._zeros, self._maximal, labels):
+            for zeros, below in zip(self._zeros, labels):
+                if zeros | top == top:
+                    gap = zeros ^ top
+                    mu = 0 if gap & ~maximal else -1 if gap.bit_count() & 1 else 1
+                    rows.append([below, above, mu])
+        return {
             "n": self.n,
             "nodes": list(labels),
             "covers": [[labels[i], labels[j]] for i, j in self.cover_pairs],
+            "moebius": rows,
         }
-        if include_moebius:
-            # every comparable pair, upper node major: mu is (-1)**|gap| when
-            # the gap holds only maximal zeros of the upper node, else 0
-            rows = []
-            for top, maximal, above in zip(self._zeros, self._maximal, labels):
-                for zeros, below in zip(self._zeros, labels):
-                    if zeros | top == top:
-                        gap = zeros ^ top
-                        mu = 0 if gap & ~maximal else -1 if gap.bit_count() & 1 else 1
-                        rows.append([below, above, mu])
-            data["moebius"] = rows
-        return data
 
 
 @lru_cache(maxsize=None)
-def redundancy_lattice(n: int, allow_large: bool = False) -> RedundancyLattice:
+def redundancy_lattice(n: int) -> RedundancyLattice:
     """Shared immutable lattice instance for ``n`` sources."""
-    return RedundancyLattice(n, allow_large)
-
-
-def parthood_lattice(n: int) -> RedundancyLattice:
-    """The shared lattice whose zero sets answer parthood questions for
-    ``n`` sources; n = ``LARGE_N`` is built on request."""
-    # called as the decomposition and the CLI call it: lru_cache keys on the
-    # call's form, so redundancy_lattice(4, False) would build a second lattice
-    return redundancy_lattice(n, allow_large=True) if n == LARGE_N else redundancy_lattice(n)
+    return RedundancyLattice(n)
 
 
 # ----------------------------------------------------------------------
@@ -431,5 +419,5 @@ def c_order_leq(condition: str, x_args: Sequence, y_args: Sequence, n: int) -> b
     every parthood distribution f (checked on every node's zero set)."""
     x = condition_test(condition, x_args, n)
     y = condition_test(condition, y_args, n)
-    lattice = parthood_lattice(n)
+    lattice = redundancy_lattice(n)
     return all(y(z) for z in map(lattice.zero_set, lattice.nodes) if x(z))

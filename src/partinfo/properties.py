@@ -11,9 +11,9 @@ property) cannot all hold for the xor-source-copy distribution.
 Property ids: lp, rei, tcr, lm, sm, id, iid (single properties) and l1, l2,
 c1, l3, l4, t1, t2 (lemma/corollary/impossibility checks).
 
-Decompositions and theorem witnesses are shared within a single
-``run_all_checks`` or ``property_matrix`` call through the engine's call
-memo, keyed by (distribution, measure), and dropped when that call returns.
+Decompositions, chain-rule splits, rei scans and theorem witnesses are
+shared within a single ``run_all_checks`` or ``property_matrix`` call
+through the engine's call memo, and dropped when that call returns.
 """
 
 from __future__ import annotations
@@ -172,6 +172,12 @@ def check_rei(
         "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
         {"trials": trials, "seed": seed, "comparisons": checked, "max_atom_delta": max_delta},
     )
+
+
+def _shared_rei(d, measure, trials, seed, tol) -> PropertyReport:
+    """:func:`check_rei` once per call memo, for the rei check and the t1/t2 witness."""
+    return memoized(("rei", d, measure, trials, seed, tol),
+                    lambda: check_rei(d, measure, trials=trials, seed=seed, tol=tol))
 
 
 def check_tcr(
@@ -351,10 +357,7 @@ def _assume_lp(property_id, d, measure, tol):
 
 
 def check_lemma1(
-    d: JointDistribution,
-    measure: RedundancyMeasure,
-    tol: float = 1e-9,
-    strict: float = STRICT_POSITIVITY,
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
 ) -> PropertyReport:
     """Under local positivity, a positive redundancy-synergy index forces at
     least one strictly positive pairwise redundancy."""
@@ -362,7 +365,7 @@ def check_lemma1(
     if vacuous:
         return vacuous
     index = rsi(d)
-    if index <= strict:
+    if index <= STRICT_POSITIVITY:
         return _vacuous("l1", d, measure, tol, "redundancy-synergy index is not positive",
                         rsi=index)
     values = decompose(d, measure).redundancy
@@ -370,7 +373,7 @@ def check_lemma1(
         f"({i},{j})": values[Antichain.of({i}, {j})]
         for i, j in itertools.combinations(range(1, d.n_sources + 1), 2)
     }
-    return _report("l1", measure.id, d.digest, max(pairwise.values()) > strict, tol,
+    return _report("l1", measure.id, d.digest, max(pairwise.values()) > STRICT_POSITIVITY, tol,
                    {"pairwise": pairwise, "rsi": index},
                    {"pairwise": pairwise, "rsi": index, "min_atom": min_atom})
 
@@ -425,14 +428,12 @@ def check_lemma3(
         node: value - on_first.atoms[node] - on_rest[node]
         for node, value in on_full.atoms.items()
     }
-    lattice = redundancy_lattice(d.n_sources)
-    zeros = [lattice.zero_set(node) for node in atom_residuals]
     worst_gap = 0.0
     checks = 0
     for name in ("red", "union", "ws", "vul"):
         for antichain in atom_residuals:
             selected = condition_test(name, antichain.sorted_members, d.n_sources)
-            picked = [node for node, z in zip(atom_residuals, zeros) if selected(z)]
+            picked = [node for node, z in zip(atom_residuals, on_full.zero_sets) if selected(z)]
             aggregate = (
                 sum(on_full.atoms[node] for node in picked)
                 - sum(on_first.atoms[node] for node in picked)
@@ -561,7 +562,7 @@ def theorem_witness(
             "deviation": abs(value_pair - mi_sources),
         })
 
-    rei_report = check_rei(d, measure, trials=trials, seed=seed, tol=rei_tol)
+    rei_report = _shared_rei(d, measure, trials, seed, rei_tol)
 
     min_atom = min(value for _, value, _ in lp_scan)
     verdicts = {
@@ -630,8 +631,7 @@ def check_theorem2(
 #: the tolerance of rei's atom comparisons, also inside the t1/t2 witness
 _CHECKS = {
     "lp": lambda d, m, tol, *_: check_lp(decompose(d, m), tol),
-    "rei": lambda d, m, tol, rei_tol, trials, seed:
-        check_rei(d, m, trials=trials, seed=seed, tol=rei_tol),
+    "rei": lambda d, m, tol, rei_tol, trials, seed: _shared_rei(d, m, trials, seed, rei_tol),
     "tcr": lambda d, m, tol, *_: check_tcr(d, m, tol),
     "lm": lambda d, m, tol, *_: check_lm(d, m, tol),
     "sm": lambda d, m, tol, *_: check_sm(d, m, tol),
@@ -694,7 +694,6 @@ TABLE_GATES = ("xor", "copy2", "and", "xor_source_copy")
 @call_memo()
 def property_matrix(
     measures: Sequence[RedundancyMeasure],
-    gate_ids: Sequence[str] = TABLE_GATES,
     tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
@@ -702,14 +701,14 @@ def property_matrix(
     """Verdict matrix over the gate corpus: a property fails for a measure
     if any corpus gate witnesses a violation, and passes when at least one
     gate exercised it without any violation being found."""
+    corpus = [make_gate(gate_id) for gate_id in TABLE_GATES]
     matrix = {}
     for measure in measures:
         row = {}
         for prop in TABLE_PROPERTIES:
             verdicts = [
-                run_property(prop, make_gate(gate_id), measure,
-                             tol=tol, trials=trials, seed=seed).verdict
-                for gate_id in gate_ids
+                run_property(prop, d, measure, tol=tol, trials=trials, seed=seed).verdict
+                for d in corpus
             ]
             if "fail" in verdicts:
                 row[prop] = "fail"

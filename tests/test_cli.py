@@ -154,6 +154,12 @@ def test_oversized_distribution_hits_resource_cap(tmp_path, capsys):
     JD(5, 1, rows).dump(path)
     code, _, err = run_cli(capsys, "atoms", "--input", str(path), "--measure", "imin")
     assert code == 3 and "lattice too large" in err
+    for prop in ("id", "all"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", "--input", str(path), "--measure", "imin",
+                                 "--property", prop)
+        assert code == 3 and out == "" and "lattice too large" in err
+        assert time.perf_counter() - start < 1.0
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

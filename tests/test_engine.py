@@ -1,5 +1,6 @@
 """Engine behavior: inversion, consistency, aggregates, conditionals, RSI."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -191,13 +192,25 @@ def test_round_trip_and_zeta_down_sum_on_generated_vectors():
 
 
 def test_moebius_round_trip_exact_n5():
-    lattice = redundancy_lattice(5, allow_large=True)
+    lattice = redundancy_lattice(5)
     assert len(lattice.zeta_pairs) == 35510     # one addition per cover
     rng = random.Random(5)
     values = {node: Fraction(rng.randrange(-64, 65), rng.randrange(1, 13)) for node in lattice.nodes}
     atoms = atoms_from_values(lattice, values)
     assert all(isinstance(v, Fraction) for v in atoms.values())
     assert redundancy_from_atoms(lattice, atoms) == values
+
+
+def test_five_sources_decompose_through_the_library():
+    # the library builds n = 5; only the CLI keeps atoms and check below it
+    assert len(redundancy_lattice(5)) == 7579
+    rng = random.Random(20)
+    cells = rng.sample(list(itertools.product((0, 1), repeat=6)), 20)
+    weights = [rng.randint(1, 6) for _ in cells]
+    rows = [(Outcome(c[:5], c[5:]), Fraction(w, sum(weights))) for c, w in zip(cells, weights)]
+    d = JointDistribution(5, 1, rows)
+    report = consistency_check(atoms_from_redundancy(d, IMIN), d, tol=1e-9)
+    assert report.passed and len(report.entries) == 31
 
 
 def test_moebius_round_trip_float_path(rng):

@@ -66,14 +66,12 @@ def test_enumeration_order_is_deterministic_and_aligned():
 
 def test_cap_and_large_n():
     with pytest.raises(LatticeSizeError, match="lattice too large"):
-        enumerate_parthood(5)
-    with pytest.raises(LatticeSizeError):
-        enumerate_antichains(6, allow_large=True)
+        enumerate_antichains(6)
 
 
 def test_n5_antichain_generation_behind_flag():
-    assert len(enumerate_antichains(5, allow_large=True)) == 7579
-    lattice = RedundancyLattice(5, allow_large=True)
+    assert len(enumerate_antichains(5)) == 7579
+    lattice = RedundancyLattice(5)
     assert len(lattice) == 7579
     assert len(lattice.covers()) == 35510
 

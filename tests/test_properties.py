@@ -436,8 +436,11 @@ def test_run_all_checks_matches_lone_checks(gate_id, noise, measure):
 
 def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypatch):
     decomposed = Counter()
+    conditioned = Counter()
     witnesses = []
+    rei_scans = []
     real_pid, real_witness = engine.atoms_from_redundancy, properties.theorem_witness
+    real_rei, real_condition = properties.check_rei, JointDistribution.condition_on
 
     def pid_spy(d, measure, *args, **kwargs):
         decomposed[d, measure.id] += 1
@@ -447,12 +450,26 @@ def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypat
         witnesses.append(args[0])
         return real_witness(*args, **kwargs)
 
+    def rei_spy(*args, **kwargs):
+        rei_scans.append(args[0])
+        return real_rei(*args, **kwargs)
+
+    def condition_spy(self, z, value):
+        conditioned[self, z, value] += 1
+        return real_condition(self, z, value)
+
     monkeypatch.setattr(engine, "atoms_from_redundancy", pid_spy)
     monkeypatch.setattr(properties, "theorem_witness", witness_spy)
+    monkeypatch.setattr(properties, "check_rei", rei_spy)
+    monkeypatch.setattr(JointDistribution, "condition_on", condition_spy)
     d = gate_corpus["xor_source_copy"]
     run_all_checks(d, IMIN, trials=4)
     assert max(decomposed.values()) == 1
     assert len(witnesses) == 1
+    # rei and the t1/t2 witness read one scan; tcr, l3 and the witness one
+    # split per (table, variable)
+    assert rei_scans == [d]
+    assert max(conditioned.values()) == 1
     # the memo lives only for one call: a second call decomposes the input again
     run_all_checks(d, IMIN, trials=4)
     assert decomposed[d, "imin"] == 2
