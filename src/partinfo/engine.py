@@ -9,11 +9,21 @@ the consistency equations tie the atom sums to the mutual-information terms
 of the input distribution.  Both read each atom's parthood off its node's
 zero set in the lattice.
 
-Within a :func:`call_memo` call, :func:`decompose` decomposes each
-(distribution, measure) pair once and :func:`split_on` splits each
-(distribution, measure, variable) triple once: it conditions the table on
-each value of the variable and decomposes the pieces through that memo.
-:func:`conditional_atoms` averages them.
+Within a :func:`call_memo` call, one memo shares three kinds of work:
+
+* decompositions: :func:`decompose` decomposes each (distribution,
+  measure) pair once;
+* chain-rule splits: :func:`split_on` splits each (distribution, measure,
+  variable) triple once, conditioning the table on each value of the
+  variable and decomposing the pieces through that memo;
+  :func:`conditional_atoms` averages them;
+* derived tables: :func:`derived` builds each conditioned, restricted,
+  retargeted or re-encoded table once per (table, operation, arguments),
+  whatever the measure.
+
+Equal tables are equal keys, and a relabelled table is a table of its own,
+so nothing computed on one table is read for a different one.  Outside a
+call the memo is absent and every call computes afresh.
 """
 
 from __future__ import annotations
@@ -143,6 +153,15 @@ def memoized(key, compute):
     return memo[key]
 
 
+def derived(d: JointDistribution, operation: str, *args) -> JointDistribution:
+    """``d.<operation>(*args)``, a table derived from ``d`` by one of its
+    transformations (``condition_on``, ``restrict_target``,
+    ``retarget_to_sources`` or ``reencode``); once per (d, operation, args)
+    within a :func:`call_memo` call, so ``args`` must be hashable.  Outside
+    one, each call builds a fresh table."""
+    return memoized((operation, d, args), lambda: getattr(d, operation)(*args))
+
+
 def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
     """:func:`atoms_from_redundancy`, once per (distribution, measure) within a
     :func:`call_memo` call."""
@@ -160,7 +179,7 @@ def split_on(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> t
     def split():
         pieces = []
         for value, pz in d.variable_marginal(z).items():
-            dz = d.condition_on(z, value)
+            dz = derived(d, "condition_on", z, value)
             pieces.append((value, float(pz), dz, decompose(dz, measure)))
         return tuple(pieces)
 

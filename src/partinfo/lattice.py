@@ -117,8 +117,9 @@ class Antichain:
     def of(cls, *members) -> "Antichain":
         return cls(frozenset(frozenset(m) for m in members))
 
-    @property
+    @cached_property
     def sorted_members(self) -> tuple:
+        """The members in canonical order; computed once per instance."""
         return tuple(frozenset(m) for m in _member_tuples(self.members))
 
     @property

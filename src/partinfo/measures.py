@@ -65,21 +65,21 @@ def specific_information(d: JointDistribution, a) -> dict:
     I(a;t) = sum over realizations s_a of p(s_a|t) * log2( p(t|s_a) / p(t) ).
     Terms with p(s_a|t) = 0 contribute nothing; averaging the table against
     p(t) recovers I(a;T).  Masses are integer weights over the kernel's
-    common denominator D, so p(t|s_a) / p(t) is the exact rational
-    w(s_a, t) * D / (w(s_a) * w(t)).
+    common denominator D, summed from the kernel's points and their
+    projections on ``a``, so p(t|s_a) / p(t) is the exact rational
+    w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
+    order they first appear in the support.
     """
     kernel = d._kernel()
     table = dict.fromkeys(kernel.target_weights, 0.0)
-    a = sorted(frozenset(a))
-    if not a:
-        return table
-    sources = [("source", i) for i in a]
-    targets = [("target", j) for j in range(1, d.target_arity + 1)]
-    w_source = d._marginal_weights(sources)
-    for key, w in d._marginal_weights(sources + targets).items():
-        t = key[len(a):]
+    w_source: dict = {}
+    w_joint: dict = {}
+    for s_a, t, w in zip(kernel.projections(a), kernel.targets, kernel.weights):
+        w_source[s_a] = w_source.get(s_a, 0) + w
+        w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
+    for (s_a, t), w in w_joint.items():
         w_t = kernel.target_weights[t]
-        table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[key[: len(a)]] * w_t)
+        table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
     return table
 
 
@@ -87,7 +87,8 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
     Each subset's specific-information table is computed once per
-    distribution and kept in its kernel.
+    distribution and kept in its kernel; equal distributions built
+    separately each compute their own, with equal floats.
     """
     kernel = d._kernel()
     tables = []
@@ -109,7 +110,10 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     argument collections took its observed value, and average the pointwise
     information this gives about the observed target value.  The event is
     the union of the point's agree-masks over the arguments, and its mass is
-    an exact integer weight; only the final log is floating point.
+    an exact integer weight; only the final log is floating point.  That log
+    depends only on the (event, target value) pair, so the kernel keeps it
+    for later points and calls; the terms are still summed per point, in
+    support order.
     """
     kernel = d._kernel()
     denominator = kernel.denominator
@@ -117,8 +121,13 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     total = 0.0
     for w, t, masks in zip(kernel.weights, kernel.targets, zip(*agree)):
         event = reduce(or_, masks)
-        total += w / denominator * log2_ratio(kernel.mass(event & kernel.target_masks[t]) * denominator,
-                                              kernel.mass(event) * kernel.target_weights[t])
+        logs = kernel.isx_logs[t]
+        term = logs.get(event)
+        if term is None:
+            term = logs[event] = log2_ratio(
+                kernel.mass(event & kernel.target_masks[t]) * denominator,
+                kernel.mass(event) * kernel.target_weights[t])
+        total += w / denominator * term
     return total
 
 

@@ -159,7 +159,7 @@ class JointDistribution:
     """
 
     __slots__ = ("n_sources", "target_arity", "_rows", "_weights", "_denominator",
-                 "_digest", "_measure_kernel")
+                 "_digest", "_hash", "_measure_kernel")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
         if n_sources < 1:
@@ -208,6 +208,7 @@ class JointDistribution:
         self._weights = tuple(row for row in self._rows if row[1])
         self._denominator = denominator // g
         self._digest = None
+        self._hash = None
         self._measure_kernel = None
 
     # ------------------------------------------------------------------
@@ -233,7 +234,10 @@ class JointDistribution:
         return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        # the table never changes, so its rows are hashed once per instance
+        if self._hash is None:
+            self._hash = hash(self._identity())
+        return self._hash
 
     def _identity(self) -> tuple:
         return (self.n_sources, self.target_arity, self._denominator, self._weights)
@@ -413,9 +417,10 @@ class JointDistribution:
         without an entry keep their labels.  ``target_map`` maps observed
         target tuples to new tuples (all of one arity, possibly different
         from the current one).  Tables must be injective on the respective
-        support.
+        support.  Each map, and each symbol table, may also be given as a
+        sequence of (key, image) pairs, which is hashable.
         """
-        source_maps = dict(source_maps or {})
+        source_maps = {i: dict(table) for i, table in dict(source_maps or {}).items()}
         sources = dict.fromkeys(o.sources for o, _ in self._weights)   # distinct, in order
         for i, table in source_maps.items():
             self._check_indices("source", (i,))
@@ -423,6 +428,7 @@ class JointDistribution:
         new_arity = self.target_arity
         if target_map is not None:
             targets = dict.fromkeys(o.target for o, _ in self._weights)
+            target_map = dict(target_map)
             target_map = {t: tuple(target_map[t]) for t in targets if t in target_map}
             arities = {len(image) for image in _check_injective("target table", target_map, targets)}
             if len(arities) != 1:
@@ -516,12 +522,13 @@ class _Kernel:
     support order (rows differing only in aux are merged) and has
     probability ``weights[k] / denominator``.  Sets of points are int
     bitmasks, bit ``k`` for point ``k``; ``mass`` sums their weights
-    exactly.  Per-subset tables are filled on first request and never
-    change afterwards.
+    exactly.  Per-subset tables and ``i_sx``'s log terms are filled on first
+    request and never change afterwards.
     """
 
     __slots__ = ("n_sources", "denominator", "sources", "targets", "weights",
-                 "target_weights", "target_masks", "si_tables", "_agree", "_byte_tables")
+                 "target_weights", "target_masks", "si_tables", "isx_logs", "_agree",
+                 "_byte_tables")
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
@@ -535,6 +542,7 @@ class _Kernel:
         self.target_masks: dict = {}       # target value -> its points
         for k, t in enumerate(self.targets):
             self.target_masks[t] = self.target_masks.get(t, 0) | 1 << k
+        self.isx_logs = {t: {} for t in self.target_masks}   # target -> event mask -> log2 term
         self.si_tables: dict = {}          # subset -> specific-information table
         self._agree: dict = {}
         # _byte_tables[j][b]: total weight of the points 8j + i for the bits i of b

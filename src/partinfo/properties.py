@@ -11,9 +11,10 @@ property) cannot all hold for the xor-source-copy distribution.
 Property ids: lp, rei, tcr, lm, sm, id, iid (single properties) and l1, l2,
 c1, l3, l4, t1, t2 (lemma/corollary/impossibility checks).
 
-Decompositions, chain-rule splits, rei scans and theorem witnesses are
-shared within a single ``run_all_checks`` or ``property_matrix`` call
-through the engine's call memo, and dropped when that call returns.
+Decompositions, chain-rule splits, derived tables, rei scans and theorem
+witnesses are shared within a single ``run_all_checks`` or
+``property_matrix`` call through the engine's call memo, and dropped when
+that call returns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .engine import (
     conditional_atoms,
     consistency_check,
     decompose,
+    derived,
     memoized,
     rsi,
     rsi_decomposition_check,
@@ -100,15 +102,14 @@ def _target(d: JointDistribution) -> list:
 
 
 def _random_bijections(d: JointDistribution, rng: random.Random):
-    source_maps = {}
+    """Seeded random source and target maps for :meth:`JointDistribution.reencode`,
+    as (key, image) pair tuples in support order."""
+    source_maps = []
     for i in range(1, d.n_sources + 1):
-        values = list(d.variable_support(("source", i)))
-        shuffled = rng.sample(values, len(values))
-        source_maps[i] = dict(zip(values, shuffled))
-    targets = list(d.marginal_support(_target(d)))
-    shuffled = rng.sample(targets, len(targets))
-    target_map = dict(zip(targets, shuffled))
-    return source_maps, target_map
+        values = d.variable_support(("source", i))
+        source_maps.append((i, tuple(zip(values, rng.sample(values, len(values))))))
+    targets = d.marginal_support(_target(d))
+    return tuple(source_maps), tuple(zip(targets, rng.sample(targets, len(targets))))
 
 
 def check_rei(
@@ -121,7 +122,8 @@ def check_rei(
     """Re-encoding invariance of the atoms.
 
     Samples seeded random bijections of every source support and of the
-    joint target support, recomputing the full decomposition each time.
+    joint target support, comparing the full decomposition each time (a
+    map drawn again within a call memo reuses its table and decomposition).
     Supports of at most four symbols additionally get an exhaustive
     per-variable permutation scan.  Every source pair that determines the
     target one-to-one is also checked: with the pair itself as target, the
@@ -143,19 +145,18 @@ def check_rei(
             witness = {"transformation": label, "max_atom_delta": delta}
 
     for trial in range(trials):
-        source_maps, target_map = _random_bijections(d, rng)
-        compare(d.reencode(source_maps, target_map), f"random bijection #{trial}")
+        compare(derived(d, "reencode", *_random_bijections(d, rng)), f"random bijection #{trial}")
 
     for i in range(1, d.n_sources + 1):
         values = d.variable_support(("source", i))
         if len(values) <= 4:
             for perm in itertools.permutations(values):
-                compare(d.reencode(source_maps={i: dict(zip(values, perm))}),
+                compare(derived(d, "reencode", ((i, tuple(zip(values, perm))),), None),
                         f"source {i} permutation {perm}")
     targets = d.marginal_support(_target(d))
     if d.target_arity >= 1 and len(targets) <= 4:
         for perm in itertools.permutations(targets):
-            compare(d.reencode(target_map=dict(zip(targets, perm))),
+            compare(derived(d, "reencode", None, tuple(zip(targets, perm))),
                     "target permutation")
 
     for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
@@ -163,8 +164,8 @@ def check_rei(
         forward = {key[:2]: key[2:] for key in triples}
         if len(forward) < len(triples) or len(set(forward.values())) < len(forward):
             continue                  # the pair does not determine the target one-to-one
-        pair = d.retarget_to_sources((i, j))
-        if pair.reencode(target_map=forward) != d:
+        pair = derived(d, "retarget_to_sources", (i, j))
+        if derived(pair, "reencode", None, tuple(forward.items())) != d:
             raise AssertionError("pair target does not re-encode onto the target")
         compare(pair, f"pair ({i},{j}) target re-encoding")
 
@@ -189,7 +190,7 @@ def check_tcr(
     antichain argument."""
     if d.target_arity < 2:
         raise PreconditionError("TCR needs a target split")
-    first = decompose(d.restrict_target((1,)), measure)
+    first = decompose(derived(d, "restrict_target", (1,)), measure)
     rest = split_on(d, measure, ("target", 1))
     entries = []
     for antichain, lhs in decompose(d, measure).redundancy.items():
@@ -262,7 +263,7 @@ def check_sm(
 def _pair_copy(d: JointDistribution) -> JointDistribution:
     if d.n_sources != 2:
         raise PreconditionError("identity checks need exactly two sources")
-    return d.retarget_to_sources((1, 2))
+    return derived(d, "retarget_to_sources", (1, 2))
 
 
 def check_id(
@@ -422,7 +423,7 @@ def check_lemma3(
     if d.target_arity < 2:
         raise PreconditionError("chain-rule equivalence needs a target split")
     on_full = decompose(d, measure)
-    on_first = decompose(d.restrict_target((1,)), measure)
+    on_first = decompose(derived(d, "restrict_target", (1,)), measure)
     on_rest = conditional_atoms(d, measure, ("target", 1)).atoms
     atom_residuals = {
         node: value - on_first.atoms[node] - on_rest[node]
@@ -527,13 +528,13 @@ def theorem_witness(
         pair_label = f"({i},{j})"
         pairwise[pair_label] = gate_result.redundancy[args]
 
-        d_pair = d.retarget_to_sources((i, j))
+        d_pair = derived(d, "retarget_to_sources", (i, j))
         pair_result = decompose(d_pair, measure)
         scan(f"target (S_{i},S_{j})", pair_result)
         value_pair = pair_result.redundancy[args]
 
         # chain-rule split of the pair target: first S_j, then S_i given S_j
-        d_first = d_pair.restrict_target((2,))
+        d_first = derived(d_pair, "restrict_target", (2,))
         first_result = decompose(d_first, measure)
         scan(f"target S_{j}", first_result)
         first_term = first_result.redundancy[args]

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from partinfo import Antichain, JointDistribution, Outcome, RedundancyMeasure, make_gate
+from partinfo.prob import log2_ratio
 
 
 @pytest.fixture
@@ -294,3 +295,47 @@ def reference_reencode(rows, source_maps, target_map) -> list:
             s = tuple(source_maps[i][v] if i in source_maps else v for i, v in enumerate(s, 1))
             out.append((s, target_map[t], z, p))
     return _merged_support(out)
+
+
+# ----------------------------------------------------------------------
+# the measures' formulas written out directly on a distribution's integer
+# marginals, with no memo: the kernel's cached paths must give the same
+# floats bit for bit (compare with ==)
+
+
+def formula_specific_information(d: JointDistribution, a) -> dict:
+    """Specific information from two ``_marginal_weights`` passes over the
+    support, terms added in the order their (s_a, t) keys first appear."""
+    w_target, denominator = d._marginal_weights(_targets(d)), d._denominator
+    table = dict.fromkeys(w_target, 0.0)
+    a = sorted(frozenset(a))
+    sources = [("source", i) for i in a]
+    w_source = d._marginal_weights(sources)
+    for key, w in d._marginal_weights(sources + _targets(d)).items():
+        t = key[len(a):]
+        table[t] += w / w_target[t] * log2_ratio(w * denominator, w_source[key[:len(a)]] * w_target[t])
+    return table
+
+
+def formula_i_sx(d: JointDistribution, args) -> float:
+    """Shared-exclusions redundancy, one exact event mass and one log per
+    (sources, target) point, in support order."""
+    points = d._marginal_weights([("source", i) for i in range(1, d.n_sources + 1)] + _targets(d))
+    w_target = d._marginal_weights(_targets(d))
+    denominator, n = d._denominator, d.n_sources
+    argsets = [sorted(frozenset(a)) for a in args]
+    total = 0.0
+    for key, w in points.items():
+        s, t = key[:n], key[n:]
+
+        def in_event(other, s=s):
+            return any(all(other[i - 1] == s[i - 1] for i in a) for a in argsets)
+
+        w_event = sum(w2 for k2, w2 in points.items() if in_event(k2[:n]))
+        w_t_event = sum(w2 for k2, w2 in points.items() if in_event(k2[:n]) and k2[n:] == t)
+        total += w / denominator * log2_ratio(w_t_event * denominator, w_event * w_target[t])
+    return total
+
+
+def _targets(d: JointDistribution) -> list:
+    return [("target", j) for j in range(1, d.target_arity + 1)]

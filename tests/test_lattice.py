@@ -130,6 +130,17 @@ def test_antichain_validation_and_labels():
         Antichain.from_label("nonsense")
 
 
+def test_sorted_members_is_computed_once_and_leaves_identity_alone():
+    fresh = Antichain.of({2, 3}, {1})
+    seen = Antichain.of({1}, {2, 3})
+    members = seen.sorted_members
+    assert members == (frozenset({1}), frozenset({2, 3}))
+    assert seen.sorted_members is members
+    assert seen == fresh and hash(seen) == hash(fresh)
+    assert repr(seen) == repr(fresh) == "Antichain({1}{2,3})"
+    assert {fresh: "node"}[seen] == "node"
+
+
 def test_lattice_leq_examples():
     assert lattice_leq(Antichain.of({1}, {2}, {3}), Antichain.of({1}, {2}))
     assert lattice_leq(Antichain.of({1}, {2, 3}), Antichain.of({1, 2}))

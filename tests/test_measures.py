@@ -21,8 +21,16 @@ from partinfo import (
     register_measure,
     specific_information,
 )
+from partinfo.lattice import nonempty_subsets
 
-from conftest import oracle_imin, oracle_isx, oracle_rows, random_rational_distribution
+from conftest import (
+    formula_i_sx,
+    formula_specific_information,
+    oracle_imin,
+    oracle_isx,
+    oracle_rows,
+    random_rational_distribution,
+)
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -163,6 +171,43 @@ def test_measures_match_oracles_on_generated_tables():
             i_sx(twin, (a,))
         assert i_min(twin, args) == imin and i_sx(twin, args) == isx
         assert i_min(d, args) == imin and i_sx(d, args) == isx
+
+    check()
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_kernel_paths_equal_the_direct_formulas_bit_for_bit():
+    # specific information read off the kernel's points, and i_sx with its
+    # per-(event, target) log memo, give the floats of the direct formulas;
+    # aux rows that share (s, t) and explicit zero rows included
+    symbols = st.integers(0, 2)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3), label="n")
+        arity = data.draw(st.integers(1, 2), label="target arity")
+        points = data.draw(st.lists(st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity)),
+                                    min_size=1, max_size=8, unique=True), label="points")
+        cells = [(s, t, z) for s, t in points
+                 for z in data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                                             unique=True), label="aux values")]
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
+                                     max_size=len(cells)).filter(any), label="weights")
+        rows = [(Outcome(s, t, z), Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+        args = data.draw(st.lists(st.frozensets(st.integers(1, n), min_size=1),
+                                  min_size=1, max_size=4), label="args")
+        d = JointDistribution(n, arity, rows)
+        for a in nonempty_subsets(n):
+            got, want = specific_information(d, a), formula_specific_information(d, a)
+            assert list(got.items()) == list(want.items())
+        value = i_sx(d, args)
+        assert value == formula_i_sx(d, args)
+        assert i_sx(d, args) == value              # this call reads every log from the memo
+        twin = JointDistribution(n, arity, rows[::-1])
+        assert twin == d and i_sx(twin, args[::-1]) == formula_i_sx(d, args[::-1])
+        assert i_sx(twin, args) == value
 
     check()
 

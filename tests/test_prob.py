@@ -127,6 +127,17 @@ def test_reencode_label_swap_preserves_shannon_quantities(gate_corpus):
     assert abs(d.entropy([("source", 1)]) - swapped.entropy([("source", 1)])) <= 1e-15
 
 
+def test_reencode_takes_pair_tuples_as_maps(gate_corpus):
+    # the hashable form that memo keys use gives the same table as mappings
+    d = gate_corpus["xor_source_copy"]
+    targets = d.marginal_support([("target", j) for j in range(1, d.target_arity + 1)])
+    target_map = dict(zip(targets, targets[::-1]))
+    want = d.reencode({1: {0: "a", 1: "b"}}, target_map)
+    assert d.reencode(((1, ((0, "a"), (1, "b"))),), tuple(target_map.items())) == want
+    with pytest.raises(EncodingError, match="not invertible"):
+        d.reencode(((1, ((0, 0), (1, 0))),))
+
+
 def test_reencode_rejects_non_injective_tables(gate_corpus):
     with pytest.raises(EncodingError, match="not invertible"):
         gate_corpus["xor"].reencode(source_maps={1: {0: 0, 1: 0}})
@@ -206,6 +217,31 @@ def test_json_round_trip_and_digest(tmp_path, gate_corpus):
     bad.write_text("{not json")
     with pytest.raises(DistributionError):
         JointDistribution.load(bad)
+
+
+def test_equal_tables_built_separately_hash_equal(gate_corpus):
+    d = gate_corpus["xor_source_copy"]
+    rebuilt = JointDistribution(d.n_sources, d.target_arity, d.support[::-1])
+    relabelled_back = d.reencode({1: {0: 1, 1: 0}}).reencode({1: {0: 1, 1: 0}})
+    for twin in (rebuilt, relabelled_back):
+        assert twin is not d and twin == d and hash(twin) == hash(d)
+        assert {d: "first"}[twin] == "first"
+
+
+def test_each_table_hashes_its_rows_once(gate_corpus, monkeypatch):
+    calls = []
+    real = JointDistribution._identity
+
+    def identity_spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(JointDistribution, "_identity", identity_spy)
+    d = gate_corpus["and"]
+    first = JointDistribution(d.n_sources, d.target_arity, d.support)
+    second = JointDistribution(d.n_sources, d.target_arity, d.support)
+    assert {hash(first) for _ in range(3)} == {hash(second) for _ in range(3)}
+    assert calls == [first, second]
 
 
 def test_digest_distinguishes_distributions(gate_corpus):

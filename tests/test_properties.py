@@ -475,6 +475,40 @@ def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypat
     assert decomposed[d, "imin"] == 2
 
 
+def _count_calls(monkeypatch, method: str) -> Counter:
+    """Count the calls of a JointDistribution method by (table, *args)."""
+    calls = Counter()
+    real = getattr(JointDistribution, method)
+
+    def spy(self, *args):
+        calls[(self,) + args] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(JointDistribution, method, spy)
+    return calls
+
+
+def test_property_matrix_derives_each_table_once(monkeypatch):
+    # conditioned and retargeted tables do not depend on the measure, so both
+    # measures share them
+    conditioned = _count_calls(monkeypatch, "condition_on")
+    retargeted = _count_calls(monkeypatch, "retarget_to_sources")
+    property_matrix([IMIN, ISX])
+    assert (sum(conditioned.values()), len(conditioned)) == (4, 4)
+    assert (sum(retargeted.values()), len(retargeted)) == (6, 6)
+
+
+@pytest.mark.parametrize("gate_id, tables", [("xor_source_copy", 38), ("xor", 14)])
+def test_rei_builds_one_table_per_distinct_map(monkeypatch, gate_id, tables):
+    # a map drawn again reuses its table, but every trial is still compared
+    reencoded = _count_calls(monkeypatch, "reencode")
+    d = make_gate(GateSpec(gate_id, Fraction(1, 8)))
+    reports = {r.property_id: r for r in run_all_checks(d, IMIN)}
+    assert max(reencoded.values()) == 1
+    assert len(reencoded) == tables
+    assert reports["rei"].details["comparisons"] == 38
+
+
 @pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
 def test_run_all_checks_reads_redundancy_off_decompositions(monkeypatch, measure):
     # every antichain value comes from a decomposition, conditional tables
