@@ -5,7 +5,8 @@
 on a seeded n=3 table whose first target component is ternary, for both
 measures, ``atoms`` on two seeded n=4 tables, ``table2`` and ``lattice --n
 3``, all in JSON, plus ``lattice --n 4`` in JSON and DOT and ``lattice --n 5
---allow-large`` in DOT.
+--allow-large`` in DOT.  One more ``check --property all`` runs at
+``--tol 1e-17``, so a last-bit change in the rei atoms flips a verdict.
 Any change to an atom, a verdict or a formatting detail shows up here.
 Python 3.12 made ``sum()`` of floats compensated, which moves the last bits
 of some atoms, so the file keeps one set of digests for interpreters before
@@ -88,6 +89,10 @@ def golden_commands(tables: dict) -> dict:
             "check", "--gate", gate, "--noise", noise, "--measure", measure,
             "--property", "all", "--seed", "5", "--format", "json",
         ]
+    commands["check xor_source_copy q=1/8 imin tol=1e-17"] = [
+        "check", "--gate", "xor_source_copy", "--noise", "1/8", "--measure", "imin",
+        "--property", "all", "--tol", "1e-17", "--trials", "4", "--format", "json",
+    ]
     for measure in MEASURES:
         commands[f"check {SPLIT} {measure}"] = [
             "check", "--input", tables[SPLIT], "--measure", measure,
