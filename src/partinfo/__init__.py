@@ -15,7 +15,6 @@ from .engine import (
     atoms_from_values,
     c_information,
     conditional_atoms,
-    conditional_c_information,
     consistency_check,
     redundancy_from_atoms,
     rsi,

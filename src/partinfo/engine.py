@@ -28,6 +28,7 @@ call the memo is absent and every call computes afresh.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -250,10 +251,11 @@ def consistency_check(
 
 def c_information(result: PidResult, condition, args) -> float:
     """Sum the atoms whose parthood distribution satisfies the named
-    condition (``red``, ``union``, ``ws`` or ``vul``) on ``args``."""
+    condition (``red``, ``union``, ``ws`` or ``vul``) on ``args``, with
+    :func:`math.fsum`; always a float, ``0.0`` when none is selected."""
     selected = condition_test(condition, normalize_args(args), result.n)
-    return sum(value for value, zeros in zip(result.atoms.values(), result.zero_sets)
-               if selected(zeros))
+    return math.fsum(value for value, zeros in zip(result.atoms.values(), result.zero_sets)
+                     if selected(zeros))
 
 
 def conditional_atoms(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> PidResult:
@@ -266,24 +268,13 @@ def conditional_atoms(d: JointDistribution, measure: RedundancyMeasure, z: Selec
     return PidResult(d.n_sources, acc, measure.id, d.digest)
 
 
-def conditional_c_information(
-    d: JointDistribution,
-    measure: RedundancyMeasure,
-    condition,
-    args,
-    z: Selector,
-) -> float:
-    """Condition-selected aggregate of the conditional atoms."""
-    return c_information(conditional_atoms(d, measure, z), condition, args)
-
-
 # ----------------------------------------------------------------------
 # redundancy-synergy index
 
 
 def rsi(d: JointDistribution) -> float:
     """Sum of single-source informations minus the joint information."""
-    single = sum(d.marginal_mi({i}) for i in range(1, d.n_sources + 1))
+    single = math.fsum(d.marginal_mi({i}) for i in range(1, d.n_sources + 1))
     return single - d.marginal_mi(range(1, d.n_sources + 1))
 
 

@@ -16,6 +16,7 @@ runtime without touching the decomposition engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import permutations
@@ -88,7 +89,8 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
 
     Each subset's specific-information table is computed once per
     distribution and kept in its kernel; equal distributions built
-    separately each compute their own, with equal floats.
+    separately each compute their own, with equal floats.  The average over
+    the target is a :func:`math.fsum`, the same float on every interpreter.
     """
     kernel = d._kernel()
     tables = []
@@ -97,7 +99,7 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
         if table is None:
             table = kernel.si_tables[a] = specific_information(d, a)
         tables.append(table)
-    return sum(
+    return math.fsum(
         w_t / kernel.denominator * min(table[t] for table in tables)
         for t, w_t in kernel.target_weights.items()
     )

@@ -312,8 +312,7 @@ class JointDistribution:
         return {key[0]: p for key, p in self.marginal([selector]).items()}
 
     def variable_support(self, selector: Selector) -> tuple:
-        key = self._key([selector])
-        return tuple(dict.fromkeys(key(o)[0] for o, _ in self._weights))
+        return tuple(key[0] for key in self.marginal_support([selector]))
 
     def _kernel(self) -> "_Kernel":
         """The per-subset tables the redundancy measures work on, built on
@@ -326,9 +325,10 @@ class JointDistribution:
     # Shannon quantities (bits); a probability w / D enters as the float w / D
 
     def entropy(self, selectors: Sequence[Selector]) -> float:
-        """Shannon entropy of the joint marginal over ``selectors``."""
+        """Shannon entropy of the joint marginal over ``selectors``; a
+        :func:`math.fsum` of its terms, so the same float in any term order."""
         d = self._denominator
-        return -sum(w / d * log2_ratio(w, d) for w in self._marginal_weights(selectors).values())
+        return -math.fsum(w / d * log2_ratio(w, d) for w in self._marginal_weights(selectors).values())
 
     def mutual_information(self, left: Sequence[Selector], right: Sequence[Selector]) -> float:
         """I(left; right) in bits, from exact joint/marginal ratios."""

@@ -20,6 +20,7 @@ that call returns.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -195,7 +196,7 @@ def check_tcr(
     entries = []
     for antichain, lhs in decompose(d, measure).redundancy.items():
         first_term = first.redundancy[antichain]
-        cond_term = sum(pz * result.redundancy[antichain] for _, pz, _, result in rest)
+        cond_term = math.fsum(pz * result.redundancy[antichain] for _, pz, _, result in rest)
         entries.append((antichain, lhs, first_term, cond_term, abs(lhs - first_term - cond_term)))
     worst = max(entries, key=lambda e: e[4])
     return _report(
@@ -436,11 +437,11 @@ def check_lemma3(
             selected = condition_test(name, antichain.sorted_members, d.n_sources)
             picked = [node for node, z in zip(atom_residuals, on_full.zero_sets) if selected(z)]
             aggregate = (
-                sum(on_full.atoms[node] for node in picked)
-                - sum(on_first.atoms[node] for node in picked)
-                - sum(on_rest[node] for node in picked)
+                math.fsum(on_full.atoms[node] for node in picked)
+                - math.fsum(on_first.atoms[node] for node in picked)
+                - math.fsum(on_rest[node] for node in picked)
             )
-            atom_sum = sum(atom_residuals[node] for node in picked)
+            atom_sum = math.fsum(atom_residuals[node] for node in picked)
             worst_gap = max(worst_gap, abs(aggregate - atom_sum))
             checks += 1
     max_atom_residual = max(abs(v) for v in atom_residuals.values())
@@ -596,12 +597,12 @@ def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -
                                                trials=trials, seed=seed))
     verdicts = witness.verdicts
     if third == "id":
-        evidence = {"pairwise": witness.pairwise}
+        all_pass, evidence = witness.lp_rei_id_all_pass, {"pairwise": witness.pairwise}
     else:
+        all_pass = witness.lp_rei_tcr_all_pass
         evidence = {"chains": [dict(c) for c in witness.chains]}
     return _report(
-        property_id, measure.id, d.digest,
-        not all(verdicts[p] == "pass" for p in ("lp", "rei", third)), tol,
+        property_id, measure.id, d.digest, not all_pass, tol,
         {"verdicts": verdicts}, {"verdicts": verdicts, **evidence},
     )
 

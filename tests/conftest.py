@@ -246,7 +246,8 @@ def _reference_log2(q: Fraction) -> float:
 
 
 def reference_entropy(rows, selectors) -> float:
-    return -sum(float(p) * _reference_log2(p) for p in reference_marginal(rows, selectors).values())
+    marginal = reference_marginal(rows, selectors)
+    return -math.fsum(float(p) * _reference_log2(p) for p in marginal.values())
 
 
 def reference_mutual_information(rows, left, right) -> float:

@@ -8,12 +8,9 @@ measures, ``atoms`` on two seeded n=4 tables, ``table2`` and ``lattice --n
 --allow-large`` in DOT.  One more ``check --property all`` runs at
 ``--tol 1e-17``, so a last-bit change in the rei atoms flips a verdict.
 Any change to an atom, a verdict or a formatting detail shows up here.
-Python 3.12 made ``sum()`` of floats compensated, which moves the last bits
-of some atoms, so the file keeps one set of digests for interpreters before
-3.12 and one for 3.12 on.  When an output change is intended, regenerate
-the current interpreter's set with ``PYTHONPATH=src python
-tests/test_golden.py`` (once on each side of 3.12) and say in the change
-log why the output moved.
+When an output change is intended, regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py`` and say in the change log
+why the output moved.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ GATES = ("xor", "copy2", "and", "xor_source_copy")
 MEASURES = ("imin", "isx")
 TABLES = ("plain", "aux")
 SPLIT = "split"
-FAMILY = "python>=3.12" if sys.version_info >= (3, 12) else "python<3.12"
 
 
 def _write_tables(directory: Path) -> dict:
@@ -125,7 +121,7 @@ def commands(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(DIGESTS.read_text())[FAMILY]
+    return json.loads(DIGESTS.read_text())
 
 
 def test_every_command_has_a_recorded_digest(commands, recorded):
@@ -145,6 +141,4 @@ if __name__ == "__main__":
             if code != 0:
                 sys.exit(f"{name} exited {code}")
             digests[name] = digest
-    families = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    families[FAMILY] = digests
-    DIGESTS.write_text(json.dumps(families, indent=2, sort_keys=True) + "\n")
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
