@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .engine import atoms_from_redundancy, consistency_check
+from .engine import DEFAULT_REI_TOL, DEFAULT_TOL, atoms_from_redundancy, consistency_check
 from .gates import GateSpec, gate_ids, make_gate
 from .lattice import LARGE_N, LatticeSizeError, redundancy_lattice
 from .measures import UNIMPLEMENTED_MEASURES, available_measures, get_measure
@@ -48,7 +48,8 @@ _MEASURE_LABELS = {
     "iunion_blackwell": "I_union^<",
 }
 _MARKS = {"pass": "✓", "fail": "✗", "vacuous": "n/a"}
-_TOL_HELP = "tolerance of every check (default: 1e-9, and 1e-12 for rei's atom comparisons)"
+_TOL_HELP = "tolerance of every check (default: %s, and %s for rei's atom comparisons)" % tuple(
+    f"{tol:.0e}".replace("e-0", "e-") for tol in (DEFAULT_TOL, DEFAULT_REI_TOL))
 
 
 def _tolerance(text: str) -> float:
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms = sub.add_parser("atoms", help="compute the information atoms")
     add_input_flags(p_atoms)
     p_atoms.add_argument("--measure", required=True, help="registered measure id")
-    p_atoms.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_atoms.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_atoms.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="run property checks")

@@ -46,6 +46,11 @@ from .measures import RedundancyMeasure, normalize_args
 from .prob import JointDistribution, Selector
 
 
+#: default tolerance of the consistency equations and of every property check
+DEFAULT_TOL = 1e-9
+#: default tolerance of rei's atom comparisons, also inside the t1/t2 witness
+DEFAULT_REI_TOL = 1e-12
+
 #: the memo of the call_memo() call in progress, if any
 _memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
@@ -232,7 +237,7 @@ class ConsistencyReport:
 
 
 def consistency_check(
-    result: PidResult, d: JointDistribution, tol: float = 1e-9
+    result: PidResult, d: JointDistribution, tol: float = DEFAULT_TOL
 ) -> ConsistencyReport:
     """Check that atoms whose parthood table marks a subset sum to that
     subset's mutual information, for every nonempty subset of sources: atom
@@ -294,7 +299,7 @@ class RsiReport:
 
 
 def rsi_decomposition_check(
-    result: PidResult, d: JointDistribution, tol: float = 1e-9
+    result: PidResult, d: JointDistribution, tol: float = DEFAULT_TOL
 ) -> RsiReport:
     """The index equals a signed atom sum weighted by degree of redundancy:
     atoms whose degree is r >= 2 count (r - 1) times, degree-0 atoms count

@@ -8,7 +8,9 @@ base-2 logarithms (of gcd-reduced integer ratios) are applied only at the
 final step of each Shannon quantity, so the lattice algebra downstream never
 accumulates rounding error beyond the log evaluation itself.
 
-Variables are addressed by *selectors*:
+A row is one flat value tuple (sources, target, then aux if present);
+:class:`Outcome` exists only where the API takes or returns rows.  Each
+*selector* names one position of the row:
 
 * ``("source", i)`` -- source ``S_i`` (1-based),
 * ``("target", j)`` -- target component ``T_j`` (1-based),
@@ -20,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Symbol = Union[int, str]
 Selector = Union[tuple, str]
@@ -74,7 +77,7 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DistributionError(f"cannot parse probability {_clip(repr(value))}") from exc
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(str(value))
     raise DistributionError(f"cannot parse probability {_clip(repr(value))}")
 
@@ -105,7 +108,7 @@ def _symbol_key(symbol) -> tuple:
 
 @dataclass(frozen=True)
 class Outcome:
-    """One row of a joint distribution table.
+    """One row of a joint distribution table, as the API takes and returns it.
 
     ``sources`` has one symbol per source variable, ``target`` one symbol per
     target component, and ``aux`` optionally carries the auxiliary variable.
@@ -115,9 +118,12 @@ class Outcome:
     target: tuple
     aux: Symbol | None = None
 
-    def sort_key(self) -> tuple:
-        aux = () if self.aux is None else (_symbol_key(self.aux),)
-        return (tuple(map(_symbol_key, self.sources)), tuple(map(_symbol_key, self.target)), aux)
+
+def _outcome(values: tuple, n_sources: int, target_arity: int) -> Outcome:
+    """The :class:`Outcome` of a flat row."""
+    end = n_sources + target_arity
+    aux = values[end] if len(values) > end else None
+    return Outcome(values[:n_sources], values[n_sources:end], aux)
 
 
 def _normalize_selector(selector: Selector) -> tuple:
@@ -133,14 +139,12 @@ def _normalize_selector(selector: Selector) -> tuple:
     raise DistributionError(f"bad variable selector {selector!r}")
 
 
-class _Weights:
-    """(outcome, integer weight) rows over one denominator: how a derived
+class _Weights(NamedTuple):
+    """(value tuple, integer weight) rows over one denominator: how a derived
     distribution is handed its table."""
 
-    __slots__ = ("rows", "denominator")
-
-    def __init__(self, rows: list, denominator: int):
-        self.rows, self.denominator = rows, denominator
+    rows: list
+    denominator: int
 
 
 class JointDistribution:
@@ -153,9 +157,10 @@ class JointDistribution:
     return new distributions.
 
     The table is held once, as integer weights over the reduced common
-    denominator ``D``: row ``(o, w)`` has probability ``w / D``, and the
-    weights sum to ``D`` with no common factor, so equal distributions hold
-    equal rows.
+    denominator ``D``: row ``(values, w)`` has probability ``w / D``, where
+    ``values`` is the flat tuple of the sources, the target and the aux
+    value.  The weights sum to ``D`` with no common factor, so equal
+    distributions hold equal rows.
     """
 
     __slots__ = ("n_sources", "target_arity", "_rows", "_weights", "_denominator",
@@ -166,36 +171,33 @@ class JointDistribution:
             raise DistributionError("need at least one source variable")
         if target_arity < 0:
             raise DistributionError("target arity cannot be negative")
-        weighted = isinstance(outcomes, _Weights)
-        denominator = outcomes.denominator if weighted else 1
-        rows = []
-        for outcome, prob in outcomes.rows if weighted else outcomes:
-            if not isinstance(outcome, Outcome):
-                sources, target = outcome[0], outcome[1]
-                aux = outcome[2] if len(outcome) > 2 else None
-                outcome = Outcome(tuple(sources), tuple(target), aux)
-            p = prob if weighted else as_fraction(prob)
-            if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
-                raise DistributionError(f"outcome {_clip(repr(outcome))} does not have "
-                                        f"{n_sources} source and {target_arity} target values")
-            if p < 0 or p > denominator:
-                raise DistributionError(
-                    f"probability {_clip(str(Fraction(p, denominator)))} outside [0, 1]"
-                )
-            rows.append((outcome, p))
+        if isinstance(outcomes, _Weights):
+            rows, denominator = outcomes
+        else:               # API rows become flat rows over their common denominator
+            rows = []
+            for outcome, prob in outcomes:
+                if not isinstance(outcome, Outcome):    # (sources, target[, aux])
+                    outcome = Outcome(tuple(outcome[0]), tuple(outcome[1]), *outcome[2:3])
+                p = as_fraction(prob)
+                if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
+                    raise DistributionError(f"outcome {_clip(repr(outcome))} does not have "
+                                            f"{n_sources} source and {target_arity} target values")
+                if p < 0 or p > 1:
+                    raise DistributionError(f"probability {_clip(str(p))} outside [0, 1]")
+                aux = () if outcome.aux is None else (outcome.aux,)
+                rows.append((tuple(outcome.sources) + tuple(outcome.target) + aux, p))
+            denominator = math.lcm(*(p.denominator for _, p in rows))
+            rows = [(v, p.numerator * (denominator // p.denominator)) for v, p in rows]
         if not rows:
             raise DistributionError("empty outcome table")
-        if len({o.aux is None for o, _ in rows}) > 1:
+        if len({len(values) for values, _ in rows}) > 1:
             raise DistributionError("auxiliary value must be present on all outcomes or none")
-        if not weighted:
-            denominator = math.lcm(*(p.denominator for _, p in rows))
-            rows = [(o, p.numerator * (denominator // p.denominator)) for o, p in rows]
-        rows.sort(key=lambda item: item[0].sort_key())
-        seen = set()
-        for outcome, _ in rows:
-            if outcome in seen:
-                raise DistributionError(f"duplicate outcome {_clip(repr(outcome))}")
-            seen.add(outcome)
+        # every row has one arity, so this orders sources, then target, then aux
+        rows.sort(key=lambda row: tuple(map(_symbol_key, row[0])))
+        if len({values for values, _ in rows}) < len(rows):
+            counts = Counter(values for values, _ in rows)
+            twice = _outcome(next(v for v, _ in rows if counts[v] > 1), n_sources, target_arity)
+            raise DistributionError(f"duplicate outcome {_clip(repr(twice))}")
         total = sum(w for _, w in rows)
         if total != denominator:    # as denominator >= 1, this also keeps the support nonempty
             raise DistributionError(
@@ -204,7 +206,7 @@ class JointDistribution:
         g = math.gcd(*(w for _, w in rows))
         self.n_sources = n_sources
         self.target_arity = target_arity
-        self._rows = tuple((o, w // g) for o, w in rows)
+        self._rows = tuple((v, w // g) for v, w in rows)
         self._weights = tuple(row for row in self._rows if row[1])
         self._denominator = denominator // g
         self._digest = None
@@ -217,16 +219,20 @@ class JointDistribution:
     @property
     def outcomes(self) -> tuple:
         """All table rows, including explicit zero-probability ones."""
-        return tuple((o, Fraction(w, self._denominator)) for o, w in self._rows)
+        return self._api_rows(self._rows)
 
     @property
     def support(self) -> tuple:
         """Positive-probability rows in canonical order."""
-        return tuple((o, Fraction(w, self._denominator)) for o, w in self._weights)
+        return self._api_rows(self._weights)
+
+    def _api_rows(self, rows) -> tuple:
+        n, k, d = self.n_sources, self.target_arity, self._denominator
+        return tuple((_outcome(values, n, k), Fraction(w, d)) for values, w in rows)
 
     @property
     def has_aux(self) -> bool:
-        return self._weights[0][0].aux is not None
+        return len(self._weights[0][0]) > self.n_sources + self.target_arity
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
@@ -258,34 +264,30 @@ class JointDistribution:
                 name = "source index" if kind == "source" else "target component"
                 raise DistributionError(f"{name} {i} out of range 1..{bound}")
 
-    def _key(self, selectors: Sequence[Selector]):
-        """A function from an outcome to the tuple of the selected values."""
-        n = self.n_sources
-        positions = []      # in the row sources + target + (aux,)
-        for kind, *index in map(_normalize_selector, selectors):
-            if kind != "aux":
-                self._check_indices(kind, index)
-                positions.append(index[0] - 1 + (n if kind == "target" else 0))
-            elif not self.has_aux:
+    def _position(self, selector: Selector) -> int:
+        """Where the selected variable's value sits in a row."""
+        kind, *index = _normalize_selector(selector)
+        if kind == "aux":
+            if not self.has_aux:
                 raise DistributionError("distribution has no auxiliary variable")
-            else:
-                positions.append(n + self.target_arity)
-        if positions == list(range(n, n + self.target_arity)):
-            return attrgetter("target")
-        if len(positions) > 1:
-            pick = itemgetter(*positions)
-        else:               # a slice keeps the one value (or none) in a tuple
-            pick = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-        if all(i < n for i in positions):
-            return lambda o: pick(o.sources)
-        return lambda o: pick(o.sources + o.target + (o.aux,))
+            return self.n_sources + self.target_arity
+        self._check_indices(kind, index)
+        return index[0] - 1 + (self.n_sources if kind == "target" else 0)
+
+    def _key(self, selectors: Sequence[Selector]):
+        """A function from a row to the tuple of the selected values."""
+        at = [self._position(s) for s in selectors]
+        start = at[0] if at else 0
+        if at == list(range(start, start + len(at))):   # a slice keeps one value in a tuple
+            return itemgetter(slice(start, start + len(at)))
+        return itemgetter(*at)
 
     def _marginal_weights(self, selectors: Sequence[Selector]) -> dict:
         """Value tuple -> integer weight over ``D``, in canonical support order."""
         key = self._key(selectors)
         out: dict = {}
-        for outcome, w in self._weights:
-            k = key(outcome)
+        for values, w in self._weights:
+            k = key(values)
             out[k] = out.get(k, 0) + w
         return out
 
@@ -300,7 +302,7 @@ class JointDistribution:
 
     def marginal_support(self, selectors: Sequence[Selector]) -> tuple:
         """The value tuples of :meth:`marginal`, without their probabilities."""
-        return tuple(dict.fromkeys(map(self._key(selectors), (o for o, _ in self._weights))))
+        return tuple(dict.fromkeys(map(self._key(selectors), (v for v, _ in self._weights))))
 
     def source_marginal(self, indices: Iterable[int]) -> dict:
         return self.marginal([("source", i) for i in sorted(indices)])
@@ -357,14 +359,6 @@ class JointDistribution:
     # ------------------------------------------------------------------
     # transformations: each child gets its table as integer weights
 
-    def _derived(self, target_arity: int, rows) -> "JointDistribution":
-        """The distribution of ``rows`` (outcome, weight over ``D``), equal outcomes merged."""
-        merged: dict = {}
-        for outcome, w in rows:
-            merged[outcome] = merged.get(outcome, 0) + w
-        weights = _Weights(list(merged.items()), self._denominator)
-        return JointDistribution(self.n_sources, target_arity, weights)
-
     def condition_on(self, selector: Selector, value) -> "JointDistribution":
         """Condition on ``variable == value`` and renormalize.
 
@@ -373,37 +367,32 @@ class JointDistribution:
         stays in place as a constant so the source arity is preserved.
         """
         sel = _normalize_selector(selector)
-        key = self._key([sel])
-        kept = [(o, w) for o, w in self._weights if key(o) == (value,)]
+        at = self._position(sel)
+        kept = [(v, w) for v, w in self._weights if v[at] == value]
         mass = sum(w for _, w in kept)
         if mass == 0:
             raise ConditioningError(f"conditioning on null event {sel!r} == {value!r}")
-        if sel[0] == "target":
-            j = sel[1]
-            kept = [(Outcome(o.sources, o.target[: j - 1] + o.target[j:], o.aux), w) for o, w in kept]
-        elif sel[0] == "aux":
-            kept = [(Outcome(o.sources, o.target, None), w) for o, w in kept]
-        # the kept rows all share the conditioned value, so none merge
+        if sel[0] != "source":
+            # the kept rows all share the dropped value, so none merge
+            kept = [(v[:at] + v[at + 1:], w) for v, w in kept]
         arity = self.target_arity - (sel[0] == "target")
         return JointDistribution(self.n_sources, arity, _Weights(kept, mass))
 
+    def _project(self, target: list) -> "JointDistribution":
+        """The distribution whose target is the values of the ``target``
+        selectors, sources and aux kept, equal rows merged."""
+        sources = [("source", i) for i in range(1, self.n_sources + 1)]
+        rows = self._marginal_weights(sources + target + (["aux"] if self.has_aux else []))
+        weights = _Weights(list(rows.items()), self._denominator)
+        return JointDistribution(self.n_sources, len(target), weights)
+
     def restrict_target(self, components: Sequence[int]) -> "JointDistribution":
         """Marginalize the target down to the given components (1-based, in order)."""
-        comps = list(components)
-        self._check_indices("target", comps)
-        return self._derived(len(comps), (
-            (Outcome(o.sources, tuple(o.target[j - 1] for j in comps), o.aux), w)
-            for o, w in self._weights
-        ))
+        return self._project([("target", j) for j in components])
 
     def retarget_to_sources(self, indices: Sequence[int]) -> "JointDistribution":
         """Replace the target by a copy of the selected sources (1-based)."""
-        idx = list(indices)
-        self._check_indices("source", idx)
-        return self._derived(len(idx), (
-            (Outcome(o.sources, tuple(o.sources[i - 1] for i in idx), o.aux), w)
-            for o, w in self._weights
-        ))
+        return self._project([("source", i) for i in indices])
 
     def reencode(
         self,
@@ -420,42 +409,39 @@ class JointDistribution:
         support.  Each map, and each symbol table, may also be given as a
         sequence of (key, image) pairs, which is hashable.
         """
+        n, end = self.n_sources, self.n_sources + self.target_arity
         source_maps = {i: dict(table) for i, table in dict(source_maps or {}).items()}
-        sources = dict.fromkeys(o.sources for o, _ in self._weights)   # distinct, in order
+        sources = dict.fromkeys(v[:n] for v, _ in self._weights)   # distinct, in order
         for i, table in source_maps.items():
             self._check_indices("source", (i,))
             _check_injective(f"source {i} table", table, dict.fromkeys(s[i - 1] for s in sources))
-        new_arity = self.target_arity
-        if target_map is not None:
-            targets = dict.fromkeys(o.target for o, _ in self._weights)
+        targets = dict.fromkeys(v[n:end] for v, _ in self._weights)
+        if target_map is None:
+            target_map, new_arity = {t: t for t in targets}, self.target_arity
+        else:
             target_map = dict(target_map)
             target_map = {t: tuple(target_map[t]) for t in targets if t in target_map}
             arities = {len(image) for image in _check_injective("target table", target_map, targets)}
             if len(arities) != 1:
                 raise EncodingError("target table maps to tuples of mixed arity")
             new_arity = arities.pop()
-        maps = [source_maps.get(i) for i in range(1, self.n_sources + 1)]
+        maps = [source_maps.get(i) for i in range(1, n + 1)]
         relabelled = {s: tuple(v if m is None else m[v] for v, m in zip(s, maps)) for s in sources}
-        rows = [
-            (Outcome(relabelled[o.sources], o.target if target_map is None else target_map[o.target],
-                     o.aux), w)
-            for o, w in self._weights
-        ]
-        return JointDistribution(self.n_sources, new_arity, _Weights(rows, self._denominator))
+        rows = [(relabelled[v[:n]] + target_map[v[n:end]] + v[end:], w) for v, w in self._weights]
+        return JointDistribution(n, new_arity, _Weights(rows, self._denominator))
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_dict(self) -> dict:
+        n, end = self.n_sources, self.n_sources + self.target_arity
         outcomes = []
-        for outcome, p in self.support:
-            entry = {
-                "s": list(outcome.sources),
-                "t": list(outcome.target),
-                "p": f"{p.numerator}/{p.denominator}",
-            }
-            if outcome.aux is not None:
-                entry["z"] = outcome.aux
+        for values, w in self._weights:
+            p = Fraction(w, self._denominator)
+            entry = {"s": list(values[:n]), "t": list(values[n:end]),
+                     "p": f"{p.numerator}/{p.denominator}"}
+            if len(values) > end:
+                entry["z"] = values[end]
             outcomes.append(entry)
         return {
             "n_sources": self.n_sources,

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import (
+    DEFAULT_REI_TOL,
+    DEFAULT_TOL,
     PidResult,
     c_information,
     call_memo,
@@ -88,7 +90,7 @@ def _vacuous(property_id, d, measure, tol, reason, **details) -> PropertyReport:
 # single properties
 
 
-def check_lp(result: PidResult, tol: float = 1e-9) -> PropertyReport:
+def check_lp(result: PidResult, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Local positivity: every atom of the decomposition is nonnegative."""
     node, value = min(result.atoms.items(), key=lambda item: item[1])
     return _report(
@@ -118,7 +120,7 @@ def check_rei(
     measure: RedundancyMeasure,
     trials: int = 32,
     seed: int = 0,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Re-encoding invariance of the atoms.
 
@@ -183,7 +185,7 @@ def _shared_rei(d, measure, trials, seed, tol) -> PropertyReport:
 
 
 def check_tcr(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Target chain rule, with the target split into its first component and
     the rest: the measure on the full target must equal the measure on the
@@ -213,9 +215,11 @@ def check_tcr(
 
 
 def check_lm(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Monotonicity along the redundancy lattice, over every comparable pair."""
+    if d.n_sources < 2:
+        raise PreconditionError("lattice monotonicity needs two sources for a comparable pair")
     lattice = redundancy_lattice(d.n_sources)
     values = decompose(d, measure).redundancy
     worst = None
@@ -239,7 +243,7 @@ def check_lm(
 
 
 def check_sm(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Monotonicity under adding a source collection to the argument tuple."""
     worst = None
@@ -268,7 +272,7 @@ def _pair_copy(d: JointDistribution) -> JointDistribution:
 
 
 def check_id(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Identity property: with the source pair itself as target, redundancy
     must equal the mutual information between the sources."""
@@ -295,7 +299,7 @@ def _sources_independent(d: JointDistribution) -> bool:
 
 
 def check_iid(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Independent identity property: zero pair-copy redundancy whenever the
     two sources are independent (exact rational independence test)."""
@@ -312,7 +316,7 @@ def check_iid(
 
 
 def check_lemma4_equivalents(
-    result: PidResult, d: JointDistribution, tol: float = 1e-9
+    result: PidResult, d: JointDistribution, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """With a pair-copy target, the identity-property deviations of the four
     aggregates (redundant, union, weak-synergy, vulnerable information) all
@@ -359,7 +363,7 @@ def _assume_lp(property_id, d, measure, tol):
 
 
 def check_lemma1(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Under local positivity, a positive redundancy-synergy index forces at
     least one strictly positive pairwise redundancy."""
@@ -381,7 +385,7 @@ def check_lemma1(
 
 
 def check_lemma2(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Local positivity implies lattice monotonicity."""
     min_atom, vacuous = _assume_lp("l2", d, measure, tol)
@@ -393,10 +397,12 @@ def check_lemma2(
 
 
 def check_corollary1(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Under local positivity every pairwise redundancy is bounded by the
     smaller of the two single-source informations."""
+    if d.n_sources < 2:
+        raise PreconditionError("pairwise bounds need at least two sources")
     _, vacuous = _assume_lp("c1", d, measure, tol)
     if vacuous:
         return vacuous
@@ -416,7 +422,7 @@ def check_corollary1(
 
 
 def check_lemma3(
-    d: JointDistribution, measure: RedundancyMeasure, tol: float = 1e-9
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Chain-rule equivalence across aggregation levels: for any condition,
     the aggregate-level chain-rule residual equals the sum of the atom-level
@@ -493,8 +499,8 @@ class TheoremWitness:
 def theorem_witness(
     d: JointDistribution,
     measure: RedundancyMeasure,
-    tol: float = 1e-9,
-    rei_tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
+    rei_tol: float = DEFAULT_REI_TOL,
     trials: int = 8,
     seed: int = 0,
 ) -> TheoremWitness:
@@ -609,7 +615,7 @@ def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -
 
 def check_theorem1(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = 1e-9, trials: int = 8, seed: int = 0, rei_tol: float = 1e-12,
+    tol: float = DEFAULT_TOL, trials: int = 8, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the identity property
     cannot all hold: the check passes when the measure indeed violates at
@@ -619,7 +625,7 @@ def check_theorem1(
 
 def check_theorem2(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = 1e-9, trials: int = 8, seed: int = 0, rei_tol: float = 1e-12,
+    tol: float = DEFAULT_TOL, trials: int = 8, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the target chain rule
     cannot all hold: the check passes when at least one of them fails here."""
@@ -664,11 +670,12 @@ def run_property(
     """Run one named check, downgrading unmet preconditions to 'vacuous'.
 
     A given ``tol`` applies to every check.  Without one, the checks use
-    1e-9, and rei compares atoms (also inside the t1/t2 witness) at 1e-12.
+    ``DEFAULT_TOL``, and rei compares atoms (also inside the t1/t2 witness)
+    at ``DEFAULT_REI_TOL``.
     """
     if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
-    rei_tol, tol = (1e-12, 1e-9) if tol is None else (tol, tol)
+    rei_tol, tol = (DEFAULT_REI_TOL, DEFAULT_TOL) if tol is None else (tol, tol)
     try:
         return _CHECKS[property_id](d, measure, tol, rei_tol, trials, seed)
     except PreconditionError as exc:

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -11,6 +12,11 @@ import pytest
 
 from partinfo import JointDistribution
 from partinfo.cli import main
+
+try:
+    from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+except ImportError:  # the generated-input test below is skipped
+    st = None
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +193,8 @@ def _write_outcomes(path, outcomes):
     [{"s": "01", "t": [0], "p": "1"}],
     [{"s": [0, 1], "t": "0", "p": "1"}],
     [{"s": {"0": 1, "1": 2}, "t": [0], "p": "1"}],
+    [{"s": [0, 1], "t": [0], "p": float("nan")}],
+    [{"s": [0, 1], "t": [0], "p": float("inf")}],
 ])
 def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
     path = _write_outcomes(tmp_path / "bad.json", outcomes)
@@ -221,6 +229,18 @@ def test_non_integer_header_fields_exit_2(tmp_path, capsys, header):
     path.write_text(json.dumps(data))
     code, _, err = run_cli(capsys, "atoms", "--input", str(path), "--measure", "imin")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("measure", ["imin", "isx"])
+def test_one_source_table_reports_pair_checks_vacuous(tmp_path, capsys, measure):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n_sources": 1, "target_arity": 1, "outcomes": [
+        {"s": [0], "t": [0], "p": "1/2"}, {"s": [1], "t": [1], "p": "1/2"}]}))
+    code, out, _ = run_cli(capsys, "check", "--input", str(path), "--measure", measure,
+                           "--trials", "2", "--format", "json")
+    verdicts = {report["property"]: report["verdict"] for report in json.loads(out)}
+    assert code == 0
+    assert [verdicts[p] for p in ("lm", "l2", "c1")] == ["vacuous"] * 3
 
 
 def test_symbols_may_be_ints_or_strings(tmp_path, capsys):
@@ -409,3 +429,88 @@ def test_table2_hands_tol_to_every_check(capsys, monkeypatch, extra, want):
     monkeypatch.setattr(properties, "run_property", spy)
     run_cli(capsys, "table2", "--trials", "1", *extra)
     assert seen == {want}
+
+
+def _drop(key):
+    def corrupt(table):
+        del table[key]
+    return corrupt
+
+
+def _set(key, value):
+    def corrupt(table):
+        table[key] = value
+    return corrupt
+
+
+def _set_entry(key, value):
+    def corrupt(table):
+        table["outcomes"][0][key] = value
+    return corrupt
+
+
+def _toggle_aux_on_a_new_row(table):
+    extra = dict(table["outcomes"][0], p="0")
+    if extra.pop("z", None) is None:
+        extra["z"] = "a"
+    table["outcomes"].append(extra)
+
+
+def _lengthen_sources(table):
+    table["outcomes"][0]["s"].append(0)
+
+
+# each one turns a valid table into one the CLI must refuse with exit code 2
+_CORRUPTIONS = (
+    _drop("n_sources"), _drop("target_arity"), _drop("outcomes"),
+    _set("n_sources", "1"), _set("target_arity", 1.5), _set("outcomes", 7),
+    _set_entry("s", "0"), _set_entry("t", 0), _set_entry("p", [1]), _set_entry("p", True),
+    _set_entry("p", float("nan")), _set_entry("p", float("inf")), _set_entry("p", "2"),
+    _set_entry("z", [0]), _toggle_aux_on_a_new_row, _lengthen_sources,
+)
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_generated_input_tables_get_an_exit_code_promptly(tmp_path, capsys):
+    """``atoms`` and ``check --property all`` on generated valid edge tables
+    (one source, no target, aux, mixed symbols) and on every malformed
+    variant of each: each call returns an exit code within a time bound and
+    never raises, and a malformed table exits 2."""
+    symbols = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b"]))
+    path = tmp_path / "table.json"
+
+    @st.composite
+    def tables(draw):
+        n, arity = draw(st.integers(1, 3), label="n"), draw(st.integers(0, 2), label="arity")
+        aux = draw(st.booleans(), label="aux")
+        cells = draw(st.lists(st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity),
+                                        symbols if aux else st.none()),
+                              min_size=1, max_size=6, unique=True), label="cells")
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(cells), max_size=len(cells)))
+        outcomes = []
+        for (s, t, z), w in zip(cells, weights):
+            entry = {"s": list(s), "t": list(t), "p": f"{w}/{sum(weights)}"}
+            if aux:
+                entry["z"] = z
+            outcomes.append(entry)
+        return {"n_sources": n, "target_arity": arity, "outcomes": outcomes}
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(tables(), st.sampled_from(["imin", "isx"]))
+    def check(table, measure):
+        for corrupt in (None,) + _CORRUPTIONS:
+            variant = copy.deepcopy(table)
+            if corrupt is not None:
+                corrupt(variant)
+            path.write_text(json.dumps(variant))
+            for argv in (["atoms"], ["check", "--property", "all", "--trials", "2"]):
+                start = time.perf_counter()
+                code, _, err = run_cli(capsys, *argv, "--input", str(path), "--measure", measure)
+                assert time.perf_counter() - start < 5.0
+                assert code in (0, 1, 2, 3)
+                assert code == 0 or err.startswith("error: ")
+                if corrupt is not None:
+                    assert code == 2
+
+    check()

@@ -196,8 +196,9 @@ def test_as_fraction_accepts_ratio_decimal_and_float():
     assert as_fraction("0.25") == Fraction(1, 4)
     assert as_fraction(0.25) == Fraction(1, 4)
     assert as_fraction(1) == Fraction(1)
-    with pytest.raises(DistributionError):
-        as_fraction("one quarter")
+    for bad in ("one quarter", float("nan"), float("inf"), float("-inf"), json.loads("1e400")):
+        with pytest.raises(DistributionError, match="cannot parse probability"):
+            as_fraction(bad)
 
 
 def test_json_round_trip_and_digest(tmp_path, gate_corpus):
@@ -282,6 +283,11 @@ def test_integer_core_matches_fraction_reference_on_generated_tables():
         rows = [(s, t, z, Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
         d = JointDistribution(n, arity, [(Outcome(s, t, z), p) for s, t, z, p in rows])
         assert list(d.support) == reference_support(rows)
+        # the API boundary: JSON and Outcome rows, zero ones included, give the table back
+        loaded = JointDistribution.from_json_dict(d.to_json_dict())
+        assert loaded == d and loaded.digest == d.digest
+        rebuilt = JointDistribution(n, arity, d.outcomes)
+        assert rebuilt == d and rebuilt.outcomes == d.outcomes
 
         def assert_table(child, arity, support):
             # equal to a table built from scratch: the weights are reduced
