@@ -1,12 +1,14 @@
 """Machine-checkable verdicts for candidate decomposition properties.
 
-Each check evaluates one property of a (measure, distribution) pair and
-returns a :class:`PropertyReport` carrying a pass/fail/vacuous verdict, the
-tolerance used, a concrete witness on failure, and a note on the search
-space that was exhausted or sampled.  The ``theorem_witness`` routine
-traces, step by step, the numerical argument showing that local positivity,
-re-encoding invariance, and the target chain rule (or the identity
-property) cannot all hold for the xor-source-copy distribution.
+Each check is called as ``check(d, measure, tol)`` and returns a
+:class:`PropertyReport` carrying a pass/fail verdict, the tolerance used, a
+concrete witness on failure, and a note on the search space that was
+exhausted or sampled; an unmet precondition raises :class:`PreconditionError`,
+which :func:`run_property` alone reports as 'vacuous'.  The
+``theorem_witness`` routine traces, step by step, the numerical argument
+showing that local positivity, re-encoding invariance, and the target chain
+rule (or the identity property) cannot all hold for the xor-source-copy
+distribution.
 
 Property ids: lp, rei, tcr, lm, sm, id, iid (single properties) and l1, l2,
 c1, l3, l4, t1, t2 (lemma/corollary/impossibility checks).
@@ -50,7 +52,12 @@ STRICT_POSITIVITY = 1e-9
 
 
 class PreconditionError(DistributionError):
-    """The distribution cannot express the requested check."""
+    """The distribution cannot express the requested check or does not meet
+    its assumption; ``details`` go into the 'vacuous' report."""
+
+    def __init__(self, reason: str, **details):
+        super().__init__(reason)
+        self.details = details
 
 
 @dataclass(frozen=True)
@@ -81,20 +88,18 @@ def _report(property_id, measure_id, digest, passed, tol, witness, details) -> P
                           tol, None if passed else witness, details)
 
 
-def _vacuous(property_id, d, measure, tol, reason, **details) -> PropertyReport:
-    return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol, None,
-                          {"reason": reason, **details})
-
-
 # ----------------------------------------------------------------------
 # single properties
 
 
-def check_lp(result: PidResult, tol: float = DEFAULT_TOL) -> PropertyReport:
+def check_lp(
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
+) -> PropertyReport:
     """Local positivity: every atom of the decomposition is nonnegative."""
+    result = decompose(d, measure)
     node, value = min(result.atoms.items(), key=lambda item: item[1])
     return _report(
-        "lp", result.measure_id, result.distribution_digest, value >= -tol, tol,
+        "lp", measure.id, d.digest, value >= -tol, tol,
         {"antichain": node.label, "atom": value},
         {"atoms_checked": len(result.atoms), "min_atom": value},
     )
@@ -178,7 +183,7 @@ def check_rei(
     )
 
 
-def _shared_rei(d, measure, trials, seed, tol) -> PropertyReport:
+def _shared_rei(d, measure, tol, trials, seed) -> PropertyReport:
     """:func:`check_rei` once per call memo, for the rei check and the t1/t2 witness."""
     return memoized(("rei", d, measure, trials, seed, tol),
                     lambda: check_rei(d, measure, trials=trials, seed=seed, tol=tol))
@@ -305,7 +310,7 @@ def check_iid(
     two sources are independent (exact rational independence test)."""
     dc = _pair_copy(d)
     if not _sources_independent(d):
-        return _vacuous("iid", d, measure, tol, "sources are not independent")
+        raise PreconditionError("sources are not independent")
     value = decompose(dc, measure).redundancy[Antichain.of({1}, {2})]
     return _report("iid", measure.id, d.digest, abs(value) <= tol, tol,
                    {"redundancy": value}, {"redundancy": value})
@@ -316,17 +321,14 @@ def check_iid(
 
 
 def check_lemma4_equivalents(
-    result: PidResult, d: JointDistribution, tol: float = DEFAULT_TOL
+    d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
-    """With a pair-copy target, the identity-property deviations of the four
-    aggregates (redundant, union, weak-synergy, vulnerable information) all
-    coincide; the check asserts the four deviations agree regardless of
-    whether the identity property itself holds."""
-    if d.n_sources != 2:
-        raise PreconditionError("equivalence chain needs exactly two sources")
-    for outcome, _ in d.support:
-        if outcome.target != outcome.sources:
-            raise PreconditionError("equivalence chain needs the pair-copy target")
+    """With the source pair itself as target, the identity-property
+    deviations of the four aggregates (redundant, union, weak-synergy,
+    vulnerable information) all coincide; the check asserts the four
+    deviations agree regardless of whether the identity property holds."""
+    d = _pair_copy(d)
+    result = decompose(d, measure)
     args = ({1}, {2})
     i_cap = c_information(result, "red", args)
     i_cup = c_information(result, "union", args)
@@ -348,18 +350,17 @@ def check_lemma4_equivalents(
         "deviations": deviations, "spread": spread,
         "identity_holds": abs(i_cap - mi12) <= tol,
     }
-    return _report("l4", result.measure_id, d.digest, spread <= tol, tol,
+    return _report("l4", measure.id, d.digest, spread <= tol, tol,
                    {"deviations": deviations}, details)
 
 
-def _assume_lp(property_id, d, measure, tol):
-    """The smallest atom of the decomposition, and the 'vacuous' report that a
-    check assuming local positivity returns instead when an atom is negative."""
+def _assume_lp(d, measure, tol) -> float:
+    """The smallest atom of the decomposition, for a check that assumes local
+    positivity; raises :class:`PreconditionError` when an atom is negative."""
     min_atom = min(decompose(d, measure).atoms.values())
     if min_atom < -tol:
-        return min_atom, _vacuous(property_id, d, measure, tol, "local positivity fails",
-                                  min_atom=min_atom)
-    return min_atom, None
+        raise PreconditionError("local positivity fails", min_atom=min_atom)
+    return min_atom
 
 
 def check_lemma1(
@@ -367,13 +368,10 @@ def check_lemma1(
 ) -> PropertyReport:
     """Under local positivity, a positive redundancy-synergy index forces at
     least one strictly positive pairwise redundancy."""
-    min_atom, vacuous = _assume_lp("l1", d, measure, tol)
-    if vacuous:
-        return vacuous
+    min_atom = _assume_lp(d, measure, tol)
     index = rsi(d)
     if index <= STRICT_POSITIVITY:
-        return _vacuous("l1", d, measure, tol, "redundancy-synergy index is not positive",
-                        rsi=index)
+        raise PreconditionError("redundancy-synergy index is not positive", rsi=index)
     values = decompose(d, measure).redundancy
     pairwise = {
         f"({i},{j})": values[Antichain.of({i}, {j})]
@@ -388,9 +386,7 @@ def check_lemma2(
     d: JointDistribution, measure: RedundancyMeasure, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Local positivity implies lattice monotonicity."""
-    min_atom, vacuous = _assume_lp("l2", d, measure, tol)
-    if vacuous:
-        return vacuous
+    min_atom = _assume_lp(d, measure, tol)
     inner = check_lm(d, measure, tol)
     return PropertyReport("l2", measure.id, d.digest, inner.verdict, tol,
                           inner.witness, dict(inner.details, min_atom=min_atom))
@@ -403,9 +399,7 @@ def check_corollary1(
     smaller of the two single-source informations."""
     if d.n_sources < 2:
         raise PreconditionError("pairwise bounds need at least two sources")
-    _, vacuous = _assume_lp("c1", d, measure, tol)
-    if vacuous:
-        return vacuous
+    _assume_lp(d, measure, tol)
     values = decompose(d, measure).redundancy
     worst = None
     table = {}
@@ -501,7 +495,7 @@ def theorem_witness(
     measure: RedundancyMeasure,
     tol: float = DEFAULT_TOL,
     rei_tol: float = DEFAULT_REI_TOL,
-    trials: int = 8,
+    trials: int = 32,
     seed: int = 0,
 ) -> TheoremWitness:
     """Reproduce the impossibility proof steps on a 3-source distribution.
@@ -570,7 +564,7 @@ def theorem_witness(
             "deviation": abs(value_pair - mi_sources),
         })
 
-    rei_report = _shared_rei(d, measure, trials, seed, rei_tol)
+    rei_report = _shared_rei(d, measure, rei_tol, trials, seed)
 
     min_atom = min(value for _, value, _ in lp_scan)
     verdicts = {
@@ -615,7 +609,7 @@ def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -
 
 def check_theorem1(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = DEFAULT_TOL, trials: int = 8, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
+    tol: float = DEFAULT_TOL, trials: int = 32, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the identity property
     cannot all hold: the check passes when the measure indeed violates at
@@ -625,7 +619,7 @@ def check_theorem1(
 
 def check_theorem2(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = DEFAULT_TOL, trials: int = 8, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
+    tol: float = DEFAULT_TOL, trials: int = 32, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the target chain rule
     cannot all hold: the check passes when at least one of them fails here."""
@@ -635,26 +629,23 @@ def check_theorem2(
 # ----------------------------------------------------------------------
 # dispatch and corpus runs
 
-#: property id -> check(d, measure, tol, rei_tol, trials, seed); rei_tol is
-#: the tolerance of rei's atom comparisons, also inside the t1/t2 witness
+#: property id -> check(d, measure, tol); rei, t1 and t2 also take the rei
+#: scan settings (trials, seed, and for t1/t2 rei's tolerance)
 _CHECKS = {
-    "lp": lambda d, m, tol, *_: check_lp(decompose(d, m), tol),
-    "rei": lambda d, m, tol, rei_tol, trials, seed: _shared_rei(d, m, trials, seed, rei_tol),
-    "tcr": lambda d, m, tol, *_: check_tcr(d, m, tol),
-    "lm": lambda d, m, tol, *_: check_lm(d, m, tol),
-    "sm": lambda d, m, tol, *_: check_sm(d, m, tol),
-    "id": lambda d, m, tol, *_: check_id(d, m, tol),
-    "iid": lambda d, m, tol, *_: check_iid(d, m, tol),
-    "l1": lambda d, m, tol, *_: check_lemma1(d, m, tol),
-    "l2": lambda d, m, tol, *_: check_lemma2(d, m, tol),
-    "c1": lambda d, m, tol, *_: check_corollary1(d, m, tol),
-    "l3": lambda d, m, tol, *_: check_lemma3(d, m, tol),
-    "l4": lambda d, m, tol, *_:
-        check_lemma4_equivalents(decompose(dc := _pair_copy(d), m), dc, tol),
-    "t1": lambda d, m, tol, rei_tol, trials, seed:
-        check_theorem1(d, m, tol, trials, seed, rei_tol),
-    "t2": lambda d, m, tol, rei_tol, trials, seed:
-        check_theorem2(d, m, tol, trials, seed, rei_tol),
+    "lp": check_lp,
+    "rei": _shared_rei,
+    "tcr": check_tcr,
+    "lm": check_lm,
+    "sm": check_sm,
+    "id": check_id,
+    "iid": check_iid,
+    "l1": check_lemma1,
+    "l2": check_lemma2,
+    "c1": check_corollary1,
+    "l3": check_lemma3,
+    "l4": check_lemma4_equivalents,
+    "t1": check_theorem1,
+    "t2": check_theorem2,
 }
 PROPERTY_IDS = tuple(_CHECKS)
 
@@ -667,7 +658,8 @@ def run_property(
     trials: int = 32,
     seed: int = 0,
 ) -> PropertyReport:
-    """Run one named check, downgrading unmet preconditions to 'vacuous'.
+    """Run one named check; the one place an unmet precondition becomes a
+    'vacuous' report, whose details are the reason and the error's details.
 
     A given ``tol`` applies to every check.  Without one, the checks use
     ``DEFAULT_TOL``, and rei compares atoms (also inside the t1/t2 witness)
@@ -676,10 +668,16 @@ def run_property(
     if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
     rei_tol, tol = (DEFAULT_REI_TOL, DEFAULT_TOL) if tol is None else (tol, tol)
+    scan = {}
+    if property_id == "rei":
+        tol, scan = rei_tol, {"trials": trials, "seed": seed}
+    elif property_id in ("t1", "t2"):
+        scan = {"trials": trials, "seed": seed, "rei_tol": rei_tol}
     try:
-        return _CHECKS[property_id](d, measure, tol, rei_tol, trials, seed)
+        return _CHECKS[property_id](d, measure, tol, **scan)
     except PreconditionError as exc:
-        return _vacuous(property_id, d, measure, tol, str(exc))
+        return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol, None,
+                              {"reason": str(exc), **exc.details})
 
 
 @call_memo()
@@ -719,11 +717,7 @@ def property_matrix(
                 run_property(prop, d, measure, tol=tol, trials=trials, seed=seed).verdict
                 for d in corpus
             ]
-            if "fail" in verdicts:
-                row[prop] = "fail"
-            elif "pass" in verdicts:
-                row[prop] = "pass"
-            else:
-                row[prop] = "vacuous"
+            row[prop] = ("fail" if "fail" in verdicts
+                         else "pass" if "pass" in verdicts else "vacuous")
         matrix[measure.id] = row
     return matrix

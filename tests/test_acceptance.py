@@ -112,7 +112,7 @@ def test_criterion_05_theorem1_witness():
     xor = make_gate("xor")
     # independent oracle over the four-outcome support pins the witness value
     oracle_value = oracle_isx(oracle_rows(xor), [{1}, {2}])
-    lp_report = check_lp(atoms_from_redundancy(xor, ISX), tol=1e-9)
+    lp_report = check_lp(xor, ISX, tol=1e-9)
     lp_ok = (
         lp_report.verdict == "fail"
         and abs(lp_report.witness["atom"] - math.log2(2 / 3)) <= 1e-9
@@ -207,8 +207,7 @@ def test_criterion_08_appendix_identities():
     for _ in range(100):
         d = random_pair_copy(rng)
         for measure in (IMIN, ISX):
-            result = atoms_from_redundancy(d, measure)
-            verdict = check_lemma4_equivalents(result, d, tol=1e-9).verdict
+            verdict = check_lemma4_equivalents(d, measure, tol=1e-9).verdict
             chain_ok = chain_ok and verdict == "pass"
     ok = inclusion_ok and chain_ok
     report(8, ok, f"inclusion-exclusion/complementation worst residual {worst:.2e}; "

@@ -11,7 +11,6 @@ import pytest
 from partinfo import (
     Antichain,
     GateSpec,
-    atoms_from_redundancy,
     check_corollary1,
     check_id,
     check_iid,
@@ -50,12 +49,12 @@ ISX = get_measure("isx")
 
 
 def test_lp_pass_for_imin_on_copy_gate(gate_corpus):
-    report = check_lp(atoms_from_redundancy(gate_corpus["copy2"], IMIN))
+    report = check_lp(gate_corpus["copy2"], IMIN)
     assert report.verdict == "pass"
 
 
 def test_lp_fail_for_isx_on_xor_gate(gate_corpus):
-    report = check_lp(atoms_from_redundancy(gate_corpus["xor"], ISX))
+    report = check_lp(gate_corpus["xor"], ISX)
     assert report.verdict == "fail"
     assert report.witness["antichain"] == "{1}{2}"
     assert abs(report.witness["atom"] - math.log2(2 / 3)) <= 1e-9
@@ -68,7 +67,7 @@ def test_lp_pass_when_target_is_constant():
 
     rows = [(Outcome((s1, s2), (0,)), Fraction(1, 4)) for s1 in (0, 1) for s2 in (0, 1)]
     d = JointDistribution(2, 1, rows)
-    report = check_lp(atoms_from_redundancy(d, IMIN))
+    report = check_lp(d, IMIN)
     assert report.verdict == "pass"
     assert abs(report.details["min_atom"]) <= 1e-12
 
@@ -218,7 +217,9 @@ def test_id_passes_for_imin_on_fully_correlated_pair():
     rows = [(Outcome((s, s), (s,)), Fraction(1, 2)) for s in (0, 1)]
     d = JointDistribution(2, 1, rows)
     assert check_id(d, IMIN).verdict == "pass"
-    assert check_iid(d, IMIN).verdict == "vacuous"
+    with pytest.raises(PreconditionError, match="not independent"):
+        check_iid(d, IMIN)
+    assert run_property("iid", d, IMIN).verdict == "vacuous"
 
 
 def test_id_requires_two_sources(gate_corpus):
@@ -235,15 +236,13 @@ def test_id_requires_two_sources(gate_corpus):
 def test_lemma4_deviations_agree_on_random_pairs(rng, measure):
     for _ in range(15):
         d = random_pair_copy(rng)
-        result = atoms_from_redundancy(d, measure)
-        report = check_lemma4_equivalents(result, d, tol=1e-9)
+        report = check_lemma4_equivalents(d, measure, tol=1e-9)
         assert report.verdict == "pass", report.details
 
 
 def test_lemma4_values_on_copy_gate(gate_corpus):
     d = gate_corpus["copy2"]
-    result = atoms_from_redundancy(d, IMIN)
-    report = check_lemma4_equivalents(result, d)
+    report = check_lemma4_equivalents(d, IMIN)
     assert report.verdict == "pass"
     # inclusion-exclusion with redundancy 1 leaves union = H1 + H2 - 1 = 1
     assert abs(report.details["union"] - 1.0) <= 1e-9
@@ -263,7 +262,10 @@ def test_lemma1_on_xor_source_copy(gate_corpus):
         report = check_lemma1(d, measure)
         assert report.verdict == "pass"
         assert max(report.details["pairwise"].values()) > 1e-9
-    assert check_lemma1(gate_corpus["copy2"], IMIN).verdict == "vacuous"  # rsi = 0
+    with pytest.raises(PreconditionError) as exc:
+        check_lemma1(gate_corpus["copy2"], IMIN)
+    assert exc.value.details["rsi"] <= 1e-9
+    assert run_property("l1", gate_corpus["copy2"], IMIN).verdict == "vacuous"  # rsi = 0
 
 
 def test_lemma2_and_corollary1(gate_corpus):
@@ -272,8 +274,11 @@ def test_lemma2_and_corollary1(gate_corpus):
         assert check_lemma2(d, measure).verdict == "pass"
         assert check_corollary1(d, measure).verdict == "pass"
     # a negative atom makes both vacuous rather than failed
-    assert check_lemma2(gate_corpus["xor"], ISX).verdict == "vacuous"
-    assert check_corollary1(gate_corpus["xor"], ISX).verdict == "vacuous"
+    for pid, check in (("l2", check_lemma2), ("c1", check_corollary1)):
+        with pytest.raises(PreconditionError) as exc:
+            check(gate_corpus["xor"], ISX)
+        assert exc.value.details["min_atom"] < 0
+        assert run_property(pid, gate_corpus["xor"], ISX).verdict == "vacuous"
 
 
 def test_lemma2_holds_for_synthetic_nonnegative_atoms(rng, gate_corpus):
