@@ -327,17 +327,17 @@ def check_lemma4_equivalents(
     deviations of the four aggregates (redundant, union, weak-synergy,
     vulnerable information) all coincide; the check asserts the four
     deviations agree regardless of whether the identity property holds."""
-    d = _pair_copy(d)
-    result = decompose(d, measure)
+    dc = _pair_copy(d)
+    result = decompose(dc, measure)
     args = ({1}, {2})
     i_cap = c_information(result, "red", args)
     i_cup = c_information(result, "union", args)
     i_ws = c_information(result, "ws", args)
     i_vul = c_information(result, "vul", args)
-    mi12 = d.mutual_information([("source", 1)], [("source", 2)])
-    h1 = d.entropy([("source", 1)])
-    h2 = d.entropy([("source", 2)])
-    h12 = d.entropy([("source", 1), ("source", 2)])
+    mi12 = dc.mutual_information([("source", 1)], [("source", 2)])
+    h1 = dc.entropy([("source", 1)])
+    h2 = dc.entropy([("source", 2)])
+    h12 = dc.entropy([("source", 1), ("source", 2)])
     deviations = {
         "redundancy_vs_source_mi": i_cap - mi12,
         "union_vs_joint_entropy": h12 - i_cup,

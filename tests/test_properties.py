@@ -439,6 +439,17 @@ def test_run_all_checks_matches_lone_checks(gate_id, noise, measure):
         assert report.to_json_dict() == lone.to_json_dict()
 
 
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("noise", [Fraction(0), Fraction(1, 8)], ids=str)
+@pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
+def test_every_report_names_the_input_table(gate_id, noise, measure):
+    # l4 decomposes the pair copy, but reports on the table it was given
+    d = make_gate(GateSpec(gate_id, noise))
+    reports = run_all_checks(d, measure, trials=2, seed=5)
+    assert {r.property_id: r.distribution_digest for r in reports} == dict.fromkeys(
+        PROPERTY_IDS, d.digest)
+
+
 def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypatch):
     decomposed = Counter()
     conditioned = Counter()
