@@ -136,6 +136,7 @@ def check_rei(
     per-variable permutation scan.  Every source pair that determines the
     target one-to-one is also checked: with the pair itself as target, the
     distribution is a re-encoding of the input, so its atoms must agree.
+    With nothing to compare, it raises :class:`PreconditionError`.
     """
     base = decompose(d, measure)
     rng = random.Random(seed)
@@ -177,6 +178,8 @@ def check_rei(
             raise AssertionError("pair target does not re-encode onto the target")
         compare(pair, f"pair ({i},{j}) target re-encoding")
 
+    if not checked:
+        raise PreconditionError("no re-encoding was compared", trials=trials, seed=seed)
     return _report(
         "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
         {"trials": trials, "seed": seed, "comparisons": checked, "max_atom_delta": max_delta},

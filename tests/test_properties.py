@@ -112,6 +112,29 @@ def test_rei_pair_reencodings_do_not_depend_on_source_labels(gate_corpus):
     assert report.details["comparisons"] == check_rei(gate, IMIN, trials=2).details["comparisons"]
 
 
+def _five_symbol_diagonal(n_sources: int) -> JointDistribution:
+    """Every source equals i and the target is i or i+1 (mod 5): five-symbol
+    supports get no permutation scan, and no source pair determines the target."""
+    rows = [(Outcome((i,) * n_sources, ((i + k) % 5,)), Fraction(1, 10))
+            for i in range(5) for k in (0, 1)]
+    return JointDistribution(n_sources, 1, rows)
+
+
+def test_rei_is_vacuous_when_nothing_is_compared():
+    d = _five_symbol_diagonal(2)
+    with pytest.raises(PreconditionError) as exc:
+        check_rei(d, IMIN, trials=0)
+    assert exc.value.details == {"trials": 0, "seed": 0}
+    report = run_property("rei", d, IMIN, trials=0)
+    assert (report.verdict, report.tolerance) == ("vacuous", 1e-12)
+    assert report.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
+    assert run_property("rei", d, IMIN, trials=1).details["comparisons"] == 1
+    # the t1/t2 witness reads rei, so it has no verdict either
+    for theorem in ("t1", "t2"):
+        report = run_property(theorem, _five_symbol_diagonal(3), IMIN, trials=0)
+        assert report.verdict == "vacuous", report
+
+
 # ----------------------------------------------------------------------
 # target chain rule
 
