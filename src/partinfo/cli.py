@@ -137,6 +137,8 @@ def _load_distribution(args) -> JointDistribution:
         d = JointDistribution.load(args.input)
     if args.emit:
         d.dump(args.emit)
+    if d.target_arity == 0:
+        raise DistributionError("target_arity is 0: atoms and check need a target")
     return d
 
 

@@ -475,7 +475,7 @@ def test_generated_input_tables_get_an_exit_code_promptly(tmp_path, capsys):
     """``atoms`` and ``check --property all`` on generated valid edge tables
     (one source, no target, aux, mixed symbols) and on every malformed
     variant of each: each call returns an exit code within a time bound and
-    never raises, and a malformed table exits 2."""
+    never raises, and a malformed table or one with no target exits 2."""
     symbols = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b"]))
     path = tmp_path / "table.json"
 
@@ -512,5 +512,7 @@ def test_generated_input_tables_get_an_exit_code_promptly(tmp_path, capsys):
                 assert code == 0 or err.startswith("error: ")
                 if corrupt is not None:
                     assert code == 2
+                elif table["target_arity"] == 0:
+                    assert code == 2 and "target_arity" in err
 
     check()
