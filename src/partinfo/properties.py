@@ -52,8 +52,7 @@ STRICT_POSITIVITY = 1e-9
 
 
 class PreconditionError(DistributionError):
-    """The distribution cannot express the requested check or does not meet
-    its assumption; ``details`` go into the 'vacuous' report."""
+    """The distribution cannot meet the check's precondition; see ``details``."""
 
     def __init__(self, reason: str, **details):
         super().__init__(reason)
@@ -295,15 +294,9 @@ def check_id(
 
 
 def _sources_independent(d: JointDistribution) -> bool:
-    joint = d.source_marginal(range(1, d.n_sources + 1))
     singles = [d.variable_marginal(("source", i)) for i in range(1, d.n_sources + 1)]
-    for values, p in joint.items():
-        product = 1
-        for value, marginal in zip(values, singles):
-            product *= marginal.get(value, 0)
-        if p != product:
-            return False
-    return True
+    return all(p == math.prod(m.get(v, 0) for v, m in zip(values, singles))
+               for values, p in d.source_marginal(range(1, d.n_sources + 1)).items())
 
 
 def check_iid(
@@ -720,7 +713,11 @@ def property_matrix(
                 run_property(prop, d, measure, tol=tol, trials=trials, seed=seed).verdict
                 for d in corpus
             ]
-            row[prop] = ("fail" if "fail" in verdicts
-                         else "pass" if "pass" in verdicts else "vacuous")
+            if "fail" in verdicts:
+                row[prop] = "fail"
+            elif "pass" in verdicts:
+                row[prop] = "pass"
+            else:
+                row[prop] = "vacuous"
         matrix[measure.id] = row
     return matrix
