@@ -460,17 +460,8 @@ def test_run_all_checks_matches_lone_checks(gate_id, noise, measure):
     for report in reports:
         lone = run_property(report.property_id, d, measure, trials=2, seed=5)
         assert report.to_json_dict() == lone.to_json_dict()
-
-
-@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
-@pytest.mark.parametrize("noise", [Fraction(0), Fraction(1, 8)], ids=str)
-@pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
-def test_every_report_names_the_input_table(gate_id, noise, measure):
-    # l4 decomposes the pair copy, but reports on the table it was given
-    d = make_gate(GateSpec(gate_id, noise))
-    reports = run_all_checks(d, measure, trials=2, seed=5)
-    assert {r.property_id: r.distribution_digest for r in reports} == dict.fromkeys(
-        PROPERTY_IDS, d.digest)
+        # l4 decomposes the pair copy, but reports on the table it was given
+        assert report.distribution_digest == d.digest, report.property_id
 
 
 def test_run_all_checks_decomposes_each_distribution_once(gate_corpus, monkeypatch):
