@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache
 from itertools import permutations
-from operator import or_
 from typing import Callable, Sequence
 
 from .lattice import Antichain, nonempty_subsets, redundancy_lattice
-from .prob import JointDistribution, log2_ratio
+from .prob import DistributionError, JointDistribution, log2_ratio
 
 
 def normalize_args(args) -> tuple:
@@ -73,11 +72,7 @@ def specific_information(d: JointDistribution, a) -> dict:
     """
     kernel = d._kernel()
     table = dict.fromkeys(kernel.target_weights, 0.0)
-    w_source: dict = {}
-    w_joint: dict = {}
-    for s_a, t, w in zip(kernel.projections(a), kernel.targets, kernel.weights):
-        w_source[s_a] = w_source.get(s_a, 0) + w
-        w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
+    _, w_source, w_joint = kernel.subset_weights(a)
     for (s_a, t), w in w_joint.items():
         w_t = kernel.target_weights[t]
         table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
@@ -105,30 +100,60 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     )
 
 
+@lru_cache(maxsize=None)
+def _union_coefficients(args: tuple) -> tuple:
+    """The integer coefficients ``c(b)``, as (b, c(b)) pairs, with
+    [agrees on some member of args] = sum_b c(b) * [agrees on b].
+
+    Agreeing on ``a`` and on ``b`` is agreeing on ``a | b``, so each member
+    ``m`` turns the coefficients ``c`` of the members before it into
+    ``c + [m] - (c shifted by m)``; a member that contains an earlier one
+    adds nothing to the event and is skipped, so only minimal members
+    count.  Subsets ``b`` are int masks, bit ``i - 1`` for source ``i``, and
+    zero coefficients are dropped.  A prefix of ``args`` shares its entry.
+    """
+    if not args:
+        return ()
+    before = _union_coefficients(args[:-1])
+    m = sum(1 << i - 1 for i in args[-1])
+    if any(b & m == b for b, _ in before):
+        return before
+    coefficients = dict(before)
+    for b, c in before:
+        coefficients[b | m] = coefficients.get(b | m, 0) - c
+    coefficients[m] = coefficients.get(m, 0) + 1
+    return tuple((b, c) for b, c in coefficients.items() if c)
+
+
 def i_sx(d: JointDistribution, args: Sequence) -> float:
     """Shared-exclusions redundancy.
 
     For each support point, condition on the event that at least one of the
     argument collections took its observed value, and average the pointwise
-    information this gives about the observed target value.  The event is
-    the union of the point's agree-masks over the arguments, and its mass is
-    an exact integer weight; only the final log is floating point.  That log
-    depends only on the (event, target value) pair, so the kernel keeps it
-    for later points and calls; the terms are still summed per point, in
-    support order.
+    information this gives about the observed target value.  By
+    inclusion-exclusion over the arguments' minimal members, the event's
+    weight, and its weight on the point's target, are integer combinations
+    of the kernel's per-subset agreement columns, summed for all points at
+    once; only the final log is floating point.  That log depends only on
+    the target value and the two weights, so the kernel keeps it for later
+    points and calls; the terms are still added per point, in support order.
     """
     kernel = d._kernel()
-    denominator = kernel.denominator
-    agree = [kernel.agree_masks(frozenset(a)) for a in args]
+    args = tuple(map(frozenset, args))
+    if not args:
+        raise ValueError("measure needs at least one argument collection")
+    for member in args:
+        for i in member:
+            if not isinstance(i, int) or not 1 <= i <= kernel.n_sources:
+                raise DistributionError(f"source index {i!r} out of range 1..{kernel.n_sources}")
+    denominator, bits = kernel.denominator, kernel.field_bits
+    pairs = kernel.combined_pairs(_union_coefficients(args))
     total = 0.0
-    for w, t, masks in zip(kernel.weights, kernel.targets, zip(*agree)):
-        event = reduce(or_, masks)
-        logs = kernel.isx_logs[t]
-        term = logs.get(event)
+    for w, t, logs, pair in zip(kernel.weights, kernel.targets, kernel.isx_logs, pairs):
+        term = logs.get(pair)
         if term is None:
-            term = logs[event] = log2_ratio(
-                kernel.mass(event & kernel.target_masks[t]) * denominator,
-                kernel.mass(event) * kernel.target_weights[t])
+            event, joint = pair & (1 << bits) - 1, pair >> bits
+            term = logs[pair] = log2_ratio(joint * denominator, event * kernel.target_weights[t])
         total += w / denominator * term
     return total
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -506,15 +507,19 @@ class _Kernel:
 
     Point ``k`` is the k-th distinct (sources, target) pair in canonical
     support order (rows differing only in aux are merged) and has
-    probability ``weights[k] / denominator``.  Sets of points are int
-    bitmasks, bit ``k`` for point ``k``; ``mass`` sums their weights
-    exactly.  Per-subset tables and ``i_sx``'s log terms are filled on first
-    request and never change afterwards.
+    probability ``weights[k] / denominator``.  A source subset is an int
+    mask, bit ``i - 1`` for source ``i``.  Its agreement column is one int
+    holding, for each point ``p``, the exact weight of the points that agree
+    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
+    of them that also share ``p``'s target; point ``k``'s pair of fields
+    starts at bit ``2k * field_bits``.  So an integer combination of columns
+    is one big-int sum whose fields are the combined weights, as long as
+    each lands in ``0..denominator``.  Per-subset tables and ``i_sx``'s log
+    terms are filled on first request and never change afterwards.
     """
 
-    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights",
-                 "target_weights", "target_masks", "si_tables", "isx_logs", "_agree",
-                 "_byte_tables")
+    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights", "target_weights",
+                 "si_tables", "isx_logs", "field_bits", "_columns", "_pairs")
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
@@ -525,40 +530,54 @@ class _Kernel:
         self.targets = [key[n:] for key in points]
         self.weights = list(points.values())
         self.target_weights = d._marginal_weights(targets)     # target value -> weight
-        self.target_masks: dict = {}       # target value -> its points
-        for k, t in enumerate(self.targets):
-            self.target_masks[t] = self.target_masks.get(t, 0) | 1 << k
-        self.isx_logs = {t: {} for t in self.target_masks}   # target -> event mask -> log2 term
         self.si_tables: dict = {}          # subset -> specific-information table
-        self._agree: dict = {}
-        # _byte_tables[j][b]: total weight of the points 8j + i for the bits i of b
-        self._byte_tables = []
-        for j in range(0, len(self.weights), 8):
-            table = [0]
-            for w in self.weights[j : j + 8]:
-                table += [x + w for x in table]
-            self._byte_tables.append(table)
+        logs: dict = {t: {} for t in self.target_weights}
+        self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
+        self._columns: dict = {}           # subset mask -> agreement column
+        # a field holds any weight up to the denominator; a pair of fields
+        # that fills 2, 4 or 8 bytes is read by struct, a wider one by slicing
+        size = -(-self.denominator.bit_length() // 8)
+        size = next((k for k in (1, 2, 4) if k >= size), size)
+        self.field_bits = 8 * size
+        code = {1: "H", 2: "I", 4: "Q"}.get(size)
+        self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
 
-    def projections(self, subset) -> list:
-        """Each point's source values on ``subset`` (1-based source indices)."""
-        indices = sorted(subset)
+    def subset_weights(self, subset) -> tuple:
+        """Each point's source values on ``subset`` (1-based source indices),
+        and the weights of each value and of each (value, target) pair,
+        keyed in the order they first appear in the support."""
+        indices = list(subset)
         for i in indices:
             if not isinstance(i, int) or not 1 <= i <= self.n_sources:
                 raise DistributionError(f"source index {i!r} out of range 1..{self.n_sources}")
-        return [tuple(s[i - 1] for i in indices) for s in self.sources]
+        indices.sort()
+        projections = [tuple(s[i - 1] for i in indices) for s in self.sources]
+        w_source: dict = {}
+        w_joint: dict = {}
+        for s_a, t, w in zip(projections, self.targets, self.weights):
+            w_source[s_a] = w_source.get(s_a, 0) + w
+            w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
+        return projections, w_source, w_joint
 
-    def agree_masks(self, subset: frozenset) -> list:
-        """Per point, the mask of the points that agree with it on ``subset``."""
-        masks = self._agree.get(subset)
-        if masks is None:
-            projections = self.projections(subset)
-            groups: dict = {}
-            for k, value in enumerate(projections):
-                groups[value] = groups.get(value, 0) | 1 << k
-            masks = self._agree[subset] = [groups[value] for value in projections]
-        return masks
+    def column(self, mask: int) -> int:
+        """The agreement column of the source subset ``mask``."""
+        column = self._columns.get(mask)
+        if column is None:
+            projections, w_source, w_joint = self.subset_weights(
+                i for i in range(1, self.n_sources + 1) if mask >> i - 1 & 1)
+            size = self.field_bits // 8
+            column = self._columns[mask] = int.from_bytes(b"".join(
+                w_source[s_b].to_bytes(size, "little") + w_joint[s_b, t].to_bytes(size, "little")
+                for s_b, t in zip(projections, self.targets)), "little")
+        return column
 
-    def mass(self, mask: int) -> int:
-        """Total weight of the points in ``mask``."""
-        tables = self._byte_tables
-        return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+    def combined_pairs(self, coefficients) -> Sequence[int]:
+        """Per point, its pair of fields in the columns combined with the
+        integer ``coefficients`` ((mask, coefficient) pairs)."""
+        total = sum(c * self.column(mask) for mask, c in coefficients)
+        pair_bytes = self.field_bits // 4
+        raw = total.to_bytes(pair_bytes * len(self.weights), "little")
+        if self._pairs:
+            return self._pairs.unpack(raw)
+        return [int.from_bytes(raw[i : i + pair_bytes], "little")
+                for i in range(0, len(raw), pair_bytes)]

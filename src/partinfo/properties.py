@@ -185,10 +185,27 @@ def check_rei(
     )
 
 
+def _memoized_check(key, compute):
+    """:func:`memoized` for a check: an unmet precondition is kept in the
+    memo too, and each call with ``key`` raises a copy of it."""
+    def outcome():
+        try:
+            return compute()
+        except PreconditionError as exc:
+            return exc.with_traceback(None)     # keeps none of the failed call's frames
+
+    result = memoized(key, outcome)
+    if isinstance(result, PreconditionError):
+        # a fresh error each time: re-raising the kept one would tie it to
+        # this frame, a cycle only the garbage collector frees
+        raise PreconditionError(str(result), **result.details)
+    return result
+
+
 def _shared_rei(d, measure, tol, trials, seed) -> PropertyReport:
     """:func:`check_rei` once per call memo, for the rei check and the t1/t2 witness."""
-    return memoized(("rei", d, measure, trials, seed, tol),
-                    lambda: check_rei(d, measure, trials=trials, seed=seed, tol=tol))
+    return _memoized_check(("rei", d, measure, trials, seed, tol),
+                           lambda: check_rei(d, measure, trials=trials, seed=seed, tol=tol))
 
 
 def check_tcr(
@@ -588,9 +605,9 @@ def theorem_witness(
 
 def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -> PropertyReport:
     """Passes when lp, rei and ``third`` (id or tcr) do not all hold on ``d``."""
-    witness = memoized(("witness", d, measure, tol, rei_tol, trials, seed),
-                       lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
-                                               trials=trials, seed=seed))
+    witness = _memoized_check(("witness", d, measure, tol, rei_tol, trials, seed),
+                              lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
+                                                      trials=trials, seed=seed))
     verdicts = witness.verdicts
     if third == "id":
         all_pass, evidence = witness.lp_rei_id_all_pass, {"pairwise": witness.pairwise}

@@ -332,8 +332,9 @@ def formula_i_sx(d: JointDistribution, args) -> float:
         def in_event(other, s=s):
             return any(all(other[i - 1] == s[i - 1] for i in a) for a in argsets)
 
-        w_event = sum(w2 for k2, w2 in points.items() if in_event(k2[:n]))
-        w_t_event = sum(w2 for k2, w2 in points.items() if in_event(k2[:n]) and k2[n:] == t)
+        event = [(k2, w2) for k2, w2 in points.items() if in_event(k2[:n])]
+        w_event = sum(w2 for _, w2 in event)
+        w_t_event = sum(w2 for k2, w2 in event if k2[n:] == t)
         total += w / denominator * log2_ratio(w_t_event * denominator, w_event * w_target[t])
     return total
 

@@ -1,5 +1,6 @@
 """Redundancy measures against independent oracles and shared conformance."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from partinfo import (
     Antichain,
+    DistributionError,
     JointDistribution,
     Outcome,
     RedundancyMeasure,
@@ -18,6 +20,7 @@ from partinfo import (
     get_measure,
     i_min,
     i_sx,
+    redundancy_lattice,
     register_measure,
     specific_information,
 )
@@ -210,6 +213,57 @@ def test_kernel_paths_equal_the_direct_formulas_bit_for_bit():
         assert i_sx(twin, args) == value
 
     check()
+
+
+def _seeded_aux_table(rng: random.Random, n: int, alphabet: int, points: int,
+                      max_weight: int) -> JointDistribution:
+    """``points`` distinct (sources, target) cells with a binary target, each
+    on one to three aux rows that share it, weights 0..max_weight (zero rows
+    kept in the table)."""
+    grid = [(s, (t,)) for s in itertools.product(range(alphabet), repeat=n) for t in (0, 1)]
+    cells = [(s, t, z, rng.randint(0, max_weight))
+             for s, t in rng.sample(grid, points) for z in rng.sample("abc", rng.randint(1, 3))]
+    total = sum(w for *_, w in cells)
+    return JointDistribution(n, 1, [(Outcome(s, t, z), Fraction(w, total)) for s, t, z, w in cells])
+
+
+@pytest.mark.parametrize("points, max_weight", [(64, 6), (16, 10**12)], ids=["narrow", "wide"])
+def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight):
+    # the inclusion-exclusion kernel against the per-point event sums, by ==;
+    # wide weights need fields of more than 4 bytes, which are read by slicing
+    rng = random.Random(f"isx-kernel:{max_weight}")
+    d = _seeded_aux_table(rng, 4, 3, points, max_weight)
+    assert (d._kernel().field_bits > 32) == (max_weight > 6)
+    nodes = [node.sorted_members for node in redundancy_lattice(4).nodes]
+    for args in nodes:
+        assert i_sx(d, args) == formula_i_sx(d, args), args
+    # argument tuples that are not antichains: duplicates, supersets (after
+    # and before the member they contain) and reversed order
+    for args in rng.sample(nodes, 8):
+        grown = args[0] | {rng.randint(1, 4)}
+        for variant in (args + args[:1], args + (grown,), (grown,) + args, args[::-1]):
+            assert i_sx(d, variant) == formula_i_sx(d, variant), variant
+
+    d5 = _seeded_aux_table(rng, 5, 2, 20, max_weight)
+    antichains = enumerate_antichains(5)
+    bottom = tuple(frozenset({i}) for i in range(1, 6))
+    top = (frozenset(range(1, 6)),)
+    for args in [bottom, top] + [a.sorted_members for a in rng.sample(antichains, 40)]:
+        assert i_sx(d5, args) == formula_i_sx(d5, args), args
+
+
+@pytest.mark.parametrize("measure", [i_min, i_sx], ids=["imin", "isx"])
+def test_every_argument_member_is_checked_against_the_table(gate_corpus, measure):
+    # a member that contains another adds nothing to either measure, but its
+    # indices must still be source indices of the table; no member, no value
+    d = gate_corpus["xor"]
+    measure(d, [{1}])
+    for args in ([{1}, {1, 7}], [{1, 7}, {1}], [{1}, {2}, {2, 3}], [{3}], [{1}, {0, 1}],
+                 [{1}, {1, "a"}]):
+        with pytest.raises(DistributionError, match="out of range"):
+            measure(d, args)
+    with pytest.raises(ValueError):
+        measure(d, [])
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")

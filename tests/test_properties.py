@@ -135,6 +135,31 @@ def test_rei_is_vacuous_when_nothing_is_compared():
         assert report.verdict == "vacuous", report
 
 
+def test_a_vacuous_rei_is_scanned_once_per_run_all_checks(monkeypatch):
+    # the unmet precondition stays in the call memo: rei and the t1/t2
+    # witness read one scan, and the witness is built once
+    d = _five_symbol_diagonal(3)
+    scans, witnesses = [], []
+    real_rei, real_witness = properties.check_rei, properties.theorem_witness
+
+    def rei_spy(*args, **kwargs):
+        scans.append(args[0])
+        return real_rei(*args, **kwargs)
+
+    def witness_spy(*args, **kwargs):
+        witnesses.append(args[0])
+        return real_witness(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "check_rei", rei_spy)
+    monkeypatch.setattr(properties, "theorem_witness", witness_spy)
+    reports = {r.property_id: r for r in run_all_checks(d, IMIN, trials=0)}
+    assert scans == [d] and witnesses == [d]
+    for property_id in ("rei", "t1", "t2"):
+        lone = run_property(property_id, d, IMIN, trials=0)
+        assert reports[property_id].to_json_dict() == lone.to_json_dict()
+        assert lone.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
+
+
 # ----------------------------------------------------------------------
 # target chain rule
 
