@@ -51,11 +51,6 @@ def make_gate(spec) -> JointDistribution:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
     n_sources, target_fn = _GATES[spec.gate_id]
     configs = _source_configurations(spec.gate_id)
-
-    if noise == 0:
-        rows = [(Outcome(s, target_fn(s)), p) for s, p in configs]
-        return JointDistribution(n_sources, len(target_fn(configs[0][0])), rows)
-
     arity = len(target_fn(configs[0][0]))
     alphabet = list(itertools.product((0, 1), repeat=arity))
     uniform = Fraction(1, len(alphabet))

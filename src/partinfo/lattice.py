@@ -25,11 +25,13 @@ class LatticeSizeError(ValueError):
 LARGE_N = 5                  # the largest n the library builds
 
 
-def _subset_mask(subset: Iterable[int], n: int) -> int:
+def _subset_mask(subset: Iterable[int], n: int, error: type = ValueError) -> int:
+    """The int mask of a subset of {1..n}, bit ``i - 1`` for source ``i``;
+    raises ``error`` for an index that is not an int in 1..n."""
     mask = 0
     for i in subset:
-        if not 1 <= i <= n:
-            raise ValueError(f"source index {i} out of range 1..{n}")
+        if not isinstance(i, int) or not 1 <= i <= n:
+            raise error(f"source index {i!r} out of range 1..{n}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -266,21 +268,9 @@ class RedundancyLattice:
         is 0 on the proper nonempty subset that ``s`` masks."""
         return self._zeros[self.index(node)]
 
-    def leq(self, below: Antichain, above: Antichain) -> bool:
-        top = self._zeros[self.index(above)]
-        return self._zeros[self.index(below)] | top == top
-
     def down_set(self, above: Antichain) -> tuple:
         top = self._zeros[self.index(above)]
         return tuple(node for node, zeros in zip(self.nodes, self._zeros) if zeros | top == top)
-
-    @property
-    def bottom(self) -> Antichain:
-        return Antichain.of(*[{i} for i in range(1, self.n + 1)])
-
-    @property
-    def top(self) -> Antichain:
-        return Antichain.of(set(range(1, self.n + 1)))
 
     def moebius(self, below: Antichain, above: Antichain) -> int:
         """Möbius coefficient of the lattice order; the arguments must be

@@ -10,19 +10,23 @@ Two measures ship with the package:
 
 Both accept an arbitrary tuple of source-index collections (not only
 antichains), which is what the conformance checks for symmetry and
-superset invariance exercise.  Additional measures can be registered at
+superset invariance exercise.  Each call checks every member against the
+table and encodes it as an int mask once (:func:`lattice._subset_mask`);
+the masks key what the measures keep per table, in a kernel that the
+distribution holds for them.  Additional measures can be registered at
 runtime without touching the decomposition engine.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .lattice import Antichain, nonempty_subsets, redundancy_lattice
+from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
 from .prob import DistributionError, JointDistribution, log2_ratio
 
 
@@ -59,6 +63,91 @@ class RedundancyMeasure:
         return self.fn(d, normalize_args(args))
 
 
+class _Kernel:
+    """Per-subset tables over the (sources, target) marginal of a distribution.
+
+    Point ``k`` is the k-th distinct (sources, target) pair in canonical
+    support order (rows differing only in aux are merged) and has
+    probability ``weights[k] / denominator``.  A source subset is an int
+    mask, bit ``i - 1`` for source ``i``.  Its agreement column is one int
+    holding, for each point ``p``, the exact weight of the points that agree
+    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
+    of them that also share ``p``'s target; point ``k``'s pair of fields
+    starts at bit ``2k * field_bits``.  So an integer combination of columns
+    is one big-int sum whose fields are the combined weights, as long as
+    each lands in ``0..denominator``.  Per-subset tables and ``i_sx``'s log
+    terms are filled on first request and never change afterwards.  The
+    kernel keeps no reference to its distribution.
+    """
+
+    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights", "target_weights",
+                 "si_tables", "isx_logs", "field_bits", "_columns", "_pairs")
+
+    def __init__(self, d: JointDistribution):
+        n = self.n_sources = d.n_sources
+        targets = [("target", j) for j in range(1, d.target_arity + 1)]
+        points = d._marginal_weights([("source", i) for i in range(1, n + 1)] + targets)
+        self.denominator = d._denominator
+        self.sources = [key[:n] for key in points]
+        self.targets = [key[n:] for key in points]
+        self.weights = list(points.values())
+        self.target_weights = d._marginal_weights(targets)     # target value -> weight
+        self.si_tables: dict = {}          # subset mask -> specific-information table
+        logs: dict = {t: {} for t in self.target_weights}
+        self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
+        self._columns: dict = {}           # subset mask -> agreement column
+        # a field holds any weight up to the denominator; a pair of fields
+        # that fills 2, 4 or 8 bytes is read by struct, a wider one by slicing
+        size = -(-self.denominator.bit_length() // 8)
+        size = next((k for k in (1, 2, 4) if k >= size), size)
+        self.field_bits = 8 * size
+        code = {1: "H", 2: "I", 4: "Q"}.get(size)
+        self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
+
+    def subset_weights(self, mask: int) -> tuple:
+        """Each point's source values on the subset ``mask``, and the weights
+        of each value and of each (value, target) pair, keyed in the order
+        they first appear in the support."""
+        positions = [i for i in range(self.n_sources) if mask >> i & 1]
+        projections = [tuple(s[i] for i in positions) for s in self.sources]
+        w_source: dict = {}
+        w_joint: dict = {}
+        for s_a, t, w in zip(projections, self.targets, self.weights):
+            w_source[s_a] = w_source.get(s_a, 0) + w
+            w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
+        return projections, w_source, w_joint
+
+    def column(self, mask: int) -> int:
+        """The agreement column of the subset ``mask``."""
+        column = self._columns.get(mask)
+        if column is None:
+            projections, w_source, w_joint = self.subset_weights(mask)
+            size = self.field_bits // 8
+            column = self._columns[mask] = int.from_bytes(b"".join(
+                w_source[s_b].to_bytes(size, "little") + w_joint[s_b, t].to_bytes(size, "little")
+                for s_b, t in zip(projections, self.targets)), "little")
+        return column
+
+    def combined_pairs(self, coefficients) -> Sequence[int]:
+        """Per point, its pair of fields in the columns combined with the
+        integer ``coefficients`` ((mask, coefficient) pairs)."""
+        total = sum(c * self.column(mask) for mask, c in coefficients)
+        pair_bytes = self.field_bits // 4
+        raw = total.to_bytes(pair_bytes * len(self.weights), "little")
+        if self._pairs:
+            return self._pairs.unpack(raw)
+        return [int.from_bytes(raw[i : i + pair_bytes], "little")
+                for i in range(0, len(raw), pair_bytes)]
+
+
+def _kernel(d: JointDistribution) -> _Kernel:
+    """The kernel of ``d``, built on first use and kept in the table's
+    slot; safe to keep because the distribution never changes."""
+    if d._measure_kernel is None:
+        d._measure_kernel = _Kernel(d)
+    return d._measure_kernel
+
+
 def specific_information(d: JointDistribution, a) -> dict:
     """Specific information I(a;t) per target outcome, in bits.
 
@@ -70,9 +159,9 @@ def specific_information(d: JointDistribution, a) -> dict:
     w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
     order they first appear in the support.
     """
-    kernel = d._kernel()
+    kernel = _kernel(d)
     table = dict.fromkeys(kernel.target_weights, 0.0)
-    _, w_source, w_joint = kernel.subset_weights(a)
+    _, w_source, w_joint = kernel.subset_weights(_subset_mask(a, kernel.n_sources, DistributionError))
     for (s_a, t), w in w_joint.items():
         w_t = kernel.target_weights[t]
         table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
@@ -83,16 +172,18 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
     Each subset's specific-information table is computed once per
-    distribution and kept in its kernel; equal distributions built
-    separately each compute their own, with equal floats.  The average over
-    the target is a :func:`math.fsum`, the same float on every interpreter.
+    distribution and kept in its kernel under the subset's mask; equal
+    distributions built separately each compute their own, with equal
+    floats.  The average over the target is a :func:`math.fsum`, the same
+    float on every interpreter.
     """
-    kernel = d._kernel()
+    kernel = _kernel(d)
     tables = []
-    for a in map(frozenset, args):
-        table = kernel.si_tables.get(a)
+    for a in args:
+        mask = _subset_mask(a, kernel.n_sources, DistributionError)
+        table = kernel.si_tables.get(mask)
         if table is None:
-            table = kernel.si_tables[a] = specific_information(d, a)
+            table = kernel.si_tables[mask] = specific_information(d, a)
         tables.append(table)
     return math.fsum(
         w_t / kernel.denominator * min(table[t] for table in tables)
@@ -101,21 +192,21 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
 
 
 @lru_cache(maxsize=None)
-def _union_coefficients(args: tuple) -> tuple:
+def _union_coefficients(masks: tuple) -> tuple:
     """The integer coefficients ``c(b)``, as (b, c(b)) pairs, with
-    [agrees on some member of args] = sum_b c(b) * [agrees on b].
+    [agrees on some subset in masks] = sum_b c(b) * [agrees on b].
 
-    Agreeing on ``a`` and on ``b`` is agreeing on ``a | b``, so each member
-    ``m`` turns the coefficients ``c`` of the members before it into
-    ``c + [m] - (c shifted by m)``; a member that contains an earlier one
+    Agreeing on ``a`` and on ``b`` is agreeing on ``a | b``, so each mask
+    ``m`` turns the coefficients ``c`` of the masks before it into
+    ``c + [m] - (c shifted by m)``; a mask that contains an earlier one
     adds nothing to the event and is skipped, so only minimal members
-    count.  Subsets ``b`` are int masks, bit ``i - 1`` for source ``i``, and
-    zero coefficients are dropped.  A prefix of ``args`` shares its entry.
+    count.  Zero coefficients are dropped.  A prefix of ``masks`` shares
+    its entry.
     """
-    if not args:
+    if not masks:
         return ()
-    before = _union_coefficients(args[:-1])
-    m = sum(1 << i - 1 for i in args[-1])
+    before = _union_coefficients(masks[:-1])
+    m = masks[-1]
     if any(b & m == b for b, _ in before):
         return before
     coefficients = dict(before)
@@ -138,16 +229,12 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     the target value and the two weights, so the kernel keeps it for later
     points and calls; the terms are still added per point, in support order.
     """
-    kernel = d._kernel()
-    args = tuple(map(frozenset, args))
+    kernel = _kernel(d)
     if not args:
         raise ValueError("measure needs at least one argument collection")
-    for member in args:
-        for i in member:
-            if not isinstance(i, int) or not 1 <= i <= kernel.n_sources:
-                raise DistributionError(f"source index {i!r} out of range 1..{kernel.n_sources}")
+    masks = tuple(_subset_mask(a, kernel.n_sources, DistributionError) for a in args)
     denominator, bits = kernel.denominator, kernel.field_bits
-    pairs = kernel.combined_pairs(_union_coefficients(args))
+    pairs = kernel.combined_pairs(_union_coefficients(masks))
     total = 0.0
     for w, t, logs, pair in zip(kernel.weights, kernel.targets, kernel.isx_logs, pairs):
         term = logs.get(pair)

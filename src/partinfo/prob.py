@@ -6,7 +6,9 @@ Probabilities are :class:`fractions.Fraction` at every interface; inside,
 every computation adds integer weights over one common denominator, and
 base-2 logarithms (of gcd-reduced integer ratios) are applied only at the
 final step of each Shannon quantity, so the lattice algebra downstream never
-accumulates rounding error beyond the log evaluation itself.
+accumulates rounding error beyond the log evaluation itself.  A table keeps
+one slot for state that :mod:`partinfo.measures` derives from it; this
+module never reads it.
 
 A row is one flat value tuple (sources, target, then aux if present);
 :class:`Outcome` exists only where the API takes or returns rows.  Each
@@ -22,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,7 +213,7 @@ class JointDistribution:
         self._denominator = denominator // g
         self._digest = None
         self._hash = None
-        self._measure_kernel = None
+        self._measure_kernel = None     # the measures' per-table state, built by them on first use
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -316,13 +317,6 @@ class JointDistribution:
 
     def variable_support(self, selector: Selector) -> tuple:
         return tuple(key[0] for key in self.marginal_support([selector]))
-
-    def _kernel(self) -> "_Kernel":
-        """The per-subset tables the redundancy measures work on, built on
-        first use; safe to keep because the distribution never changes."""
-        if self._measure_kernel is None:
-            self._measure_kernel = _Kernel(self)
-        return self._measure_kernel
 
     # ------------------------------------------------------------------
     # Shannon quantities (bits); a probability w / D enters as the float w / D
@@ -501,83 +495,3 @@ class JointDistribution:
             self._digest = hashlib.sha256(payload.encode()).hexdigest()
         return self._digest
 
-
-class _Kernel:
-    """Per-subset tables over the (sources, target) marginal of a distribution.
-
-    Point ``k`` is the k-th distinct (sources, target) pair in canonical
-    support order (rows differing only in aux are merged) and has
-    probability ``weights[k] / denominator``.  A source subset is an int
-    mask, bit ``i - 1`` for source ``i``.  Its agreement column is one int
-    holding, for each point ``p``, the exact weight of the points that agree
-    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
-    of them that also share ``p``'s target; point ``k``'s pair of fields
-    starts at bit ``2k * field_bits``.  So an integer combination of columns
-    is one big-int sum whose fields are the combined weights, as long as
-    each lands in ``0..denominator``.  Per-subset tables and ``i_sx``'s log
-    terms are filled on first request and never change afterwards.
-    """
-
-    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights", "target_weights",
-                 "si_tables", "isx_logs", "field_bits", "_columns", "_pairs")
-
-    def __init__(self, d: JointDistribution):
-        n = self.n_sources = d.n_sources
-        targets = [("target", j) for j in range(1, d.target_arity + 1)]
-        points = d._marginal_weights([("source", i) for i in range(1, n + 1)] + targets)
-        self.denominator = d._denominator
-        self.sources = [key[:n] for key in points]
-        self.targets = [key[n:] for key in points]
-        self.weights = list(points.values())
-        self.target_weights = d._marginal_weights(targets)     # target value -> weight
-        self.si_tables: dict = {}          # subset -> specific-information table
-        logs: dict = {t: {} for t in self.target_weights}
-        self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
-        self._columns: dict = {}           # subset mask -> agreement column
-        # a field holds any weight up to the denominator; a pair of fields
-        # that fills 2, 4 or 8 bytes is read by struct, a wider one by slicing
-        size = -(-self.denominator.bit_length() // 8)
-        size = next((k for k in (1, 2, 4) if k >= size), size)
-        self.field_bits = 8 * size
-        code = {1: "H", 2: "I", 4: "Q"}.get(size)
-        self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
-
-    def subset_weights(self, subset) -> tuple:
-        """Each point's source values on ``subset`` (1-based source indices),
-        and the weights of each value and of each (value, target) pair,
-        keyed in the order they first appear in the support."""
-        indices = list(subset)
-        for i in indices:
-            if not isinstance(i, int) or not 1 <= i <= self.n_sources:
-                raise DistributionError(f"source index {i!r} out of range 1..{self.n_sources}")
-        indices.sort()
-        projections = [tuple(s[i - 1] for i in indices) for s in self.sources]
-        w_source: dict = {}
-        w_joint: dict = {}
-        for s_a, t, w in zip(projections, self.targets, self.weights):
-            w_source[s_a] = w_source.get(s_a, 0) + w
-            w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
-        return projections, w_source, w_joint
-
-    def column(self, mask: int) -> int:
-        """The agreement column of the source subset ``mask``."""
-        column = self._columns.get(mask)
-        if column is None:
-            projections, w_source, w_joint = self.subset_weights(
-                i for i in range(1, self.n_sources + 1) if mask >> i - 1 & 1)
-            size = self.field_bits // 8
-            column = self._columns[mask] = int.from_bytes(b"".join(
-                w_source[s_b].to_bytes(size, "little") + w_joint[s_b, t].to_bytes(size, "little")
-                for s_b, t in zip(projections, self.targets)), "little")
-        return column
-
-    def combined_pairs(self, coefficients) -> Sequence[int]:
-        """Per point, its pair of fields in the columns combined with the
-        integer ``coefficients`` ((mask, coefficient) pairs)."""
-        total = sum(c * self.column(mask) for mask, c in coefficients)
-        pair_bytes = self.field_bits // 4
-        raw = total.to_bytes(pair_bytes * len(self.weights), "little")
-        if self._pairs:
-            return self._pairs.unpack(raw)
-        return [int.from_bytes(raw[i : i + pair_bytes], "little")
-                for i in range(0, len(raw), pair_bytes)]

@@ -17,6 +17,11 @@ import pytest
 from partinfo import Antichain, JointDistribution, Outcome, RedundancyMeasure, make_gate
 from partinfo.prob import log2_ratio
 
+try:
+    from hypothesis import strategies as st
+except ImportError:  # the tests that draw tables are skipped
+    st = None
+
 
 @pytest.fixture
 def rng():
@@ -56,6 +61,25 @@ def random_rational_distribution(
         if w > 0
     ]
     return JointDistribution(n_sources, target_arity, rows)
+
+
+def draw_aux_table(data) -> JointDistribution:
+    """A table drawn through Hypothesis' ``data``: one to three sources and
+    a target of one or two components over symbols 0..2, each (sources,
+    target) cell on one to three aux rows that share it, weights 0..5 with
+    the zero rows kept in the table."""
+    symbols = st.integers(0, 2)
+    n = data.draw(st.integers(1, 3), label="n")
+    arity = data.draw(st.integers(1, 2), label="target arity")
+    points = data.draw(st.lists(st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity)),
+                                min_size=1, max_size=8, unique=True), label="points")
+    cells = [(s, t, z) for s, t in points
+             for z in data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                                         unique=True), label="aux values")]
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
+                                 max_size=len(cells)).filter(any), label="weights")
+    rows = [(Outcome(s, t, z), Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+    return JointDistribution(n, arity, rows)
 
 
 def random_pair_copy(rng: random.Random, source_alphabet: int = 2) -> JointDistribution:

@@ -23,6 +23,7 @@ from partinfo import (
     consistency_check,
     enumerate_antichains,
     get_measure,
+    lattice_leq,
     redundancy_from_atoms,
     redundancy_lattice,
     rsi,
@@ -31,7 +32,7 @@ from partinfo import (
 
 from partinfo.lattice import nonempty_subsets
 
-from conftest import TABLE_CONDITIONS, constant_measure, random_rational_distribution
+from conftest import TABLE_CONDITIONS, constant_measure, draw_aux_table, random_rational_distribution
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -145,6 +146,31 @@ def test_c_information_red_equals_downward_lattice_sum(gate_corpus):
         for antichain in lattice.nodes:
             direct = c_information(result, "red", antichain.sorted_members)
             assert abs(direct - sums[antichain]) <= 1e-12
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_consistency_equations_hold_on_generated_tables():
+    # for both measures, the atoms below {S} sum to I(S;T) for every source
+    # subset S, on tables with aux rows that share (s, t) and zero rows; the
+    # atoms the zero sets select are those the antichain order puts below {S}
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        d = draw_aux_table(data)
+        nodes = redundancy_lattice(d.n_sources).nodes
+        for measure in (IMIN, ISX):
+            result = atoms_from_redundancy(d, measure)
+            assert consistency_check(result, d).passed, measure.id
+            for subset in nonempty_subsets(d.n_sources):
+                value = c_information(result, "red", (subset,))
+                above = Antichain.of(subset)
+                assert value == math.fsum(result.atoms[node] for node in nodes
+                                          if lattice_leq(node, above))
+                assert abs(value - d.marginal_mi(subset)) <= 1e-9, (measure.id, subset)
+
+    check()
 
 
 def test_moebius_round_trip_exact_on_rationals(rng):

@@ -220,7 +220,7 @@ def test_moebius_defining_identity_exhaustive(n):
             total = sum(
                 lattice.moebius(mid, above)
                 for mid in down
-                if lattice.leq(below, mid)
+                if lattice_leq(below, mid)
             )
             assert total == (1 if below == above else 0)
 
@@ -235,7 +235,7 @@ def test_moebius_defining_identity_sampled_n4():
         down = lattice.down_set(above)
         below = down[rng.randrange(len(down))]
         total = sum(
-            lattice.moebius(mid, above) for mid in down if lattice.leq(below, mid)
+            lattice.moebius(mid, above) for mid in down if lattice_leq(below, mid)
         )
         assert total == (1 if below == above else 0)
         checked += 1
@@ -254,13 +254,16 @@ def test_three_source_lattice_structure():
     assert len(covers) == 30
     # covers are strict comparabilities with nothing in between
     for lower, upper in covers:
-        assert lattice.leq(lower, upper) and lower != upper
+        assert lattice_leq(lower, upper) and lower != upper
         assert not any(
-            mid not in (lower, upper) and lattice.leq(lower, mid) and lattice.leq(mid, upper)
+            mid not in (lower, upper) and lattice_leq(lower, mid) and lattice_leq(mid, upper)
             for mid in lattice.nodes
         )
-    assert lattice.bottom == Antichain.of({1}, {2}, {3})
-    assert lattice.top == Antichain.of({1, 2, 3})
+    # every node lies between the bottom and the top; the bottom's parthood
+    # table is 0 on no proper subset, the top's on every one
+    bottom, top = Antichain.of({1}, {2}, {3}), Antichain.of({1, 2, 3})
+    assert all(lattice_leq(bottom, node) and lattice_leq(node, top) for node in lattice.nodes)
+    assert (lattice.zero_set(bottom), lattice.zero_set(top)) == (0, (1 << 7) - 2)
 
 
 def test_four_source_covers_have_nothing_in_between():

@@ -25,8 +25,10 @@ from partinfo import (
     specific_information,
 )
 from partinfo.lattice import nonempty_subsets
+from partinfo.measures import _kernel
 
 from conftest import (
+    draw_aux_table,
     formula_i_sx,
     formula_specific_information,
     oracle_imin,
@@ -183,32 +185,22 @@ def test_kernel_paths_equal_the_direct_formulas_bit_for_bit():
     # specific information read off the kernel's points, and i_sx with its
     # per-(event, target) log memo, give the floats of the direct formulas;
     # aux rows that share (s, t) and explicit zero rows included
-    symbols = st.integers(0, 2)
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None,
               phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
     @given(st.data())
     def check(data):
-        n = data.draw(st.integers(1, 3), label="n")
-        arity = data.draw(st.integers(1, 2), label="target arity")
-        points = data.draw(st.lists(st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity)),
-                                    min_size=1, max_size=8, unique=True), label="points")
-        cells = [(s, t, z) for s, t in points
-                 for z in data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
-                                             unique=True), label="aux values")]
-        weights = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
-                                     max_size=len(cells)).filter(any), label="weights")
-        rows = [(Outcome(s, t, z), Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+        d = draw_aux_table(data)
+        n = d.n_sources
         args = data.draw(st.lists(st.frozensets(st.integers(1, n), min_size=1),
                                   min_size=1, max_size=4), label="args")
-        d = JointDistribution(n, arity, rows)
         for a in nonempty_subsets(n):
             got, want = specific_information(d, a), formula_specific_information(d, a)
             assert list(got.items()) == list(want.items())
         value = i_sx(d, args)
         assert value == formula_i_sx(d, args)
         assert i_sx(d, args) == value              # this call reads every log from the memo
-        twin = JointDistribution(n, arity, rows[::-1])
+        twin = JointDistribution(n, d.target_arity, d.outcomes[::-1])
         assert twin == d and i_sx(twin, args[::-1]) == formula_i_sx(d, args[::-1])
         assert i_sx(twin, args) == value
 
@@ -233,7 +225,7 @@ def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight):
     # wide weights need fields of more than 4 bytes, which are read by slicing
     rng = random.Random(f"isx-kernel:{max_weight}")
     d = _seeded_aux_table(rng, 4, 3, points, max_weight)
-    assert (d._kernel().field_bits > 32) == (max_weight > 6)
+    assert (_kernel(d).field_bits > 32) == (max_weight > 6)
     nodes = [node.sorted_members for node in redundancy_lattice(4).nodes]
     for args in nodes:
         assert i_sx(d, args) == formula_i_sx(d, args), args
