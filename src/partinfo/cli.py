@@ -20,12 +20,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .engine import DEFAULT_REI_TOL, DEFAULT_TOL, atoms_from_redundancy, consistency_check
+from .engine import DEFAULT_TOL, atoms_from_redundancy, consistency_check
 from .gates import GateSpec, gate_ids, make_gate
 from .lattice import LARGE_N, LatticeSizeError, redundancy_lattice
 from .measures import UNIMPLEMENTED_MEASURES, available_measures, get_measure
 from .prob import DistributionError, JointDistribution
 from .properties import (
+    DEFAULT_REI_TOL,
     PROPERTY_IDS,
     TABLE_PROPERTIES,
     property_matrix,

@@ -48,8 +48,6 @@ from .prob import JointDistribution, Selector
 
 #: default tolerance of the consistency equations and of every property check
 DEFAULT_TOL = 1e-9
-#: default tolerance of rei's atom comparisons, also inside the t1/t2 witness
-DEFAULT_REI_TOL = 1e-12
 
 #: the memo of the call_memo() call in progress, if any
 _memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)

@@ -178,6 +178,8 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     float on every interpreter.
     """
     kernel = _kernel(d)
+    if not args:
+        raise ValueError("measure needs at least one argument collection")
     tables = []
     for a in args:
         mask = _subset_mask(a, kernel.n_sources, DistributionError)

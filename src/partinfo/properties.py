@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import (
-    DEFAULT_REI_TOL,
     DEFAULT_TOL,
     PidResult,
     c_information,
@@ -49,6 +48,8 @@ from .prob import DistributionError, JointDistribution
 
 #: threshold above which a value counts as strictly positive
 STRICT_POSITIVITY = 1e-9
+#: default tolerance of rei's atom comparisons, also inside the t1/t2 witness
+DEFAULT_REI_TOL = 1e-12
 
 
 class PreconditionError(DistributionError):
@@ -108,66 +109,48 @@ def _target(d: JointDistribution) -> list:
     return [("target", j) for j in range(1, d.target_arity + 1)]
 
 
-def _random_bijections(d: JointDistribution, rng: random.Random):
-    """Seeded random source and target maps for :meth:`JointDistribution.reencode`,
-    as (key, image) pair tuples in support order."""
-    source_maps = []
-    for i in range(1, d.n_sources + 1):
-        values = d.variable_support(("source", i))
-        source_maps.append((i, tuple(zip(values, rng.sample(values, len(values))))))
-    targets = d.marginal_support(_target(d))
-    return tuple(source_maps), tuple(zip(targets, rng.sample(targets, len(targets))))
-
-
 def check_rei(
     d: JointDistribution,
     measure: RedundancyMeasure,
+    tol: float = DEFAULT_REI_TOL,
     trials: int = 32,
     seed: int = 0,
-    tol: float = DEFAULT_REI_TOL,
 ) -> PropertyReport:
     """Re-encoding invariance of the atoms.
 
-    Samples seeded random bijections of every source support and of the
-    joint target support, comparing the full decomposition each time (a
-    map drawn again within a call memo reuses its table and decomposition).
-    Supports of at most four symbols additionally get an exhaustive
-    per-variable permutation scan.  Every source pair that determines the
-    target one-to-one is also checked: with the pair itself as target, the
-    distribution is a re-encoding of the input, so its atoms must agree.
-    With nothing to compare, it raises :class:`PreconditionError`.
+    Each source support and the joint target support are read once.  The
+    full decomposition is compared, in this order, against ``trials`` seeded
+    random bijections of every source support and of the target support
+    (each trial draws the sources in index order, then the target), every
+    permutation of each source support and then of the target support of at
+    most four symbols, and, for each source pair that determines the target
+    one-to-one, the table with that pair as target: a re-encoding of the
+    input, so its atoms must agree.  A map drawn again within a call memo
+    reuses its table and decomposition.  The first comparison with the
+    largest atom delta is the witness.  With nothing to compare, it raises
+    :class:`PreconditionError`.
     """
     base = decompose(d, measure)
-    rng = random.Random(seed)
-    max_delta = 0.0
-    witness = None
-    checked = 0
-
-    def compare(d2: JointDistribution, label: str):
-        nonlocal max_delta, witness, checked
-        other = decompose(d2, measure)
-        delta = max(abs(value - other.atoms[node]) for node, value in base.atoms.items())
-        checked += 1
-        if delta > max_delta:
-            max_delta = delta
-            witness = {"transformation": label, "max_atom_delta": delta}
-
-    for trial in range(trials):
-        compare(derived(d, "reencode", *_random_bijections(d, rng)), f"random bijection #{trial}")
-
-    for i in range(1, d.n_sources + 1):
-        values = d.variable_support(("source", i))
-        if len(values) <= 4:
-            for perm in itertools.permutations(values):
-                compare(derived(d, "reencode", ((i, tuple(zip(values, perm))),), None),
-                        f"source {i} permutation {perm}")
+    supports = {i: d.variable_support(("source", i)) for i in range(1, d.n_sources + 1)}
     targets = d.marginal_support(_target(d))
+    rng = random.Random(seed)
+    maps = []                         # (label, source maps, target map)
+    for trial in range(trials):
+        source_maps = tuple((i, tuple(zip(values, rng.sample(values, len(values)))))
+                            for i, values in supports.items())
+        maps.append((f"random bijection #{trial}", source_maps,
+                     tuple(zip(targets, rng.sample(targets, len(targets))))))
+    for i, values in supports.items():
+        if len(values) <= 4:
+            maps += [(f"source {i} permutation {perm}", ((i, tuple(zip(values, perm))),), None)
+                     for perm in itertools.permutations(values)]
     if d.target_arity >= 1 and len(targets) <= 4:
-        for perm in itertools.permutations(targets):
-            compare(derived(d, "reencode", None, tuple(zip(targets, perm))),
-                    "target permutation")
+        maps += [("target permutation", None, tuple(zip(targets, perm)))
+                 for perm in itertools.permutations(targets)]
+    tables = [(label, derived(d, "reencode", source_maps, target_map))
+              for label, source_maps, target_map in maps]
 
-    for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
+    for i, j in itertools.combinations(supports, 2):
         triples = d.marginal_support([("source", i), ("source", j)] + _target(d))
         forward = {key[:2]: key[2:] for key in triples}
         if len(forward) < len(triples) or len(set(forward.values())) < len(forward):
@@ -175,13 +158,19 @@ def check_rei(
         pair = derived(d, "retarget_to_sources", (i, j))
         if derived(pair, "reencode", None, tuple(forward.items())) != d:
             raise AssertionError("pair target does not re-encode onto the target")
-        compare(pair, f"pair ({i},{j}) target re-encoding")
+        tables.append((f"pair ({i},{j}) target re-encoding", pair))
 
-    if not checked:
+    if not tables:
         raise PreconditionError("no re-encoding was compared", trials=trials, seed=seed)
+    max_delta, witness = 0.0, None
+    for label, table in tables:
+        other = decompose(table, measure).atoms
+        delta = max(abs(value - other[node]) for node, value in base.atoms.items())
+        if delta > max_delta:
+            max_delta, witness = delta, {"transformation": label, "max_atom_delta": delta}
     return _report(
         "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
-        {"trials": trials, "seed": seed, "comparisons": checked, "max_atom_delta": max_delta},
+        {"trials": trials, "seed": seed, "comparisons": len(tables), "max_atom_delta": max_delta},
     )
 
 
@@ -205,7 +194,7 @@ def _memoized_check(key, compute):
 def _shared_rei(d, measure, tol, trials, seed) -> PropertyReport:
     """:func:`check_rei` once per call memo, for the rei check and the t1/t2 witness."""
     return _memoized_check(("rei", d, measure, trials, seed, tol),
-                           lambda: check_rei(d, measure, trials=trials, seed=seed, tol=tol))
+                           lambda: check_rei(d, measure, tol, trials=trials, seed=seed))
 
 
 def check_tcr(
@@ -589,7 +578,7 @@ def theorem_witness(
     return TheoremWitness(
         measure_id=measure.id,
         distribution_digest=d.digest,
-        rsi_value=rsi(d),
+        rsi_value=rsi_report.rsi_value,
         rsi_residual=rsi_report.residual,
         consistency_max_residual=consistency.max_residual,
         pairwise=pairwise,

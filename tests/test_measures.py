@@ -254,7 +254,7 @@ def test_every_argument_member_is_checked_against_the_table(gate_corpus, measure
                  [{1}, {1, "a"}]):
         with pytest.raises(DistributionError, match="out of range"):
             measure(d, args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one argument collection"):
         measure(d, [])
 
 

@@ -160,6 +160,40 @@ def test_a_vacuous_rei_is_scanned_once_per_run_all_checks(monkeypatch):
         assert lone.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
 
 
+@pytest.mark.parametrize("gate_id, transformation, delta, comparisons", [
+    ("xor_source_copy", "random bijection #2", 1e-06, 37),
+    ("and", "source 1 permutation (1, 0)", 5.000000000000001e-07, 10),
+])
+def test_a_failing_rei_keeps_its_report(gate_id, transformation, delta, comparisons):
+    # the first comparison that reaches the largest delta is the witness
+    d = make_gate(GateSpec(gate_id, Fraction(0)))
+    report = check_rei(d, _relabel_sensitive_measure(1e-6), trials=4, seed=3)
+    assert report.verdict == "fail"
+    assert report.witness == {"transformation": transformation, "max_atom_delta": delta}
+    assert report.details == {"trials": 4, "seed": 3, "comparisons": comparisons,
+                              "max_atom_delta": delta}
+
+
+def test_rei_reads_each_support_once_whatever_the_trials(monkeypatch):
+    d = make_gate(GateSpec("xor_source_copy", Fraction(1, 8)))
+    real = JointDistribution.marginal_support
+    reads = []
+
+    def spy(self, selectors):
+        if self is d:
+            reads.append(tuple(selectors))
+        return real(self, selectors)
+
+    monkeypatch.setattr(JointDistribution, "marginal_support", spy)
+    counts = []
+    for trials in (0, 8):
+        reads.clear()
+        check_rei(d, IMIN, trials=trials)
+        counts.append(len(reads))
+    # three sources, the target, and the three source pairs with the target
+    assert counts == [7, 7]
+
+
 # ----------------------------------------------------------------------
 # target chain rule
 
