@@ -186,6 +186,10 @@ def _cmd_check(args) -> int:
         raise DistributionError(
             f"unknown property {args.property!r}; known: {', '.join(PROPERTY_IDS)} or 'all'"
         )
+    not_run = [p for p in expected if args.property not in ("all", p)]
+    if not_run:
+        raise DistributionError(f"{args.expect}: expects verdicts of properties that "
+                                f"--property {args.property} does not run: {', '.join(not_run)}")
     _require_served(d.n_sources)
     if args.property == "all":
         reports = run_all_checks(d, measure, tol=args.tol, trials=args.trials, seed=args.seed)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -62,15 +62,21 @@ class PidResult:
     """A full decomposition: one real-valued atom per antichain.
 
     ``atoms`` covers exactly the antichains of the lattice for ``n``
-    sources; ``distribution_digest`` binds the result to its input table.
-    ``redundancy`` holds the measure values the atoms were inverted from.
+    sources; ``distribution`` is the input table, and
+    ``distribution_digest`` binds the result to it, hashed from the table
+    when first read.  ``redundancy`` holds the measure values the atoms were
+    inverted from.
     """
 
     n: int
     atoms: Mapping
     measure_id: str
-    distribution_digest: str
+    distribution: JointDistribution = field(repr=False)
     redundancy: Mapping | None = None
+
+    @property
+    def distribution_digest(self) -> str:
+        return self.distribution.digest
 
     @cached_property
     def zero_sets(self) -> tuple:
@@ -134,7 +140,7 @@ def atoms_from_redundancy(d: JointDistribution, measure: RedundancyMeasure) -> P
                 f"measure {measure.id!r} failed on antichain {node.label}: {exc}"
             ) from exc
     atoms = atoms_from_values(lattice, values)
-    return PidResult(d.n_sources, atoms, measure.id, d.digest, values)
+    return PidResult(d.n_sources, atoms, measure.id, d, values)
 
 
 @contextmanager
@@ -268,7 +274,7 @@ def conditional_atoms(d: JointDistribution, measure: RedundancyMeasure, z: Selec
     for _, pz, _, sub in split_on(d, measure, z):
         for node in acc:
             acc[node] += pz * sub.atoms[node]
-    return PidResult(d.n_sources, acc, measure.id, d.digest)
+    return PidResult(d.n_sources, acc, measure.id, d)
 
 
 # ----------------------------------------------------------------------

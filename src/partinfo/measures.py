@@ -24,6 +24,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from operator import mul, or_
 from typing import Callable, Sequence
 
 from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
@@ -68,31 +69,48 @@ class _Kernel:
 
     Point ``k`` is the k-th distinct (sources, target) pair in canonical
     support order (rows differing only in aux are merged) and has
-    probability ``weights[k] / denominator``.  A source subset is an int
-    mask, bit ``i - 1`` for source ``i``.  Its agreement column is one int
-    holding, for each point ``p``, the exact weight of the points that agree
-    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
-    of them that also share ``p``'s target; point ``k``'s pair of fields
-    starts at bit ``2k * field_bits``.  So an integer combination of columns
-    is one big-int sum whose fields are the combined weights, as long as
-    each lands in ``0..denominator``.  Per-subset tables and ``i_sx``'s log
-    terms are filled on first request and never change afterwards.  The
-    kernel keeps no reference to its distribution.
+    probability ``weights[k] / denominator``, kept as the float
+    ``probs[k]``.  Its source values are one int, ``codes[k]``: each source
+    owns a fixed bit field, ``fields[i - 1]`` for source ``i``, holding the
+    index at which the point's value first appears in that source's column.
+    A source subset is an int mask, bit ``i - 1`` for source ``i``; a point's
+    values on it are its code with the other sources' fields cleared.  Each
+    subset's specific information is a list aligned with ``target_weights``,
+    whose floats ``w_t / denominator`` are ``target_probs``.  Its agreement
+    column is one int holding, for each point ``p``, the exact weight of the
+    points that agree with ``p`` on the subset and, ``field_bits`` higher,
+    the weight of those of them that also share ``p``'s target; point
+    ``k``'s pair of fields starts at bit ``2k * field_bits``.  So an integer
+    combination of columns is one big-int sum whose fields are the combined
+    weights, as long as each lands in ``0..denominator``.  Per-subset tables
+    and ``i_sx``'s log terms are filled on first request and never change
+    afterwards.  The kernel keeps no reference to its distribution.
     """
 
-    __slots__ = ("n_sources", "denominator", "sources", "targets", "weights", "target_weights",
-                 "si_tables", "isx_logs", "field_bits", "_columns", "_pairs")
+    __slots__ = ("n_sources", "denominator", "codes", "fields", "targets", "weights", "probs",
+                 "target_weights", "target_probs", "si_tables", "isx_logs", "field_bits",
+                 "_columns", "_pairs")
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
         targets = [("target", j) for j in range(1, d.target_arity + 1)]
         points = d._marginal_weights([("source", i) for i in range(1, n + 1)] + targets)
         self.denominator = d._denominator
-        self.sources = [key[:n] for key in points]
+        self.codes = [0] * len(points)
+        self.fields = []
+        shift = 0
+        for column in list(zip(*points))[:n]:
+            index = {v: k << shift for k, v in enumerate(dict.fromkeys(column))}
+            self.codes = list(map(or_, self.codes, map(index.__getitem__, column)))
+            width = (len(index) - 1).bit_length()
+            self.fields.append((1 << width) - 1 << shift)
+            shift += width
         self.targets = [key[n:] for key in points]
         self.weights = list(points.values())
+        self.probs = [w / self.denominator for w in self.weights]
         self.target_weights = d._marginal_weights(targets)     # target value -> weight
-        self.si_tables: dict = {}          # subset mask -> specific-information table
+        self.target_probs = [w / self.denominator for w in self.target_weights.values()]
+        self.si_tables: dict = {}          # subset mask -> specific information, per target
         logs: dict = {t: {} for t in self.target_weights}
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
         self._columns: dict = {}           # subset mask -> agreement column
@@ -105,11 +123,15 @@ class _Kernel:
         self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
 
     def subset_weights(self, mask: int) -> tuple:
-        """Each point's source values on the subset ``mask``, and the weights
-        of each value and of each (value, target) pair, keyed in the order
-        they first appear in the support."""
-        positions = [i for i in range(self.n_sources) if mask >> i & 1]
-        projections = [tuple(s[i] for i in positions) for s in self.sources]
+        """Each point's source values on the subset ``mask``, as its code
+        with the other fields cleared, and the weights of each value and of
+        each (value, target) pair, keyed in the order they first appear in
+        the support."""
+        bits = 0
+        for i, field_mask in enumerate(self.fields):
+            if mask >> i & 1:
+                bits |= field_mask
+        projections = [code & bits for code in self.codes]
         w_source: dict = {}
         w_joint: dict = {}
         for s_a, t, w in zip(projections, self.targets, self.weights):
@@ -172,10 +194,11 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
     Each subset's specific-information table is computed once per
-    distribution and kept in its kernel under the subset's mask; equal
-    distributions built separately each compute their own, with equal
-    floats.  The average over the target is a :func:`math.fsum`, the same
-    float on every interpreter.
+    distribution and kept in its kernel under the subset's mask, as a list
+    aligned with the kernel's ``target_probs``; equal distributions built
+    separately each compute their own, with equal floats.  The average over
+    the target is a :func:`math.fsum` of ``p(t) * min``, the same float on
+    every interpreter.
     """
     kernel = _kernel(d)
     if not args:
@@ -185,12 +208,10 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
         mask = _subset_mask(a, kernel.n_sources, DistributionError)
         table = kernel.si_tables.get(mask)
         if table is None:
-            table = kernel.si_tables[mask] = specific_information(d, a)
+            table = kernel.si_tables[mask] = list(specific_information(d, a).values())
         tables.append(table)
-    return math.fsum(
-        w_t / kernel.denominator * min(table[t] for table in tables)
-        for t, w_t in kernel.target_weights.items()
-    )
+    least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
+    return math.fsum(map(mul, kernel.target_probs, least))
 
 
 @lru_cache(maxsize=None)
@@ -238,12 +259,12 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     denominator, bits = kernel.denominator, kernel.field_bits
     pairs = kernel.combined_pairs(_union_coefficients(masks))
     total = 0.0
-    for w, t, logs, pair in zip(kernel.weights, kernel.targets, kernel.isx_logs, pairs):
+    for p, t, logs, pair in zip(kernel.probs, kernel.targets, kernel.isx_logs, pairs):
         term = logs.get(pair)
         if term is None:
             event, joint = pair & (1 << bits) - 1, pair >> bits
             term = logs[pair] = log2_ratio(joint * denominator, event * kernel.target_weights[t])
-        total += w / denominator * term
+        total += p * term
     return total
 
 

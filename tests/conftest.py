@@ -342,6 +342,15 @@ def formula_specific_information(d: JointDistribution, a) -> dict:
     return table
 
 
+def formula_i_min(d: JointDistribution, args) -> float:
+    """Minimum specific information: the :func:`math.fsum` over targets of
+    p(t) times the least :func:`formula_specific_information` of a member."""
+    tables = [formula_specific_information(d, a) for a in args]
+    w_target, denominator = d._marginal_weights(_targets(d)), d._denominator
+    return math.fsum(w / denominator * min(table[t] for table in tables)
+                     for t, w in w_target.items())
+
+
 def formula_i_sx(d: JointDistribution, args) -> float:
     """Shared-exclusions redundancy, one exact event mass and one log per
     (sources, target) point, in support order."""

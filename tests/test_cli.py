@@ -96,6 +96,14 @@ def test_check_against_expectations(tmp_path, capsys):
     assert "unexpected verdict" in err
 
 
+def test_check_expectation_for_a_property_not_run_is_input_error(tmp_path, capsys):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"rei": "fail", "lp": "pass", "tcr": "fail"}))
+    code, out, err = run_cli(capsys, *_CHECK_LP, "--expect", str(expect))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "rei, tcr" in err and "--property lp" in err
+
+
 def test_check_unknown_property_is_input_error(capsys):
     code, _, err = run_cli(
         capsys, "check", "--gate", "xor", "--measure", "imin", "--property", "bogus"

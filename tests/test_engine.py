@@ -82,6 +82,27 @@ def test_measure_failure_names_the_antichain(gate_corpus):
         atoms_from_redundancy(gate_corpus["xor"], RedundancyMeasure("broken", broken))
 
 
+@pytest.mark.parametrize("decompose", [
+    atoms_from_redundancy,
+    lambda d, measure: conditional_atoms(d, measure, ("source", 1)),
+], ids=["atoms", "conditional"])
+def test_a_decomposition_hashes_its_table_only_when_the_digest_is_read(gate_corpus, decompose):
+    base = gate_corpus["xor_source_copy"]
+    for measure in (IMIN, ISX):
+        d = base.reencode({1: {0: 1, 1: 0}})
+        twin = JointDistribution(d.n_sources, d.target_arity, d.outcomes)
+        result = decompose(d, measure)
+        assert d._digest is None
+        assert result.distribution_digest == d.digest == twin.digest
+        assert result.to_json_dict() == {
+            "n": 3,
+            "measure": measure.id,
+            "distribution_digest": twin.digest,
+            "atoms": {a.label: value for a, value in result.atoms.items()},
+        }
+        assert list(result.to_json_dict()) == ["n", "measure", "distribution_digest", "atoms"]
+
+
 def test_consistency_on_xor_source_copy(gate_corpus):
     d = gate_corpus["xor_source_copy"]
     report = consistency_check(atoms_from_redundancy(d, IMIN), d, tol=1e-9)
@@ -346,7 +367,7 @@ def test_condition_order_implies_ordered_aggregates(rng):
     antichains = enumerate_antichains(3)
     for _ in range(5):
         atoms = {node: rng.uniform(0, 1) for node in lattice.nodes}
-        result = PidResult(3, atoms, "synthetic", "-")
+        result = PidResult(3, atoms, "synthetic", None)
         pairs = [(antichains[k], antichains[m]) for k in range(0, 18, 5) for m in range(0, 18, 3)]
         for condition in ("red", "union", "ws", "vul"):
             for x, y in pairs:
@@ -360,7 +381,7 @@ def test_c_information_sums_the_atoms_a_table_walk_selects(rng):
     lattice = redundancy_lattice(4)
     tables = {node: antichain_to_parthood(node, 4) for node in lattice.nodes}
     for _ in range(2):
-        result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", "-")
+        result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", None)
         for name, by_table in TABLE_CONDITIONS.items():
             for antichain in lattice.nodes:
                 args = antichain.sorted_members
@@ -373,7 +394,7 @@ def test_consistency_residuals_equal_a_table_walk(rng):
     d = random_rational_distribution(rng, n_sources=4)
     lattice = redundancy_lattice(4)
     tables = {node: antichain_to_parthood(node, 4) for node in lattice.nodes}
-    result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", "-")
+    result = PidResult(4, {node: rng.uniform(-1, 1) for node in lattice.nodes}, "synthetic", d)
     report = consistency_check(result, d)
     assert [e.subset for e in report.entries] == list(nonempty_subsets(4))
     for entry in report.entries:

@@ -29,6 +29,7 @@ from partinfo.measures import _kernel
 
 from conftest import (
     draw_aux_table,
+    formula_i_min,
     formula_i_sx,
     formula_specific_information,
     oracle_imin,
@@ -242,6 +243,35 @@ def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight):
     top = (frozenset(range(1, 6)),)
     for args in [bottom, top] + [a.sorted_members for a in rng.sample(antichains, 40)]:
         assert i_sx(d5, args) == formula_i_sx(d5, args), args
+
+
+def test_imin_equals_the_direct_formula_at_n4_and_n5():
+    # the list-aligned tables against p(t) * min over the per-target formula,
+    # by ==; sources with 1, 2, 3 and 5 symbols, ints and strings mixed, aux
+    # rows that share a cell and explicit zero rows
+    rng = random.Random("imin-formula")
+    alphabets = [("a",), (0, "b"), (2, "x", 0), (4, 3, "z", 1, "y")]
+    grid = [(s, (t,)) for s in itertools.product(*alphabets) for t in (1, "t", 0)]
+    cells = [(s, t, z, rng.randint(0, 6))
+             for s, t in rng.sample(grid, 40) for z in rng.sample("abc", rng.randint(1, 3))]
+    total = sum(w for *_, w in cells)
+    d = JointDistribution(4, 1, [(Outcome(s, t, z), Fraction(w, total)) for s, t, z, w in cells])
+    assert any(w == 0 for *_, w in cells)
+    nodes = [node.sorted_members for node in redundancy_lattice(4).nodes]
+    for args in nodes:
+        assert i_min(d, args) == formula_i_min(d, args), args
+    # argument tuples that are not antichains: duplicates, supersets (after
+    # and before the member they contain) and reversed order
+    for args in nodes:
+        grown = args[0] | {rng.randint(1, 4)}
+        for variant in (args + args[:1], args + (grown,), (grown,) + args, args[::-1]):
+            assert i_min(d, variant) == formula_i_min(d, variant), variant
+
+    d5 = _seeded_aux_table(rng, 5, 2, 20, 6)
+    bottom = tuple(frozenset({i}) for i in range(1, 6))
+    top = (frozenset(range(1, 6)),)
+    for args in [bottom, top] + [a.sorted_members for a in rng.sample(enumerate_antichains(5), 40)]:
+        assert i_min(d5, args) == formula_i_min(d5, args), args
 
 
 @pytest.mark.parametrize("measure", [i_min, i_sx], ids=["imin", "isx"])
