@@ -32,6 +32,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -51,6 +52,15 @@ DEFAULT_TOL = 1e-9
 
 #: the memo of the call_memo() call in progress, if any
 _memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
+
+# A Fraction from a numerator and a positive denominator already in lowest
+# terms, without the gcd that Fraction() takes again (the constructor that
+# Fraction arithmetic itself uses; it has this name from Python 3.12 on).
+try:
+    _reduced_fraction = Fraction._from_coprime_ints
+except AttributeError:
+    def _reduced_fraction(numerator: int, denominator: int) -> Fraction:
+        return Fraction(numerator, denominator, _normalize=False)
 
 
 class MeasureEvaluationError(RuntimeError):
@@ -92,17 +102,53 @@ class PidResult:
         }
 
 
+def _in_node_order(lattice: RedundancyLattice, values: Mapping) -> list:
+    """``values[node]`` for each node of ``lattice``, in node order.  Keys
+    other than exactly the nodes raise ``ValueError``, naming the first node
+    with no value, else the first key that is not a node."""
+    if len(values) == len(lattice):
+        try:
+            return [values[node] for node in lattice.nodes]
+        except KeyError:
+            pass
+    for node in lattice.nodes:
+        if node not in values:
+            raise ValueError(f"antichain {node.label} of A_{lattice.n} has no value")
+    for key in values:
+        lattice.index(key)
+    return [values[node] for node in lattice.nodes]
+
+
 def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
     """Möbius-invert per-antichain redundancy values into atoms.
 
-    Works for exact rationals and floats alike; the coefficients are exact
-    integers, so a rational input stays rational.  Only the nonzero
-    coefficients are summed, in node order.  Every coefficient is +1 or -1,
-    so a term is added or subtracted, which gives the same floats bit for
-    bit as adding ``mu * value``.
+    ``values`` must map exactly the nodes of ``lattice``.  Only the nonzero
+    coefficients are summed, in node order; each is +1 or -1, so a term is
+    added or subtracted, which gives the same floats bit for bit as adding
+    ``mu * value``, and ints or mixed int and ``Fraction`` values give the
+    types that ``+=`` gives.
+
+    When every value is exactly a ``Fraction``, each atom is summed as
+    integers: the node's terms are put over the lcm of their own
+    denominators and one ``Fraction`` is built from the total.  The lcm is
+    per node, not one for the whole lattice, so one large denominator
+    widens only the atoms whose terms carry it.
     """
-    v = [values[node] for node in lattice.nodes]
+    v = _in_node_order(lattice, values)
     atoms = []
+    if set(map(type, v)) == {Fraction}:
+        nums = [x.numerator for x in v]
+        dens = [x.denominator for x in v]
+        for terms in lattice.moebius_index_terms:
+            scale = math.lcm(*[dens[i] for i, _ in terms])
+            total = 0
+            for i, mu in terms:
+                if mu > 0:
+                    total += nums[i] * (scale // dens[i])
+                else:
+                    total -= nums[i] * (scale // dens[i])
+            atoms.append(Fraction(total, scale))
+        return dict(zip(lattice.nodes, atoms))
     for terms in lattice.moebius_index_terms:
         total = 0
         for i, mu in terms:
@@ -117,12 +163,34 @@ def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
 def redundancy_from_atoms(lattice: RedundancyLattice, atoms: Mapping) -> dict:
     """Downward lattice sums of atoms: the redundancy each antichain carries.
 
-    A zeta transform: one addition per cover, along
-    :attr:`RedundancyLattice.zeta_pairs`.  Rationals come out exact; float
-    sums follow that cover order, not node order, so they can differ from a
-    left-to-right sum over the down-set in the last bits.
+    ``atoms`` must map exactly the nodes of ``lattice``.  A zeta transform:
+    one addition per cover, along :attr:`RedundancyLattice.zeta_pairs`.
+    Float sums follow that cover order, not node order, so they can differ
+    from a left-to-right sum over the down-set in the last bits.
+
+    When every atom is exactly a ``Fraction``, each node's sum is kept as a
+    reduced (numerator, denominator) pair of ints and a cover adds two pairs
+    as ``Fraction`` addition does: over the lcm of the two denominators,
+    then cancelling what the total shares with their gcd.  A pair stays as
+    small as the exact value allows, with no object per step; one
+    ``Fraction`` per node is built at the end.
     """
-    g = [atoms[node] for node in lattice.nodes]
+    g = _in_node_order(lattice, atoms)
+    if set(map(type, g)) == {Fraction}:
+        num = [x.numerator for x in g]
+        den = [x.denominator for x in g]
+        for lower, upper in lattice.zeta_pairs:
+            a, b = den[upper], den[lower]
+            common = math.gcd(a, b)
+            if common == 1:
+                num[upper] = num[upper] * b + num[lower] * a
+                den[upper] = a * b
+            else:
+                total = num[upper] * (b // common) + num[lower] * (a // common)
+                cancel = math.gcd(total, common)
+                num[upper] = total // cancel
+                den[upper] = a // common * (b // cancel)
+        return dict(zip(lattice.nodes, map(_reduced_fraction, num, den)))
     for lower, upper in lattice.zeta_pairs:
         g[upper] += g[lower]
     return dict(zip(lattice.nodes, g))

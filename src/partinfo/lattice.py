@@ -261,7 +261,8 @@ class RedundancyLattice:
         try:
             return self._index[node]
         except KeyError:
-            raise ValueError(f"antichain {node.label} is not a node of A_{self.n}") from None
+            label = node.label if isinstance(node, Antichain) else repr(node)
+            raise ValueError(f"antichain {label} is not a node of A_{self.n}") from None
 
     def zero_set(self, node: Antichain) -> int:
         """``Z`` of ``node``: bit ``s`` is set iff the node's parthood table

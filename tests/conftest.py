@@ -374,3 +374,50 @@ def formula_i_sx(d: JointDistribution, args) -> float:
 
 def _targets(d: JointDistribution) -> list:
     return [("target", j) for j in range(1, d.target_arity + 1)]
+
+
+# ----------------------------------------------------------------------
+# the engine's inversion and zeta transform as plain per-step loops
+
+
+def reference_moebius_atoms(lattice, values) -> dict:
+    """Atoms by one ``+=`` or ``-=`` of a value per nonzero Möbius term, in
+    node order: the loop whose results (value and type) every input must
+    reproduce."""
+    v = [values[node] for node in lattice.nodes]
+    atoms = {}
+    for node, terms in zip(lattice.nodes, lattice.moebius_index_terms):
+        total = 0
+        for i, mu in terms:
+            if mu > 0:
+                total += v[i]
+            else:
+                total -= v[i]
+        atoms[node] = total
+    return atoms
+
+
+def reference_zeta_sums(lattice, atoms) -> dict:
+    """Down-set sums by one ``g[upper] += g[lower]`` per cover, in the order
+    of ``lattice.zeta_pairs``."""
+    g = [atoms[node] for node in lattice.nodes]
+    for lower, upper in lattice.zeta_pairs:
+        g[upper] += g[lower]
+    return dict(zip(lattice.nodes, g))
+
+
+def primes_from(start: int, count: int) -> list:
+    """The first ``count`` primes at or above ``start`` (at least 2), by a
+    sieve of ever longer segments."""
+    width = 1024
+    while True:
+        sieve = bytearray([1]) * width
+        p = 2
+        while p * p < start + width:
+            for multiple in range(max(p * p, -(-start // p) * p), start + width, p):
+                sieve[multiple - start] = 0
+            p += 1
+        found = [start + k for k, prime in enumerate(sieve) if prime]
+        if len(found) >= count:
+            return found[:count]
+        width *= 2

@@ -32,7 +32,15 @@ from partinfo import (
 
 from partinfo.lattice import nonempty_subsets
 
-from conftest import TABLE_CONDITIONS, constant_measure, draw_aux_table, random_rational_distribution
+from conftest import (
+    TABLE_CONDITIONS,
+    constant_measure,
+    draw_aux_table,
+    primes_from,
+    random_rational_distribution,
+    reference_moebius_atoms,
+    reference_zeta_sums,
+)
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -232,6 +240,7 @@ def test_round_trip_and_zeta_down_sum_on_generated_vectors():
         approx = dict(zip(lattice.nodes, data.draw(
             st.lists(floats, min_size=size, max_size=size), label="atoms")))
         zeta = redundancy_from_atoms(lattice, approx)
+        assert zeta == reference_zeta_sums(lattice, approx)
         scan = down_set_sums(lattice, approx)
         assert all(abs(zeta[node] - scan[node]) <= 1e-12 for node in lattice.nodes)
 
@@ -246,6 +255,65 @@ def test_moebius_round_trip_exact_n5():
     atoms = atoms_from_values(lattice, values)
     assert all(isinstance(v, Fraction) for v in atoms.values())
     assert redundancy_from_atoms(lattice, atoms) == values
+
+
+def value_kinds(rng, size) -> dict:
+    """Seeded value vectors of every kind the engine takes, ``size`` values each."""
+
+    def fraction():
+        return Fraction(rng.randint(-64, 64), rng.randint(1, 12))
+
+    return {
+        "denominators 1..12": [fraction() for _ in range(size)],
+        "distinct primes near 1e6": [Fraction(rng.randint(-10**6, 10**6), p)
+                                     for p in primes_from(10**6, size)],
+        "zeros and negatives": [rng.choice((Fraction(0), -abs(fraction()))) for _ in range(size)],
+        "integral fractions": [Fraction(rng.randint(-64, 64), 1) for _ in range(size)],
+        "ints": [rng.randint(-64, 64) for _ in range(size)],
+        "ints and fractions": [rng.choice((rng.randint(-64, 64), fraction())) for _ in range(size)],
+        "floats": [rng.uniform(-3, 3) for _ in range(size)],
+    }
+
+
+def typed(values: dict) -> list:
+    return [(node, type(value), value) for node, value in values.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inversion_and_zeta_equal_the_per_step_loops(n):
+    # exact values take an integer path, every other vector the per-step
+    # loop; values, types and float bits must all match the plain loops
+    lattice = redundancy_lattice(n)
+    rng = random.Random(f"per-step-{n}")
+    for kind, vector in value_kinds(rng, len(lattice)).items():
+        values = dict(zip(lattice.nodes, vector))
+        atoms = atoms_from_values(lattice, values)
+        assert typed(atoms) == typed(reference_moebius_atoms(lattice, values)), kind
+        round_trip = redundancy_from_atoms(lattice, atoms)
+        assert typed(round_trip) == typed(reference_zeta_sums(lattice, atoms)), kind
+        if kind != "floats":
+            assert round_trip == values, kind
+        # summing 7579 coprime values reaches denominators of 150,000 bits:
+        # seconds on either side, so that down-sum is checked up to n = 4
+        if n < 5 or not kind.startswith("distinct primes"):
+            assert typed(redundancy_from_atoms(lattice, values)) == typed(
+                reference_zeta_sums(lattice, values)), kind
+
+
+@pytest.mark.parametrize("convert", [atoms_from_values, redundancy_from_atoms])
+def test_a_vector_must_map_exactly_the_lattice_nodes(convert):
+    lattice = redundancy_lattice(2)
+    wider = dict.fromkeys(redundancy_lattice(3).nodes, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^antichain \{3\} is not a node of A_2$"):
+        convert(lattice, wider)
+    short = dict.fromkeys(lattice.nodes[1:], Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^antichain \{1\} of A_2 has no value$"):
+        convert(lattice, short)
+    swapped = {**short, Antichain.of({3}): Fraction(1, 2)}
+    with pytest.raises(ValueError, match=r"^antichain \{1\} of A_2 has no value$"):
+        convert(lattice, swapped)
+    with pytest.raises(ValueError, match=r"^antichain '\{1\}' is not a node of A_2$"):
+        convert(lattice, {**dict.fromkeys(lattice.nodes, 0), "{1}": 1})
 
 
 def test_five_sources_decompose_through_the_library():
