@@ -28,6 +28,7 @@ from .prob import DistributionError, JointDistribution
 from .properties import (
     DEFAULT_REI_TOL,
     PROPERTY_IDS,
+    SCAN_PROPERTIES,
     TABLE_PROPERTIES,
     property_matrix,
     run_all_checks,
@@ -99,8 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--property", default="all",
                          help="property id (%s) or 'all'" % ",".join(PROPERTY_IDS))
     p_check.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=_count, default=32)
+    scan = ", ".join(SCAN_PROPERTIES)
+    p_check.add_argument("--seed", type=int, help=f"seed of the rei scan of {scan} or all (default: 0)")
+    p_check.add_argument("--trials", type=_count,
+                         help=f"trials of the rei scan of {scan} or all (default: 32)")
     p_check.add_argument("--expect", metavar="FILE",
                          help="JSON mapping property -> expected verdict")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
@@ -149,15 +152,15 @@ def _cmd_atoms(args) -> int:
     _require_served(d.n_sources)
     result = atoms_from_redundancy(d, measure)
     report = consistency_check(result, d, args.tol)
+    payload = result.to_json_dict()
     if args.format == "json":
-        payload = result.to_json_dict()
         payload["consistency"] = report.to_json_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"measure: {measure.id}   sources: {d.n_sources}   digest: {d.digest[:16]}")
-        width = max(len(a.label) for a in result.atoms)
-        for antichain, value in result.atoms.items():
-            print(f"  {antichain.label:<{width}}  {value: .12f}")
+        width = max(map(len, payload["atoms"]))
+        for label, value in payload["atoms"].items():
+            print(f"  {label:<{width}}  {value: .12f}")
         print(f"consistency: max residual {report.max_residual:.3e} over "
               f"{len(report.entries)} subsets (tol {report.tolerance:g})")
     return EXIT_OK if report.passed else EXIT_UNEXPECTED
@@ -190,12 +193,18 @@ def _cmd_check(args) -> int:
     if not_run:
         raise DistributionError(f"{args.expect}: expects verdicts of properties that "
                                 f"--property {args.property} does not run: {', '.join(not_run)}")
+    # flags not given keep the checks' own defaults (seed 0, 32 trials)
+    scan = {name: value for name, value in (("seed", args.seed), ("trials", args.trials))
+            if value is not None}
+    if scan and args.property not in ("all", *SCAN_PROPERTIES):
+        raise DistributionError(f"--{next(iter(scan))} applies to the rei scan of "
+                                f"{', '.join(SCAN_PROPERTIES)} or all; "
+                                f"--property {args.property} does not run it")
     _require_served(d.n_sources)
     if args.property == "all":
-        reports = run_all_checks(d, measure, tol=args.tol, trials=args.trials, seed=args.seed)
+        reports = run_all_checks(d, measure, tol=args.tol, **scan)
     else:
-        reports = (run_property(args.property, d, measure,
-                                tol=args.tol, trials=args.trials, seed=args.seed),)
+        reports = (run_property(args.property, d, measure, tol=args.tol, **scan),)
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True))
     else:

@@ -38,6 +38,7 @@ from typing import Mapping
 
 from .lattice import (
     RedundancyLattice,
+    _subset_mask,
     condition_test,
     degree_of_redundancy,
     nonempty_subsets,
@@ -94,11 +95,12 @@ class PidResult:
         return tuple(map(redundancy_lattice(self.n).zero_set, self.atoms))
 
     def to_json_dict(self) -> dict:
+        label_of = redundancy_lattice(self.n).label_of
         return {
             "n": self.n,
             "measure": self.measure_id,
             "distribution_digest": self.distribution_digest,
-            "atoms": {a.label: value for a, value in self.atoms.items()},
+            "atoms": {label_of[a]: value for a, value in self.atoms.items()},
         }
 
 
@@ -313,13 +315,19 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Check that atoms whose parthood table marks a subset sum to that
     subset's mutual information, for every nonempty subset of sources: atom
-    k counts toward S iff S is not in the zero set of node k."""
+    k counts toward S iff S is not in the zero set of node k.
+
+    Each atom sum is ``c_information(result, "red", (S,))``, read as the one
+    zero-set bit of S."""
     if result.n != d.n_sources:
         raise ValueError("result and distribution have different source counts")
-    return ConsistencyReport(tuple(
-        ConsistencyEntry(subset, c_information(result, "red", (subset,)), d.marginal_mi(subset))
-        for subset in nonempty_subsets(d.n_sources)
-    ), tol)
+    atoms = list(zip(result.atoms.values(), result.zero_sets))
+    entries = []
+    for subset in nonempty_subsets(d.n_sources):
+        bit = 1 << _subset_mask(subset, d.n_sources)
+        atom_sum = math.fsum([a for a, zeros in atoms if not zeros & bit])
+        entries.append(ConsistencyEntry(subset, atom_sum, d.marginal_mi(subset)))
+    return ConsistencyReport(tuple(entries), tol)
 
 
 # ----------------------------------------------------------------------

@@ -288,6 +288,12 @@ class RedundancyLattice:
         return tuple(node.label for node in self.nodes)
 
     @cached_property
+    def label_of(self) -> dict:
+        """Node -> its entry of :attr:`labels`, so a caller that labels
+        nodes in any order builds no label string."""
+        return dict(zip(self.nodes, self.labels))
+
+    @cached_property
     def zeta_pairs(self) -> tuple:
         """The covers as ``(lower, upper)`` index pairs in zeta-transform
         order: grouped by the subset ``s`` that ``Z_upper`` has and

@@ -108,6 +108,25 @@ def _symbol_key(symbol) -> tuple:
     return (type(symbol).__name__, str(symbol))
 
 
+def _canonical_order(rows: list) -> list:
+    """``rows`` (value tuples of one length, with weights) sorted by the
+    :func:`_symbol_key` of each value, position by position; stable.
+
+    The key is computed once per distinct ``(type, value)`` symbol, so
+    ``True`` and ``1`` stay apart, and each row is sorted by the tuple of
+    its symbols' ranks in key order, equal keys sharing a rank.
+    """
+    columns = [list(zip(map(type, column), column)) for column in zip(*[v for v, _ in rows])]
+    rank, previous = {}, None
+    for symbol in sorted(set().union(*columns), key=lambda s: _symbol_key(s[1])):
+        key = _symbol_key(symbol[1])
+        if key != previous:
+            r, previous = len(rank), key
+        rank[symbol] = r
+    ranked = list(zip(*[map(rank.__getitem__, column) for column in columns]))
+    return [rows[i] for i in sorted(range(len(rows)), key=ranked.__getitem__)]
+
+
 @dataclass(frozen=True)
 class Outcome:
     """One row of a joint distribution table, as the API takes and returns it.
@@ -184,7 +203,7 @@ class JointDistribution:
                 if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
                     raise DistributionError(f"outcome {_clip(repr(outcome))} does not have "
                                             f"{n_sources} source and {target_arity} target values")
-                if p < 0 or p > 1:
+                if not 0 <= p.numerator <= p.denominator:
                     raise DistributionError(f"probability {_clip(str(p))} outside [0, 1]")
                 aux = () if outcome.aux is None else (outcome.aux,)
                 rows.append((tuple(outcome.sources) + tuple(outcome.target) + aux, p))
@@ -195,7 +214,7 @@ class JointDistribution:
         if len({len(values) for values, _ in rows}) > 1:
             raise DistributionError("auxiliary value must be present on all outcomes or none")
         # every row has one arity, so this orders sources, then target, then aux
-        rows.sort(key=lambda row: tuple(map(_symbol_key, row[0])))
+        rows = _canonical_order(rows)
         if len({values for values, _ in rows}) < len(rows):
             counts = Counter(values for values, _ in rows)
             twice = _outcome(next(v for v, _ in rows if counts[v] > 1), n_sources, target_arity)
@@ -328,15 +347,21 @@ class JointDistribution:
         return -math.fsum(w / d * log2_ratio(w, d) for w in self._marginal_weights(selectors).values())
 
     def mutual_information(self, left: Sequence[Selector], right: Sequence[Selector]) -> float:
-        """I(left; right) in bits, from exact joint/marginal ratios."""
+        """I(left; right) in bits, from exact joint/marginal ratios; both
+        marginals are integer sums over the one joint marginal."""
         if not left or not right:
             return 0.0
-        joint = self._marginal_weights(list(left) + list(right))
-        w_left, w_right = self._marginal_weights(left), self._marginal_weights(right)
-        d, k = self._denominator, len(left)
+        k = len(left)
+        cells = [(key[:k], key[k:], w)
+                 for key, w in self._marginal_weights(list(left) + list(right)).items()]
+        w_left, w_right = {}, {}
+        for a, b, w in cells:
+            w_left[a] = w_left.get(a, 0) + w
+            w_right[b] = w_right.get(b, 0) + w
+        d = self._denominator
         total = 0.0
-        for key, w in joint.items():
-            total += w / d * log2_ratio(w * d, w_left[key[:k]] * w_right[key[k:]])
+        for a, b, w in cells:
+            total += w / d * log2_ratio(w * d, w_left[a] * w_right[b])
         return total
 
     def marginal_mi(self, a: Iterable[int]) -> float:

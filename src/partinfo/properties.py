@@ -650,6 +650,8 @@ _CHECKS = {
     "t2": check_theorem2,
 }
 PROPERTY_IDS = tuple(_CHECKS)
+#: the properties that run the rei scan, so take ``trials`` and ``seed``
+SCAN_PROPERTIES = ("rei", "t1", "t2")
 
 
 def run_property(
@@ -670,11 +672,11 @@ def run_property(
     if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
     rei_tol, tol = (DEFAULT_REI_TOL, DEFAULT_TOL) if tol is None else (tol, tol)
-    scan = {}
+    scan = {"trials": trials, "seed": seed} if property_id in SCAN_PROPERTIES else {}
     if property_id == "rei":
-        tol, scan = rei_tol, {"trials": trials, "seed": seed}
-    elif property_id in ("t1", "t2"):
-        scan = {"trials": trials, "seed": seed, "rei_tol": rei_tol}
+        tol = rei_tol
+    elif scan:                  # t1 and t2 run the rei scan inside their witness
+        scan["rei_tol"] = rei_tol
     try:
         return _CHECKS[property_id](d, measure, tol, **scan)
     except PreconditionError as exc:

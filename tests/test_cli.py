@@ -104,6 +104,20 @@ def test_check_expectation_for_a_property_not_run_is_input_error(tmp_path, capsy
     assert err.startswith("error: ") and "rei, tcr" in err and "--property lp" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--trials", "4"), ("--seed", "0")])
+def test_check_scan_flags_for_a_property_without_the_scan_are_input_errors(capsys, flag, value):
+    code, out, err = run_cli(capsys, *_CHECK_LP, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err and "--property lp" in err
+
+
+def test_check_scan_defaults_are_seed_0_and_32_trials(capsys):
+    argv = [*_CHECK_LP[:-1], "rei", "--format", "json"]
+    default = run_cli(capsys, *argv)
+    assert default == run_cli(capsys, *argv, "--seed", "0", "--trials", "32")
+    assert json.loads(default[1])[0]["details"]["trials"] == 32
+
+
 def test_check_unknown_property_is_input_error(capsys):
     code, _, err = run_cli(
         capsys, "check", "--gate", "xor", "--measure", "imin", "--property", "bogus"

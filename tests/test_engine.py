@@ -191,9 +191,14 @@ def test_consistency_equations_hold_on_generated_tables():
         nodes = redundancy_lattice(d.n_sources).nodes
         for measure in (IMIN, ISX):
             result = atoms_from_redundancy(d, measure)
-            assert consistency_check(result, d).passed, measure.id
-            for subset in nonempty_subsets(d.n_sources):
+            report = consistency_check(result, d)
+            assert report.passed, measure.id
+            assert [e.subset for e in report.entries] == list(nonempty_subsets(d.n_sources))
+            for entry in report.entries:
+                subset = entry.subset
                 value = c_information(result, "red", (subset,))
+                # the check reads the one zero-set bit of S: the same sum, bit for bit
+                assert entry.atom_sum == value and entry.mutual_information == d.marginal_mi(subset)
                 above = Antichain.of(subset)
                 assert value == math.fsum(result.atoms[node] for node in nodes
                                           if lattice_leq(node, above))
@@ -469,6 +474,18 @@ def test_consistency_residuals_equal_a_table_walk(rng):
         oracle = math.fsum(value for node, value in result.atoms.items()
                            if tables[node].value(entry.subset))
         assert entry.residual == abs(oracle - d.marginal_mi(entry.subset))
+
+
+def test_json_atoms_are_labelled_by_node_in_any_atom_order(gate_corpus):
+    d = gate_corpus["xor_source_copy"]
+    result = atoms_from_redundancy(d, ISX)
+    reversed_result = PidResult(3, dict(reversed(result.atoms.items())), "isx", d)
+    conditional = conditional_atoms(d, IMIN, ("target", 1))
+    for r in (result, reversed_result, conditional):
+        payload = r.to_json_dict()
+        assert payload["atoms"] == {a.label: v for a, v in r.atoms.items()}
+        assert list(payload["atoms"]) == [a.label for a in r.atoms]
+    assert tuple(reversed_result.to_json_dict()["atoms"]) == redundancy_lattice(3).labels[::-1]
 
 
 def test_callable_condition_is_rejected(gate_corpus):

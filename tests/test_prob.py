@@ -263,9 +263,23 @@ def test_aux_variable_support_and_conditioning():
     assert sum(p for _, p in conditioned.support) == 1
 
 
+def test_rows_are_ordered_by_symbol_type_name_then_text():
+    # bool before int, "10" before "2"; True and 1 are equal values but
+    # different symbols, so the second column does not decide between them
+    rows = [((2, "a"), Fraction(1, 4)), ((1, "a"), Fraction(1, 4)),
+            ((True, "b"), Fraction(1, 4)), ((10, "a"), Fraction(1, 4))]
+    d = JointDistribution(2, 1, [(Outcome(s, (0,)), p) for s, p in rows])
+    assert [repr(o.sources) for o, _ in d.support] == [
+        "(True, 'b')", "(1, 'a')", "(10, 'a')", "(2, 'a')"]
+    with pytest.raises(DistributionError, match="duplicate outcome"):
+        JointDistribution(2, 1, [(Outcome((True, "a"), (0,)), Fraction(1, 2)),
+                                 (Outcome((1, "a"), (0,)), Fraction(1, 2))])
+
+
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
 def test_integer_core_matches_fraction_reference_on_generated_tables():
-    symbols = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b", "1"]))
+    # ints 10 and -1: the (type name, str) order puts "-1" first and "10" before "2"
+    symbols = st.one_of(st.sampled_from([0, 1, 2, 10, -1]), st.sampled_from(["a", "b", "1"]))
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None,
               phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
