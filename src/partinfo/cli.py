@@ -74,12 +74,20 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or one that builds the flags of
+    ``command`` alone; the others keep their names and help lines, so help,
+    usage and errors for ``command`` read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="partinfo",
         description="Partial information decomposition of discrete joint distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, help_text, run):    # None for a command whose flags are not built
+        p = sub.add_parser(name, help=help_text, add_help=command in (None, name))
+        p.set_defaults(run=run)
+        return p if p.add_help else None
 
     def add_input_flags(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -88,39 +96,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise", help="gate noise level (rational, e.g. 1/8; default 0)")
         p.add_argument("--emit", metavar="FILE", help="write the distribution JSON and continue")
 
-    p_atoms = sub.add_parser("atoms", help="compute the information atoms")
-    add_input_flags(p_atoms)
-    p_atoms.add_argument("--measure", required=True, help="registered measure id")
-    p_atoms.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_atoms.add_argument("--format", choices=("text", "json"), default="text")
+    if p_atoms := add_parser("atoms", "compute the information atoms", _cmd_atoms):
+        add_input_flags(p_atoms)
+        p_atoms.add_argument("--measure", required=True, help="registered measure id")
+        p_atoms.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+        p_atoms.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_check = sub.add_parser("check", help="run property checks")
-    add_input_flags(p_check)
-    p_check.add_argument("--measure", required=True)
-    p_check.add_argument("--property", default="all",
-                         help="property id (%s) or 'all'" % ",".join(PROPERTY_IDS))
-    p_check.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
-    scan = ", ".join(SCAN_PROPERTIES)
-    p_check.add_argument("--seed", type=int, help=f"seed of the rei scan of {scan} or all (default: 0)")
-    p_check.add_argument("--trials", type=_count,
-                         help=f"trials of the rei scan of {scan} or all (default: 32)")
-    p_check.add_argument("--expect", metavar="FILE",
-                         help="JSON mapping property -> expected verdict")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
+    if p_check := add_parser("check", "run property checks", _cmd_check):
+        add_input_flags(p_check)
+        p_check.add_argument("--measure", required=True)
+        p_check.add_argument("--property", default="all",
+                             help="property id (%s) or 'all'" % ",".join(PROPERTY_IDS))
+        p_check.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
+        scan = ", ".join(SCAN_PROPERTIES)
+        p_check.add_argument("--seed", type=int, help=f"seed of the rei scan of {scan} or all (default: 0)")
+        p_check.add_argument("--trials", type=_count,
+                             help=f"trials of the rei scan of {scan} or all (default: 32)")
+        p_check.add_argument("--expect", metavar="FILE",
+                             help="JSON mapping property -> expected verdict")
+        p_check.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_lattice = sub.add_parser("lattice", help="emit the antichain lattice")
-    p_lattice.add_argument("--n", type=int, default=3)
-    p_lattice.add_argument("--allow-large", action="store_true",
-                           help="permit n=5 (text and DOT only)")
-    p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    if p_lattice := add_parser("lattice", "emit the antichain lattice", _cmd_lattice):
+        p_lattice.add_argument("--n", type=int, default=3)
+        p_lattice.add_argument("--allow-large", action="store_true",
+                               help="permit n=5 (text and DOT only)")
+        p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    p_table = sub.add_parser("table2", help="property matrix over the gate corpus")
-    p_table.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
-    p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--trials", type=_count, default=32)
-    p_table.add_argument("--expect", metavar="FILE",
-                         help="expectations JSON (default: packaged table)")
-    p_table.add_argument("--format", choices=("text", "json"), default="text")
+    if p_table := add_parser("table2", "property matrix over the gate corpus", _cmd_table2):
+        p_table.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
+        p_table.add_argument("--seed", type=int, default=0)
+        p_table.add_argument("--trials", type=_count, default=32)
+        p_table.add_argument("--expect", metavar="FILE",
+                             help="expectations JSON (default: packaged table)")
+        p_table.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -228,6 +236,9 @@ def _cmd_lattice(args) -> int:
             f"lattice too large for JSON: n={LARGE_N} has 7,813,193 Möbius rows; "
             "--allow-large works with --format text or dot"
         )
+    if args.allow_large and args.n < LARGE_N:
+        raise DistributionError(f"--allow-large applies to n = {LARGE_N} only; "
+                                f"--n {args.n} does not need it")
     _require_served(args.n, args.allow_large)
     lattice = redundancy_lattice(args.n)
     if args.format == "dot":
@@ -296,16 +307,12 @@ def _cmd_table2(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "atoms": _cmd_atoms,
-        "check": _cmd_check,
-        "lattice": _cmd_lattice,
-        "table2": _cmd_table2,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first argument names the command, unless it is an option or absent
+    named = argv[0] if argv and argv[0] in ("atoms", "check", "lattice", "table2") else None
+    args = build_parser(named).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except LatticeSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -44,7 +44,7 @@ from .lattice import (
     nonempty_subsets,
     redundancy_lattice,
 )
-from .measures import RedundancyMeasure, normalize_args
+from .measures import RedundancyMeasure, normalize_args, subset_mi
 from .prob import JointDistribution, Selector
 
 
@@ -318,7 +318,7 @@ def consistency_check(
     k counts toward S iff S is not in the zero set of node k.
 
     Each atom sum is ``c_information(result, "red", (S,))``, read as the one
-    zero-set bit of S."""
+    zero-set bit of S, and each I(S;T) is :func:`measures.subset_mi`."""
     if result.n != d.n_sources:
         raise ValueError("result and distribution have different source counts")
     atoms = list(zip(result.atoms.values(), result.zero_sets))
@@ -326,7 +326,7 @@ def consistency_check(
     for subset in nonempty_subsets(d.n_sources):
         bit = 1 << _subset_mask(subset, d.n_sources)
         atom_sum = math.fsum([a for a, zeros in atoms if not zeros & bit])
-        entries.append(ConsistencyEntry(subset, atom_sum, d.marginal_mi(subset)))
+        entries.append(ConsistencyEntry(subset, atom_sum, subset_mi(d, subset)))
     return ConsistencyReport(tuple(entries), tol)
 
 

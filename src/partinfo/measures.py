@@ -28,7 +28,7 @@ from operator import mul, or_
 from typing import Callable, Sequence
 
 from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
-from .prob import DistributionError, JointDistribution, log2_ratio
+from .prob import DistributionError, JointDistribution, log2_ratio, mi_from_weights
 
 
 def normalize_args(args) -> tuple:
@@ -89,7 +89,7 @@ class _Kernel:
 
     __slots__ = ("n_sources", "denominator", "codes", "fields", "targets", "weights", "probs",
                  "target_weights", "target_probs", "si_tables", "isx_logs", "field_bits",
-                 "_columns", "_pairs")
+                 "_subsets", "_columns", "_pairs")
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
@@ -113,6 +113,7 @@ class _Kernel:
         self.si_tables: dict = {}          # subset mask -> specific information, per target
         logs: dict = {t: {} for t in self.target_weights}
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
+        self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
         # a field holds any weight up to the denominator; a pair of fields
         # that fills 2, 4 or 8 bytes is read by struct, a wider one by slicing
@@ -126,18 +127,20 @@ class _Kernel:
         """Each point's source values on the subset ``mask``, as its code
         with the other fields cleared, and the weights of each value and of
         each (value, target) pair, keyed in the order they first appear in
-        the support."""
-        bits = 0
-        for i, field_mask in enumerate(self.fields):
-            if mask >> i & 1:
-                bits |= field_mask
-        projections = [code & bits for code in self.codes]
-        w_source: dict = {}
-        w_joint: dict = {}
-        for s_a, t, w in zip(projections, self.targets, self.weights):
-            w_source[s_a] = w_source.get(s_a, 0) + w
-            w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
-        return projections, w_source, w_joint
+        the support; grouped once per mask."""
+        if mask not in self._subsets:
+            bits = 0
+            for i, field_mask in enumerate(self.fields):
+                if mask >> i & 1:
+                    bits |= field_mask
+            projections = [code & bits for code in self.codes]
+            w_source: dict = {}
+            w_joint: dict = {}
+            for s_a, t, w in zip(projections, self.targets, self.weights):
+                w_source[s_a] = w_source.get(s_a, 0) + w
+                w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
+            self._subsets[mask] = projections, w_source, w_joint
+        return self._subsets[mask]
 
     def column(self, mask: int) -> int:
         """The agreement column of the subset ``mask``."""
@@ -188,6 +191,16 @@ def specific_information(d: JointDistribution, a) -> dict:
         w_t = kernel.target_weights[t]
         table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
     return table
+
+
+def subset_mi(d: JointDistribution, a) -> float:
+    """I(a;T) in bits from the kernel's grouping by ``a``, summed as
+    ``d.marginal_mi(a)`` sums the same weights: the same float."""
+    if d.target_arity == 0:
+        raise DistributionError("distribution has no target")
+    kernel = _kernel(d)
+    _, w_source, w_joint = kernel.subset_weights(_subset_mask(a, kernel.n_sources, DistributionError))
+    return mi_from_weights(w_joint, w_source, kernel.target_weights, kernel.denominator)
 
 
 def i_min(d: JointDistribution, args: Sequence) -> float:

@@ -63,13 +63,11 @@ def as_fraction(value) -> Fraction:
     form ("0.25" becomes 1/4 exactly).  Floats are converted through their
     shortest decimal representation.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise DistributionError(f"not a probability: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")   # "digits/digits" parses without Fraction(str)
+        if (slash and value.isascii() and num.isdigit() and den.strip("0").isdigit()
+                and len(value) <= MAX_DIGITS):
+            return Fraction(int(num), int(den))
         mantissa, _, exponent = value.replace("_", "").lower().partition("e")
         exponent = exponent.strip().lstrip("+-").lstrip("0")[:5]   # any 5 digits pass the limit
         digits = sum(c.isdecimal() for c in mantissa) + (int(exponent) if exponent.isdecimal() else 0)
@@ -79,6 +77,12 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DistributionError(f"cannot parse probability {_clip(repr(value))}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise DistributionError(f"not a probability: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(str(value))
     raise DistributionError(f"cannot parse probability {_clip(repr(value))}")
@@ -89,6 +93,15 @@ def log2_ratio(a: int, b: int) -> float:
     the reduced numerator and denominator (so equal ratios give equal bits)."""
     g = math.gcd(a, b)
     return math.log2(a // g) - math.log2(b // g)
+
+
+def mi_from_weights(joint: Mapping, w_left: Mapping, w_right: Mapping, denominator: int) -> float:
+    """I(A;B) in bits from the integer weights over ``denominator`` of each (a, b) pair,
+    each a and each b, with the terms added in ``joint``'s order."""
+    total = 0.0
+    for (a, b), w in joint.items():
+        total += w / denominator * log2_ratio(w * denominator, w_left[a] * w_right[b])
+    return total
 
 
 def _check_injective(name: str, table: Mapping, support) -> list:
@@ -161,11 +174,38 @@ def _normalize_selector(selector: Selector) -> tuple:
 
 
 class _Weights(NamedTuple):
-    """(value tuple, integer weight) rows over one denominator: how a derived
-    distribution is handed its table."""
+    """(value tuple, integer weight) rows over one denominator: how a
+    distribution is handed its table once its rows are checked."""
 
     rows: list
     denominator: int
+
+
+def _api_parts(row) -> tuple:
+    """The parts of an API row (:class:`Outcome` or (sources, target[, aux]), p)."""
+    outcome, prob = row
+    if not isinstance(outcome, Outcome):
+        outcome = Outcome(tuple(outcome[0]), tuple(outcome[1]), *outcome[2:3])
+    return outcome.sources, outcome.target, outcome.aux, as_fraction(prob)
+
+
+def _weighted(n_sources: int, target_arity: int, parts: Iterable) -> _Weights:
+    """``(sources, target, aux or None, Fraction p)`` rows, checked in turn for
+    their arity and for p in [0, 1], as flat rows over their common denominator."""
+    if n_sources < 1:
+        raise DistributionError("need at least one source variable")
+    if target_arity < 0:
+        raise DistributionError("target arity cannot be negative")
+    rows = []
+    for sources, target, aux, p in parts:
+        if len(sources) != n_sources or len(target) != target_arity:
+            raise DistributionError(f"outcome {_clip(repr(Outcome(sources, target, aux)))} does not "
+                                    f"have {n_sources} source and {target_arity} target values")
+        if not 0 <= p.numerator <= p.denominator:
+            raise DistributionError(f"probability {_clip(str(p))} outside [0, 1]")
+        rows.append(((*sources, *target) if aux is None else (*sources, *target, aux), p))
+    denominator = math.lcm(*(p.denominator for _, p in rows))
+    return _Weights([(v, p.numerator * (denominator // p.denominator)) for v, p in rows], denominator)
 
 
 class JointDistribution:
@@ -188,27 +228,9 @@ class JointDistribution:
                  "_digest", "_hash", "_measure_kernel")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
-        if n_sources < 1:
-            raise DistributionError("need at least one source variable")
-        if target_arity < 0:
-            raise DistributionError("target arity cannot be negative")
-        if isinstance(outcomes, _Weights):
-            rows, denominator = outcomes
-        else:               # API rows become flat rows over their common denominator
-            rows = []
-            for outcome, prob in outcomes:
-                if not isinstance(outcome, Outcome):    # (sources, target[, aux])
-                    outcome = Outcome(tuple(outcome[0]), tuple(outcome[1]), *outcome[2:3])
-                p = as_fraction(prob)
-                if (len(outcome.sources), len(outcome.target)) != (n_sources, target_arity):
-                    raise DistributionError(f"outcome {_clip(repr(outcome))} does not have "
-                                            f"{n_sources} source and {target_arity} target values")
-                if not 0 <= p.numerator <= p.denominator:
-                    raise DistributionError(f"probability {_clip(str(p))} outside [0, 1]")
-                aux = () if outcome.aux is None else (outcome.aux,)
-                rows.append((tuple(outcome.sources) + tuple(outcome.target) + aux, p))
-            denominator = math.lcm(*(p.denominator for _, p in rows))
-            rows = [(v, p.numerator * (denominator // p.denominator)) for v, p in rows]
+        if not isinstance(outcomes, _Weights):
+            outcomes = _weighted(n_sources, target_arity, map(_api_parts, outcomes))
+        rows, denominator = outcomes
         if not rows:
             raise DistributionError("empty outcome table")
         if len({len(values) for values, _ in rows}) > 1:
@@ -352,17 +374,13 @@ class JointDistribution:
         if not left or not right:
             return 0.0
         k = len(left)
-        cells = [(key[:k], key[k:], w)
-                 for key, w in self._marginal_weights(list(left) + list(right)).items()]
-        w_left, w_right = {}, {}
-        for a, b, w in cells:
+        joint, w_left, w_right = {}, {}, {}
+        for key, w in self._marginal_weights(list(left) + list(right)).items():
+            a, b = joint_key = key[:k], key[k:]
+            joint[joint_key] = w
             w_left[a] = w_left.get(a, 0) + w
             w_right[b] = w_right.get(b, 0) + w
-        d = self._denominator
-        total = 0.0
-        for a, b, w in cells:
-            total += w / d * log2_ratio(w * d, w_left[a] * w_right[b])
-        return total
+        return mi_from_weights(joint, w_left, w_right, self._denominator)
 
     def marginal_mi(self, a: Iterable[int]) -> float:
         """I({S_i : i in a}; T) in bits; the empty collection carries 0 bits."""
@@ -456,10 +474,10 @@ class JointDistribution:
     def to_json_dict(self) -> dict:
         n, end = self.n_sources, self.n_sources + self.target_arity
         outcomes = []
+        d = self._denominator
         for values, w in self._weights:
-            p = Fraction(w, self._denominator)
-            entry = {"s": list(values[:n]), "t": list(values[n:end]),
-                     "p": f"{p.numerator}/{p.denominator}"}
+            g = math.gcd(w, d)
+            entry = {"s": list(values[:n]), "t": list(values[n:end]), "p": f"{w // g}/{d // g}"}
             if len(values) > end:
                 entry["z"] = values[end]
             outcomes.append(entry)
@@ -482,7 +500,7 @@ class JointDistribution:
                 f"n_sources and target_arity must be integers: "
                 f"{_clip(repr(n_sources))}, {_clip(repr(target_arity))}"
             )
-        rows = []
+        parts = []
         for entry in entries:
             try:
                 sources, target = entry["s"], entry["t"]
@@ -490,16 +508,16 @@ class JointDistribution:
                     raise DistributionError(
                         f"outcome fields s and t must be arrays: {_clip(repr(entry))}"
                     )
-                outcome = Outcome(tuple(sources), tuple(target), entry.get("z"))
-                rows.append((outcome, as_fraction(entry["p"])))
+                aux = entry.get("z")
+                p = as_fraction(entry["p"])
             except (KeyError, TypeError) as exc:
                 raise DistributionError(f"malformed outcome entry {_clip(repr(entry))}") from exc
-            aux = () if outcome.aux is None else (outcome.aux,)
-            if not all(type(v) in (int, str) for v in outcome.sources + outcome.target + aux):
+            if not {int, str}.issuperset(map(type, sources + target + ([] if aux is None else [aux]))):
                 raise DistributionError(
                     f"outcome symbols must be ints or strings: {_clip(repr(entry))}"
                 )
-        return cls(n_sources, target_arity, rows)
+            parts.append((tuple(sources), tuple(target), aux, p))
+        return cls(n_sources, target_arity, _weighted(n_sources, target_arity, parts))
 
     def dump(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")

@@ -1,6 +1,8 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from partinfo import JointDistribution
-from partinfo.cli import main
+from partinfo import DistributionError, JointDistribution
+from partinfo.cli import build_parser, main
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -157,6 +159,68 @@ def test_lattice_resource_cap(capsys):
     assert code == 3
 
 
+def _parse(parse, argv) -> tuple:
+    """What ``parse(argv)`` returns, or its exit code, and everything it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_PARSE_ARGV = [
+    [], ["--help"], ["-h"], ["--help", "atoms"], ["-x"], ["bogus"], ["bogus", "--help"],
+    ["atoms"], ["check"], ["lattice", "--n"], ["table2", "extra"],
+    *([command, flag] for command in ("atoms", "check", "lattice", "table2")
+      for flag in ("--help", "-h")),
+    ["atoms", "--gate", "xor", "--measure", "imin"],
+    ["atoms", "--input", "t.json", "--measure", "isx", "--format", "json", "--tol", "0", "--emit", "e"],
+    ["atoms", "--gate=and", "--noise=1/8", "--meas", "imin"],
+    ["atoms", "--gate", "xor", "--input", "t.json", "--measure", "imin"],
+    ["atoms", "--gate", "nope", "--measure", "imin"],
+    ["atoms", "--gate", "xor", "--measure", "imin", "--extra"],
+    ["atoms", "--gate", "xor", "--measure", "imin", "--trials", "3"],
+    ["atoms", "--gate", "xor", "--measure", "imin", "--tol", "nan"],
+    ["check", "--gate", "and", "--noise", "1/8", "--measure", "isx", "--property", "rei",
+     "--seed", "3", "--trials", "4", "--expect", "e.json", "--format", "json", "--tol", "1e-6"],
+    ["check", "--gate", "xor", "--measure", "imin", "--trials", "-1"],
+    ["check", "--input", "t.json"],
+    ["lattice"], ["lattice", "--n", "5", "--allow", "--format", "dot"], ["lattice", "--n", "x"],
+    ["lattice", "--format", "svg"],
+    ["table2", "--tol", "1e-6", "--seed", "2", "--trials", "3", "--expect", "x.json"],
+    ["table2", "--format", "csv"], ["table2", "--seed", "1.5"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGV, ids=" ".join)
+def test_main_parses_and_prints_as_the_full_parser(monkeypatch, argv):
+    # main builds the flags of the command named first alone, and all of them
+    # otherwise; what it parses, prints and exits with is the full parser's
+    from partinfo import cli
+
+    commands, built, parsed = ("atoms", "check", "lattice", "table2"), [], []
+    for name in commands:
+        monkeypatch.setattr(cli, f"_cmd_{name}", parsed.append)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+
+    def run(argv):
+        main(argv)
+        return parsed.pop()
+
+    assert _parse(run, argv) == _parse(build_parser().parse_args, argv)
+    assert built == [argv[0] if argv and argv[0] in commands else None]
+
+
+@pytest.mark.parametrize("n", ["1", "3", "4"])
+def test_lattice_allow_large_below_n5_is_input_error(capsys, n):
+    code, out, err = run_cli(capsys, "lattice", "--n", n, "--allow-large")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--allow-large" in err and f"--n {n}" in err
+
+
 def test_lattice_n5_json_is_refused_before_the_build(capsys, monkeypatch):
     from partinfo import cli
 
@@ -222,6 +286,64 @@ def test_bad_outcome_entries_exit_2(tmp_path, capsys, outcomes):
     path = _write_outcomes(tmp_path / "bad.json", outcomes)
     code, _, err = run_cli(capsys, "atoms", "--input", path, "--measure", "imin")
     assert code == 2 and err.startswith("error: ")
+
+
+def _entry(**fields):
+    return {"s": [0, 1], "t": [0], "p": "1", **fields}
+
+
+_OVER_MAX_DIGITS = "1/" + "1" * 4300
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"outcomes": [_entry(s="01")]}, "outcome fields s and t must be arrays: {'s': '01'"),
+    ({"outcomes": [_entry(t=0)]}, "outcome fields s and t must be arrays: {'s': [0, 1], 't': 0"),
+    ({"outcomes": [_entry(s=[True, 1])]}, "outcome symbols must be ints or strings: {'s': [True, 1]"),
+    ({"outcomes": [_entry(t=[1.0])]}, "outcome symbols must be ints or strings"),
+    ({"outcomes": [_entry(s=[[0], 1])]}, "outcome symbols must be ints or strings"),
+    ({"outcomes": [_entry(z=False)]}, "outcome symbols must be ints or strings"),
+    ({"outcomes": [_entry(z=0.5)]}, "outcome symbols must be ints or strings"),
+    ({"outcomes": [_entry(z=["a"])]}, "outcome symbols must be ints or strings"),
+    ({"outcomes": [_entry(s=[0])]},
+     "outcome Outcome(sources=(0,), target=(0,), aux=None) does not have 2 source and 1 target values"),
+    ({"outcomes": [_entry(t=[0, 1], z="a")]},
+     "outcome Outcome(sources=(0, 1), target=(0, 1), aux='a') does not have 2 source"),
+    ({"outcomes": [{"s": [0, 1], "t": [0]}]}, "malformed outcome entry {'s': [0, 1], 't': [0]}"),
+    ({"outcomes": [5]}, "malformed outcome entry 5"),
+    ({"outcomes": [[0, 1]]}, "malformed outcome entry [0, 1]"),
+    ({"outcomes": [_entry(p="1/0")]}, "cannot parse probability '1/0'"),
+    ({"outcomes": [_entry(p="-1/4")]}, "probability -1/4 outside [0, 1]"),
+    ({"outcomes": [_entry(p="5/4")]}, "probability 5/4 outside [0, 1]"),
+    ({"outcomes": [_entry(p="10/8")]}, "probability 5/4 outside [0, 1]"),
+    ({"outcomes": [_entry(p=_OVER_MAX_DIGITS)]},
+     "probability needs more than 4300 digits: '1/111"),
+    ({"outcomes": [_entry(p="1/2"), _entry(p="1/2")]},
+     "duplicate outcome Outcome(sources=(0, 1), target=(0,), aux=None)"),
+    ({"outcomes": [_entry(p="1/4"), _entry(s=[1, 1], p="1/2")]},
+     "probabilities sum to 3/4, expected exactly 1"),
+    ({"n_sources": 2.0}, "n_sources and target_arity must be integers: 2.0, 1"),
+    ({"n_sources": "2"}, "n_sources and target_arity must be integers: '2', 1"),
+    ({"target_arity": True}, "n_sources and target_arity must be integers: 2, True"),
+    ({"n_sources": 0}, "need at least one source variable"),
+    ({"target_arity": -1}, "target arity cannot be negative"),
+    # the first fault in the order the checks run is the one named
+    ({"n_sources": 0, "outcomes": [_entry(s=[0]), 5]}, "malformed outcome entry 5"),
+    ({"n_sources": 0, "outcomes": [_entry(s=[0])]}, "need at least one source variable"),
+    ({"outcomes": [_entry(p="5/4"), _entry(s=[0])]}, "probability 5/4 outside [0, 1]"),
+    ({"outcomes": [_entry(s=[0], p="5/4"), _entry(p="1/0")]}, "cannot parse probability '1/0'"),
+])
+def test_json_input_rejections_name_their_fault(tmp_path, capsys, data, message):
+    data = {"n_sources": 2, "target_arity": 1, "outcomes": [_entry()], **data}
+    with pytest.raises(DistributionError) as exc:
+        JointDistribution.from_json_dict(data)
+    assert message in str(exc.value)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(DistributionError) as exc:
+        JointDistribution.load(path)
+    assert message in str(exc.value)
+    code, out, err = run_cli(capsys, "atoms", "--input", str(path), "--measure", "imin")
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("outcomes", [

@@ -25,7 +25,7 @@ from partinfo import (
     specific_information,
 )
 from partinfo.lattice import nonempty_subsets
-from partinfo.measures import _kernel
+from partinfo.measures import _kernel, subset_mi
 
 from conftest import (
     draw_aux_table,
@@ -206,6 +206,41 @@ def test_kernel_paths_equal_the_direct_formulas_bit_for_bit():
         assert i_sx(twin, args) == value
 
     check()
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_kernel_grouped_mutual_information_equals_marginal_mi_bit_for_bit():
+    # I(S;T) read off the kernel's grouping by S, cold and after a
+    # decomposition filled it, is the float of d.marginal_mi(S)
+
+    symbols = st.one_of(st.integers(-1, 2), st.sampled_from(["a", "b", "10"]))
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4), label="n")
+        arity = data.draw(st.integers(1, 2), label="target arity")
+        points = data.draw(st.lists(st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity)),
+                                    min_size=1, max_size=12, unique=True), label="points")
+        cells = [(s, t, z) for s, t in points
+                 for z in data.draw(st.lists(symbols, min_size=1, max_size=2, unique=True),
+                                    label="aux values")]
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
+                                     max_size=len(cells)).filter(any), label="weights")
+        rows = [(Outcome(s, t, z), Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+        d = JointDistribution(n, arity, rows)
+        for subset in nonempty_subsets(n):
+            assert subset_mi(d, subset) == d.marginal_mi(subset)
+        measure = data.draw(st.sampled_from([get_measure("imin"), get_measure("isx")]))
+        warm = JointDistribution(n, arity, rows[::-1])
+        atoms_from_redundancy(warm, measure)
+        for subset in nonempty_subsets(n):
+            assert subset_mi(warm, subset) == d.marginal_mi(subset)
+
+    check()
+    with pytest.raises(DistributionError, match="no target"):
+        subset_mi(JointDistribution(1, 0, [(((0,), ()), 1)]), {1})
 
 
 def _seeded_aux_table(rng: random.Random, n: int, alphabet: int, points: int,

@@ -201,6 +201,30 @@ def test_as_fraction_accepts_ratio_decimal_and_float():
             as_fraction(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "3/8", "03/008", "0/5", "8/8", "9/8", "3/0", "1/000", "0/0", "/8", "3/", "/", "3/8/2",
+    " 3/8", "3/8 ", "3 / 8", "+3/8", "-3/8", "3/-8", "3_0/8", "3/8_0", "_3/8",
+    "٣/8", "3/٨", "²/8", "3.0/8", "1e2/8", "0x3/8", "3/8e1", "3/8\n",
+])
+def test_as_fraction_reads_ratio_strings_as_fraction_does(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DistributionError, match="cannot parse probability"):
+            as_fraction(text)
+    else:
+        got = as_fraction(text)
+        assert type(got) is Fraction and got == want
+
+
+def test_as_fraction_digit_limit_holds_for_ratio_strings():
+    at_limit = "1" + "0" * 2149 + "/1" + "0" * 2149         # 4300 digits
+    assert as_fraction(at_limit) == 1
+    for over in ("1" + "0" * 2150 + "/1" + "0" * 2149, "1/" + "1" * 4300, "0" * 4301 + "/1"):
+        with pytest.raises(DistributionError, match="more than 4300 digits"):
+            as_fraction(over)
+
+
 def test_json_round_trip_and_digest(tmp_path, gate_corpus):
     d = gate_corpus["xor_source_copy"]
     path = tmp_path / "gate.json"
