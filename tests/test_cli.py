@@ -172,6 +172,7 @@ def _parse(parse, argv) -> tuple:
 
 _PARSE_ARGV = [
     [], ["--help"], ["-h"], ["--help", "atoms"], ["-x"], ["bogus"], ["bogus", "--help"],
+    ["-x", "atoms", "--gate", "xor", "--measure", "imin"], ["--", "lattice", "--n", "2"],
     ["atoms"], ["check"], ["lattice", "--n"], ["table2", "extra"],
     *([command, flag] for command in ("atoms", "check", "lattice", "table2")
       for flag in ("--help", "-h")),
