@@ -10,11 +10,11 @@ Two measures ship with the package:
 
 Both accept an arbitrary tuple of source-index collections (not only
 antichains), which is what the conformance checks for symmetry and
-superset invariance exercise.  Each call checks every member against the
-table and encodes it as an int mask once (:func:`lattice._subset_mask`);
-the masks key what the measures keep per table, in a kernel that the
-distribution holds for them.  Additional measures can be registered at
-runtime without touching the decomposition engine.
+superset invariance exercise.  Every member is checked against the table
+and encoded as an int mask (:func:`lattice._subset_mask`), once per
+hashable argument tuple; the masks key what the measures keep per table,
+in a kernel that the distribution holds for them.  Additional measures can
+be registered at runtime without touching the decomposition engine.
 """
 
 from __future__ import annotations
@@ -68,13 +68,14 @@ class _Kernel:
     """Per-subset tables over the (sources, target) marginal of a distribution.
 
     Point ``k`` is the k-th distinct (sources, target) pair in canonical
-    support order (rows differing only in aux are merged) and has
-    probability ``weights[k] / denominator``, kept as the float
-    ``probs[k]``.  Its source values are one int, ``codes[k]``: each source
-    owns a fixed bit field, ``fields[i - 1]`` for source ``i``, holding the
-    index at which the point's value first appears in that source's column.
-    A source subset is an int mask, bit ``i - 1`` for source ``i``; a point's
-    values on it are its code with the other sources' fields cleared.  Each
+    support order and has probability ``weights[k] / denominator``, kept as
+    the float ``probs[k]``; the points and the target weights are read in
+    one pass over the support, which merges rows differing only in aux.
+    Its source values are one int, ``codes[k]``: each source owns a fixed
+    bit field, ``fields[i - 1]`` for source ``i``, holding the index at which
+    the point's value first appears in that source's column.  A source
+    subset is an int mask, bit ``i - 1`` for source ``i``; a point's values
+    on it are its code with the other sources' fields cleared.  Each
     subset's specific information is a list aligned with ``target_weights``,
     whose floats ``w_t / denominator`` are ``target_probs``.  Its agreement
     column is one int holding, for each point ``p``, the exact weight of the
@@ -82,9 +83,11 @@ class _Kernel:
     the weight of those of them that also share ``p``'s target; point
     ``k``'s pair of fields starts at bit ``2k * field_bits``.  So an integer
     combination of columns is one big-int sum whose fields are the combined
-    weights, as long as each lands in ``0..denominator``.  Per-subset tables
-    and ``i_sx``'s log terms are filled on first request and never change
-    afterwards.  The kernel keeps no reference to its distribution.
+    weights, as long as each lands in ``0..denominator``.  A field is 1, 2
+    or 4 bytes wide when the denominator fits, and a pair of fields is
+    packed and read by one ``struct``; wider fields by slicing.  Per-subset
+    tables and ``i_sx``'s log terms are filled on first request and never
+    change afterwards.  The kernel keeps no reference to its distribution.
     """
 
     __slots__ = ("n_sources", "denominator", "codes", "fields", "targets", "weights", "probs",
@@ -93,8 +96,14 @@ class _Kernel:
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
-        targets = [("target", j) for j in range(1, d.target_arity + 1)]
-        points = d._marginal_weights([("source", i) for i in range(1, n + 1)] + targets)
+        end = n + d.target_arity
+        points: dict = {}                  # (sources, target) -> weight
+        self.target_weights = {}           # target value -> weight
+        for values, w in d._weights:
+            point = values[:end]           # rows differing only in aux merge
+            points[point] = points.get(point, 0) + w
+            t = point[n:]
+            self.target_weights[t] = self.target_weights.get(t, 0) + w
         self.denominator = d._denominator
         self.codes = [0] * len(points)
         self.fields = []
@@ -108,7 +117,6 @@ class _Kernel:
         self.targets = [key[n:] for key in points]
         self.weights = list(points.values())
         self.probs = [w / self.denominator for w in self.weights]
-        self.target_weights = d._marginal_weights(targets)     # target value -> weight
         self.target_probs = [w / self.denominator for w in self.target_weights.values()]
         self.si_tables: dict = {}          # subset mask -> specific information, per target
         logs: dict = {t: {} for t in self.target_weights}
@@ -116,7 +124,8 @@ class _Kernel:
         self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
         # a field holds any weight up to the denominator; a pair of fields
-        # that fills 2, 4 or 8 bytes is read by struct, a wider one by slicing
+        # that fills 2, 4 or 8 bytes is packed and read by struct, a wider
+        # one by slicing
         size = -(-self.denominator.bit_length() // 8)
         size = next((k for k in (1, 2, 4) if k >= size), size)
         self.field_bits = 8 * size
@@ -127,30 +136,38 @@ class _Kernel:
         """Each point's source values on the subset ``mask``, as its code
         with the other fields cleared, and the weights of each value and of
         each (value, target) pair, keyed in the order they first appear in
-        the support; grouped once per mask."""
+        the support; grouped once per mask.  The points are grouped by
+        (value, target) pair, and each value's weight is summed from its
+        pairs' groups."""
         if mask not in self._subsets:
             bits = 0
             for i, field_mask in enumerate(self.fields):
                 if mask >> i & 1:
                     bits |= field_mask
             projections = [code & bits for code in self.codes]
-            w_source: dict = {}
             w_joint: dict = {}
-            for s_a, t, w in zip(projections, self.targets, self.weights):
+            for pair, w in zip(zip(projections, self.targets), self.weights):
+                w_joint[pair] = w_joint.get(pair, 0) + w
+            w_source: dict = {}
+            for (s_a, _), w in w_joint.items():
                 w_source[s_a] = w_source.get(s_a, 0) + w
-                w_joint[s_a, t] = w_joint.get((s_a, t), 0) + w
             self._subsets[mask] = projections, w_source, w_joint
         return self._subsets[mask]
 
     def column(self, mask: int) -> int:
-        """The agreement column of the subset ``mask``."""
+        """The agreement column of the subset ``mask``: per point, its
+        ``w_source | w_joint << field_bits`` pair, packed in point order."""
         column = self._columns.get(mask)
         if column is None:
             projections, w_source, w_joint = self.subset_weights(mask)
-            size = self.field_bits // 8
-            column = self._columns[mask] = int.from_bytes(b"".join(
-                w_source[s_b].to_bytes(size, "little") + w_joint[s_b, t].to_bytes(size, "little")
-                for s_b, t in zip(projections, self.targets)), "little")
+            bits = self.field_bits
+            pairs = [w_source[s_b] | w_joint[s_b, t] << bits
+                     for s_b, t in zip(projections, self.targets)]
+            if self._pairs:
+                raw = self._pairs.pack(*pairs)
+            else:
+                raw = b"".join(pair.to_bytes(bits // 4, "little") for pair in pairs)
+            column = self._columns[mask] = int.from_bytes(raw, "little")
         return column
 
     def combined_pairs(self, coefficients) -> Sequence[int]:
@@ -203,6 +220,37 @@ def subset_mi(d: JointDistribution, a) -> float:
     return mi_from_weights(w_joint, w_source, kernel.target_weights, kernel.denominator)
 
 
+def _checked_masks(args: tuple, n: int) -> tuple:
+    """The int mask of each member of ``args``, checked in turn: each must
+    be a nonempty set of source indices in 1..n."""
+    masks = []
+    for a in args:
+        mask = _subset_mask(a, n, DistributionError)
+        if not mask:
+            raise ValueError("measure arguments must be nonempty index sets")
+        masks.append(mask)
+    if not masks:
+        raise ValueError("measure needs at least one argument collection")
+    return tuple(masks)
+
+
+_MASKS: dict = {}       # (args, n) -> (the tuple that was checked, its masks)
+
+
+def _member_masks(args: tuple, n: int) -> tuple:
+    """:func:`_checked_masks`, kept per hashable argument tuple.  A hit needs
+    the very tuple that was checked, so an equal tuple of other index types,
+    such as ``((1.0,),)`` for ``((1,),)``, is checked again."""
+    try:
+        checked, masks = _MASKS.get((args, n), (None, None))
+    except TypeError:           # unhashable members are checked on every call
+        return _checked_masks(args, n)
+    if checked is not args:
+        masks = _checked_masks(args, n)
+        _MASKS[args, n] = args, masks
+    return masks
+
+
 def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
@@ -214,11 +262,9 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     every interpreter.
     """
     kernel = _kernel(d)
-    if not args:
-        raise ValueError("measure needs at least one argument collection")
+    args = tuple(args)
     tables = []
-    for a in args:
-        mask = _subset_mask(a, kernel.n_sources, DistributionError)
+    for a, mask in zip(args, _member_masks(args, kernel.n_sources)):
         table = kernel.si_tables.get(mask)
         if table is None:
             table = kernel.si_tables[mask] = list(specific_information(d, a).values())
@@ -266,9 +312,7 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     points and calls; the terms are still added per point, in support order.
     """
     kernel = _kernel(d)
-    if not args:
-        raise ValueError("measure needs at least one argument collection")
-    masks = tuple(_subset_mask(a, kernel.n_sources, DistributionError) for a in args)
+    masks = _member_masks(tuple(args), kernel.n_sources)
     denominator, bits = kernel.denominator, kernel.field_bits
     pairs = kernel.combined_pairs(_union_coefficients(masks))
     total = 0.0

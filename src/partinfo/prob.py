@@ -237,20 +237,24 @@ class JointDistribution:
             raise DistributionError("auxiliary value must be present on all outcomes or none")
         # every row has one arity, so this orders sources, then target, then aux
         rows = _canonical_order(rows)
-        if len({values for values, _ in rows}) < len(rows):
-            counts = Counter(values for values, _ in rows)
-            twice = _outcome(next(v for v, _ in rows if counts[v] > 1), n_sources, target_arity)
+        values, weights = zip(*rows)
+        if len(set(values)) < len(rows):
+            counts = Counter(values)
+            twice = _outcome(next(v for v in values if counts[v] > 1), n_sources, target_arity)
             raise DistributionError(f"duplicate outcome {_clip(repr(twice))}")
-        total = sum(w for _, w in rows)
+        total = sum(weights)
         if total != denominator:    # as denominator >= 1, this also keeps the support nonempty
             raise DistributionError(
                 f"probabilities sum to {Fraction(total, denominator)}, expected exactly 1"
             )
-        g = math.gcd(*(w for _, w in rows))
+        g = math.gcd(*weights)
+        if g > 1:
+            weights = [w // g for w in weights]
+            rows = list(zip(values, weights))
         self.n_sources = n_sources
         self.target_arity = target_arity
-        self._rows = tuple((v, w // g) for v, w in rows)
-        self._weights = tuple(row for row in self._rows if row[1])
+        self._rows = tuple(rows)
+        self._weights = self._rows if all(weights) else tuple(row for row in rows if row[1])
         self._denominator = denominator // g
         self._digest = None
         self._hash = None
@@ -464,7 +468,8 @@ class JointDistribution:
                 raise EncodingError("target table maps to tuples of mixed arity")
             new_arity = arities.pop()
         maps = [source_maps.get(i) for i in range(1, n + 1)]
-        relabelled = {s: tuple(v if m is None else m[v] for v, m in zip(s, maps)) for s in sources}
+        columns = [c if m is None else map(m.__getitem__, c) for c, m in zip(zip(*sources), maps)]
+        relabelled = dict(zip(sources, zip(*columns)))
         rows = [(relabelled[v[:n]] + target_map[v[n:end]] + v[end:], w) for v, w in self._weights]
         return JointDistribution(n, new_arity, _Weights(rows, self._denominator))
 

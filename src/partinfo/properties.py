@@ -25,6 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Sequence
 
 from .engine import (
@@ -126,9 +127,10 @@ def check_rei(
     most four symbols, and, for each source pair that determines the target
     one-to-one, the table with that pair as target: a re-encoding of the
     input, so its atoms must agree.  A map drawn again within a call memo
-    reuses its table and decomposition.  The first comparison with the
-    largest atom delta is the witness.  With nothing to compare, it raises
-    :class:`PreconditionError`.
+    reuses its table and decomposition.  Each comparison's atom deltas are
+    taken by position, since every decomposition lists its atoms in lattice
+    node order; the first comparison with the largest delta is the witness.
+    With nothing to compare, it raises :class:`PreconditionError`.
     """
     base = decompose(d, measure)
     supports = {i: d.variable_support(("source", i)) for i in range(1, d.n_sources + 1)}
@@ -163,9 +165,9 @@ def check_rei(
     if not tables:
         raise PreconditionError("no re-encoding was compared", trials=trials, seed=seed)
     max_delta, witness = 0.0, None
+    base_atoms = list(base.atoms.values())
     for label, table in tables:
-        other = decompose(table, measure).atoms
-        delta = max(abs(value - other[node]) for node, value in base.atoms.items())
+        delta = max(map(abs, map(sub, base_atoms, decompose(table, measure).atoms.values())))
         if delta > max_delta:
             max_delta, witness = delta, {"transformation": label, "max_atom_delta": delta}
     return _report(

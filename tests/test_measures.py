@@ -255,16 +255,47 @@ def _seeded_aux_table(rng: random.Random, n: int, alphabet: int, points: int,
     return JointDistribution(n, 1, [(Outcome(s, t, z), Fraction(w, total)) for s, t, z, w in cells])
 
 
-@pytest.mark.parametrize("points, max_weight", [(64, 6), (16, 10**12)], ids=["narrow", "wide"])
-def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight):
-    # the inclusion-exclusion kernel against the per-point event sums, by ==;
-    # wide weights need fields of more than 4 bytes, which are read by slicing
+def _direct_column(d: JointDistribution, mask: int, field_bits: int) -> int:
+    """Per (sources, target) point of ``d``, in support order, the weights of
+    the points that agree with it on the sources in ``mask`` and of those that
+    also share its target, at bits ``2k * field_bits`` and ``field_bits`` up."""
+    points = {}
+    for outcome, p in d.support:
+        key = outcome.sources, outcome.target
+        points[key] = points.get(key, 0) + p
+    on = [i for i in range(d.n_sources) if mask >> i & 1]
+    column = 0
+    for k, (s, t) in enumerate(points):
+        agree = [(t2, p2) for (s2, t2), p2 in points.items() if all(s2[i] == s[i] for i in on)]
+        w_source = sum(p2 for _, p2 in agree) * d._denominator
+        w_joint = sum(p2 for t2, p2 in agree if t2 == t) * d._denominator
+        assert w_source.denominator == w_joint.denominator == 1
+        column |= (int(w_source) | int(w_joint) << field_bits) << 2 * k * field_bits
+    return column
+
+
+@pytest.mark.parametrize("points, max_weight, field_bits", [
+    (16, 3, 8), (64, 6, 16), (64, 10**6, 32), (16, 10**12, None),
+], ids=["byte", "narrow", "word", "wide"])
+def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight, field_bits):
+    # the inclusion-exclusion kernel against the per-point event sums, by ==,
+    # at every field width: pairs of 1, 2 and 4-byte fields are packed and
+    # read by struct, wider ones (wide weights) by slicing
     rng = random.Random(f"isx-kernel:{max_weight}")
     d = _seeded_aux_table(rng, 4, 3, points, max_weight)
-    assert (_kernel(d).field_bits > 32) == (max_weight > 6)
+    kernel = _kernel(d)
+    if field_bits is None:
+        assert kernel.field_bits > 32 and not kernel._pairs
+    else:
+        assert kernel.field_bits == field_bits and kernel._pairs
+    for mask in range(16):
+        assert kernel.column(mask) == _direct_column(d, mask, kernel.field_bits), mask
     nodes = [node.sorted_members for node in redundancy_lattice(4).nodes]
     for args in nodes:
         assert i_sx(d, args) == formula_i_sx(d, args), args
+    rows = oracle_rows(d)
+    for args in rng.sample(nodes, 6):
+        assert abs(i_sx(d, args) - oracle_isx(rows, args)) <= 1e-12, args
     # argument tuples that are not antichains: duplicates, supersets (after
     # and before the member they contain) and reversed order
     for args in rng.sample(nodes, 8):
@@ -321,6 +352,23 @@ def test_every_argument_member_is_checked_against_the_table(gate_corpus, measure
             measure(d, args)
     with pytest.raises(ValueError, match="at least one argument collection"):
         measure(d, [])
+    for args in ([set()], [{1}, set()], (frozenset(),), (frozenset({1}), frozenset())):
+        with pytest.raises(ValueError, match="nonempty index sets"):
+            measure(d, args)
+
+
+@pytest.mark.parametrize("measure", [i_min, i_sx], ids=["imin", "isx"])
+def test_kept_member_masks_serve_only_the_tuple_checked(gate_corpus, measure):
+    # an argument tuple's masks are kept after its first call; an equal tuple
+    # of other index types is still checked, and an unhashable one each time
+    d = gate_corpus["xor"]
+    value = measure(d, ((1,), (2,)))
+    assert measure(d, ((1,), (2,))) == value
+    with pytest.raises(DistributionError, match="out of range"):
+        measure(d, ((1.0,), (2,)))
+    with pytest.raises(DistributionError, match="out of range"):
+        measure(d, (frozenset({1.0}), frozenset({2})))
+    assert measure(d, [{1}, {2}]) == measure(d, ({1}, {2})) == value
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")

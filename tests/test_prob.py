@@ -191,6 +191,37 @@ def test_validation_errors():
         JointDistribution(1, 1, [(Outcome((0, 1), (0,)), Fraction(1))])
 
 
+def test_construction_messages_zero_rows_and_reduced_denominator():
+    def table(*rows, n_sources=1):
+        return JointDistribution(n_sources, 1, [(Outcome(s, t), as_fraction(p)) for s, t, p in rows])
+
+    twice = "duplicate outcome Outcome(sources=(0,), target=(1,), aux=None)"
+    with pytest.raises(DistributionError, match=f"^{twice}$".replace("(", r"\(").replace(")", r"\)")):
+        table(((0,), (1,), "1/2"), ((1,), (0,), "0"), ((0,), (1,), "1/2"))
+    with pytest.raises(DistributionError, match="^probabilities sum to 3/4, expected exactly 1$"):
+        table(((0,), (1,), "1/2"), ((1,), (0,), "1/4"))
+    # a table with both faults names the duplicate
+    with pytest.raises(DistributionError, match="^duplicate outcome"):
+        table(((0,), (1,), "1/8"), ((1,), (0,), "1/4"), ((0,), (1,), "1/8"))
+
+    # explicit zero rows stay in the outcomes, in canonical order, and leave the support
+    d = table(((1,), (1,), "0"), ((1,), (0,), "6/8"), ((0,), (0,), "0"), ((0,), (1,), "2/8"))
+    assert [(o.sources, o.target, p) for o, p in d.outcomes] == [
+        ((0,), (0,), 0), ((0,), (1,), Fraction(1, 4)), ((1,), (0,), Fraction(3, 4)), ((1,), (1,), 0)]
+    assert [(o.sources, o.target) for o, _ in d.support] == [((0,), (1,)), ((1,), (0,))]
+    assert d._denominator == 4
+    assert d == table(((0,), (1,), "1/4"), ((1,), (0,), "3/4"))
+
+    # the conditioned mass, 4 of 8, shares a factor with both kept weights
+    d = table(((0, 0), (0,), "1/4"), ((0, 1), (1,), "1/4"), ((1, 0), (0,), "1/8"),
+              ((1, 1), (1,), "3/8"), n_sources=2)
+    assert d._denominator == 8
+    given = d.condition_on(("source", 1), 0)
+    assert given._denominator == 2
+    assert given._rows == (((0, 0, 0), 1), ((0, 1, 1), 1))
+    assert given == table(((0, 0), (0,), "1/2"), ((0, 1), (1,), "1/2"), n_sources=2)
+
+
 def test_as_fraction_accepts_ratio_decimal_and_float():
     assert as_fraction("1/4") == Fraction(1, 4)
     assert as_fraction("0.25") == Fraction(1, 4)

@@ -174,6 +174,28 @@ def test_a_failing_rei_keeps_its_report(gate_id, transformation, delta, comparis
                               "max_atom_delta": delta}
 
 
+def test_rei_witness_of_a_table_sensitive_measure():
+    # the atoms move with the first support row's probability, which a
+    # random bijection reorders; the first largest delta is the witness
+    toy = RedundancyMeasure("toy", lambda d, args: float(d.support[0][1]) * len(args))
+    with engine.call_memo():
+        report = check_rei(make_gate(GateSpec("and", "1/8")), toy, seed=0)
+    assert report.verdict == "fail"
+    assert report.witness == {"transformation": "random bijection #0", "max_atom_delta": 0.4375}
+    assert report.details["comparisons"] == 38
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+def test_decompositions_list_their_values_in_lattice_node_order(gate_corpus, measure):
+    # check_rei compares atoms by position, which needs this order
+    for d in gate_corpus.values():
+        nodes = list(redundancy_lattice(d.n_sources).nodes)
+        result = engine.decompose(d, measure)
+        assert list(result.atoms) == nodes
+        assert list(result.redundancy) == nodes
+        assert list(engine.conditional_atoms(d, measure, ("source", 1)).atoms) == nodes
+
+
 def test_rei_reads_each_support_once_whatever_the_trials(monkeypatch):
     d = make_gate(GateSpec("xor_source_copy", Fraction(1, 8)))
     real = JointDistribution.marginal_support
