@@ -108,17 +108,40 @@ def _in_node_order(lattice: RedundancyLattice, values: Mapping) -> list:
     """``values[node]`` for each node of ``lattice``, in node order.  Keys
     other than exactly the nodes raise ``ValueError``, naming the first node
     with no value, else the first key that is not a node."""
-    if len(values) == len(lattice):
-        try:
-            return [values[node] for node in lattice.nodes]
-        except KeyError:
-            pass
-    for node in lattice.nodes:
-        if node not in values:
-            raise ValueError(f"antichain {node.label} of A_{lattice.n} has no value")
-    for key in values:
-        lattice.index(key)
-    return [values[node] for node in lattice.nodes]
+    try:
+        v = [values[node] for node in lattice.nodes]
+    except KeyError as exc:
+        raise ValueError(f"antichain {exc.args[0].label} of A_{lattice.n} has no value") from None
+    if len(values) != len(v):
+        for key in values:
+            lattice.index(key)
+    return v
+
+
+def _exact_steps(lattice: RedundancyLattice, g: list, inverse: bool) -> dict:
+    """The zeta steps ``g[upper] += g[lower]`` along
+    :attr:`RedundancyLattice.zeta_pairs` on ``Fraction`` values; with
+    ``inverse``, each undone as ``g[upper] -= g[lower]`` in reverse order,
+    which is the Möbius inversion.  A value is a reduced (numerator,
+    denominator) pair of ints, and a step combines two as ``Fraction`` does:
+    over the lcm of the denominators, then cancelling what the total shares
+    with their gcd.  A pair stays as small as its exact value allows (a zero
+    is 0/1); one ``Fraction`` per node is built at the end."""
+    num = [x.numerator for x in g]
+    den = [x.denominator for x in g]
+    sign = -1 if inverse else 1
+    for lower, upper in reversed(lattice.zeta_pairs) if inverse else lattice.zeta_pairs:
+        a, b = den[upper], den[lower]
+        common = math.gcd(a, b)
+        if common == 1:
+            num[upper] = num[upper] * b + sign * num[lower] * a
+            den[upper] = a * b
+        else:
+            total = num[upper] * (b // common) + sign * num[lower] * (a // common)
+            cancel = math.gcd(total, common)
+            num[upper] = total // cancel
+            den[upper] = a // common * (b // cancel)
+    return dict(zip(lattice.nodes, map(_reduced_fraction, num, den)))
 
 
 def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
@@ -130,27 +153,15 @@ def atoms_from_values(lattice: RedundancyLattice, values: Mapping) -> dict:
     ``mu * value``, and ints or mixed int and ``Fraction`` values give the
     types that ``+=`` gives.
 
-    When every value is exactly a ``Fraction``, each atom is summed as
-    integers: the node's terms are put over the lcm of their own
-    denominators and one ``Fraction`` is built from the total.  The lcm is
-    per node, not one for the whole lattice, so one large denominator
-    widens only the atoms whose terms carry it.
+    When every value is exactly a ``Fraction``, the inversion is the zeta
+    transform of :func:`redundancy_from_atoms` run backwards on integer
+    pairs.  Each denominator is one node's own, never one for the whole
+    lattice, so a large one widens only the values whose covers carry it.
     """
     v = _in_node_order(lattice, values)
-    atoms = []
     if set(map(type, v)) == {Fraction}:
-        nums = [x.numerator for x in v]
-        dens = [x.denominator for x in v]
-        for terms in lattice.moebius_index_terms:
-            scale = math.lcm(*[dens[i] for i, _ in terms])
-            total = 0
-            for i, mu in terms:
-                if mu > 0:
-                    total += nums[i] * (scale // dens[i])
-                else:
-                    total -= nums[i] * (scale // dens[i])
-            atoms.append(Fraction(total, scale))
-        return dict(zip(lattice.nodes, atoms))
+        return _exact_steps(lattice, v, inverse=True)
+    atoms = []
     for terms in lattice.moebius_index_terms:
         total = 0
         for i, mu in terms:
@@ -170,29 +181,12 @@ def redundancy_from_atoms(lattice: RedundancyLattice, atoms: Mapping) -> dict:
     Float sums follow that cover order, not node order, so they can differ
     from a left-to-right sum over the down-set in the last bits.
 
-    When every atom is exactly a ``Fraction``, each node's sum is kept as a
-    reduced (numerator, denominator) pair of ints and a cover adds two pairs
-    as ``Fraction`` addition does: over the lcm of the two denominators,
-    then cancelling what the total shares with their gcd.  A pair stays as
-    small as the exact value allows, with no object per step; one
-    ``Fraction`` per node is built at the end.
+    When every atom is exactly a ``Fraction``, the additions run on reduced
+    integer pairs, the steps that :func:`atoms_from_values` undoes.
     """
     g = _in_node_order(lattice, atoms)
     if set(map(type, g)) == {Fraction}:
-        num = [x.numerator for x in g]
-        den = [x.denominator for x in g]
-        for lower, upper in lattice.zeta_pairs:
-            a, b = den[upper], den[lower]
-            common = math.gcd(a, b)
-            if common == 1:
-                num[upper] = num[upper] * b + num[lower] * a
-                den[upper] = a * b
-            else:
-                total = num[upper] * (b // common) + num[lower] * (a // common)
-                cancel = math.gcd(total, common)
-                num[upper] = total // cancel
-                den[upper] = a // common * (b // cancel)
-        return dict(zip(lattice.nodes, map(_reduced_fraction, num, den)))
+        return _exact_steps(lattice, g, inverse=False)
     for lower, upper in lattice.zeta_pairs:
         g[upper] += g[lower]
     return dict(zip(lattice.nodes, g))

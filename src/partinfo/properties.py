@@ -113,11 +113,12 @@ def _target(d: JointDistribution) -> list:
 def check_rei(
     d: JointDistribution,
     measure: RedundancyMeasure,
-    tol: float = DEFAULT_REI_TOL,
+    tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
 ) -> PropertyReport:
-    """Re-encoding invariance of the atoms.
+    """Re-encoding invariance of the atoms, compared at ``tol`` (``None``:
+    ``DEFAULT_REI_TOL``).
 
     Each source support and the joint target support are read once.  The
     full decomposition is compared, in this order, against ``trials`` seeded
@@ -164,6 +165,7 @@ def check_rei(
 
     if not tables:
         raise PreconditionError("no re-encoding was compared", trials=trials, seed=seed)
+    tol = DEFAULT_REI_TOL if tol is None else tol
     max_delta, witness = 0.0, None
     base_atoms = list(base.atoms.values())
     for label, table in tables:
@@ -497,8 +499,7 @@ class TheoremWitness:
 def theorem_witness(
     d: JointDistribution,
     measure: RedundancyMeasure,
-    tol: float = DEFAULT_TOL,
-    rei_tol: float = DEFAULT_REI_TOL,
+    tol: float | None = None,
     trials: int = 32,
     seed: int = 0,
 ) -> TheoremWitness:
@@ -509,10 +510,13 @@ def theorem_witness(
     with the positivity-implied bounds on both split terms, the
     identity-property evidence, and a local-positivity scan over every
     decomposition the argument touches.  The verdicts identify which of
-    lp/rei/tcr/id the measure violates here; rei is :func:`check_rei`'s.
+    lp/rei/tcr/id the measure violates here; rei is :func:`check_rei`'s at
+    ``tol``.  With ``tol=None`` each comparison takes its default:
+    ``DEFAULT_REI_TOL`` for rei, ``DEFAULT_TOL`` for the rest.
     """
     if d.n_sources != 3:
         raise PreconditionError("the impossibility argument uses three sources")
+    rei_tol, tol = tol, DEFAULT_TOL if tol is None else tol
     gate_result = decompose(d, measure)
     consistency = consistency_check(gate_result, d, tol)
     rsi_report = rsi_decomposition_check(gate_result, d, tol)
@@ -594,11 +598,10 @@ def theorem_witness(
     )
 
 
-def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -> PropertyReport:
+def _theorem_check(property_id, third, d, measure, tol, trials, seed) -> PropertyReport:
     """Passes when lp, rei and ``third`` (id or tcr) do not all hold on ``d``."""
-    witness = _memoized_check(("witness", d, measure, tol, rei_tol, trials, seed),
-                              lambda: theorem_witness(d, measure, tol=tol, rei_tol=rei_tol,
-                                                      trials=trials, seed=seed))
+    witness = _memoized_check(("witness", d, measure, tol, trials, seed),
+                              lambda: theorem_witness(d, measure, tol, trials, seed))
     verdicts = witness.verdicts
     if third == "id":
         all_pass, evidence = witness.lp_rei_id_all_pass, {"pairwise": witness.pairwise}
@@ -606,35 +609,36 @@ def _theorem_check(property_id, third, d, measure, tol, rei_tol, trials, seed) -
         all_pass = witness.lp_rei_tcr_all_pass
         evidence = {"chains": [dict(c) for c in witness.chains]}
     return _report(
-        property_id, measure.id, d.digest, not all_pass, tol,
+        property_id, measure.id, d.digest, not all_pass, witness.tolerance,
         {"verdicts": verdicts}, {"verdicts": verdicts, **evidence},
     )
 
 
 def check_theorem1(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = DEFAULT_TOL, trials: int = 32, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
+    tol: float | None = None, trials: int = 32, seed: int = 0,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the identity property
     cannot all hold: the check passes when the measure indeed violates at
-    least one of them on this input."""
-    return _theorem_check("t1", "id", d, measure, tol, rei_tol, trials, seed)
+    least one of them on this input (:func:`theorem_witness` at ``tol``)."""
+    return _theorem_check("t1", "id", d, measure, tol, trials, seed)
 
 
 def check_theorem2(
     d: JointDistribution, measure: RedundancyMeasure,
-    tol: float = DEFAULT_TOL, trials: int = 32, seed: int = 0, rei_tol: float = DEFAULT_REI_TOL,
+    tol: float | None = None, trials: int = 32, seed: int = 0,
 ) -> PropertyReport:
     """Local positivity, re-encoding invariance, and the target chain rule
-    cannot all hold: the check passes when at least one of them fails here."""
-    return _theorem_check("t2", "tcr", d, measure, tol, rei_tol, trials, seed)
+    cannot all hold: the check passes when at least one of them fails here
+    (:func:`theorem_witness` at ``tol``)."""
+    return _theorem_check("t2", "tcr", d, measure, tol, trials, seed)
 
 
 # ----------------------------------------------------------------------
 # dispatch and corpus runs
 
 #: property id -> check(d, measure, tol); rei, t1 and t2 also take the rei
-#: scan settings (trials, seed, and for t1/t2 rei's tolerance)
+#: scan settings (trials, seed) and read ``tol=None`` as their defaults
 _CHECKS = {
     "lp": check_lp,
     "rei": _shared_rei,
@@ -673,15 +677,14 @@ def run_property(
     """
     if property_id not in _CHECKS:
         raise ValueError(f"unknown property {property_id!r}; known: {PROPERTY_IDS}")
-    rei_tol, tol = (DEFAULT_REI_TOL, DEFAULT_TOL) if tol is None else (tol, tol)
     scan = {"trials": trials, "seed": seed} if property_id in SCAN_PROPERTIES else {}
-    if property_id == "rei":
-        tol = rei_tol
-    elif scan:                  # t1 and t2 run the rei scan inside their witness
-        scan["rei_tol"] = rei_tol
+    if tol is None and not scan:
+        tol = DEFAULT_TOL           # the scan checks read None as their own defaults
     try:
         return _CHECKS[property_id](d, measure, tol, **scan)
     except PreconditionError as exc:
+        if tol is None:
+            tol = DEFAULT_REI_TOL if property_id == "rei" else DEFAULT_TOL
         return PropertyReport(property_id, measure.id, d.digest, "vacuous", tol, None,
                               {"reason": str(exc), **exc.details})
 

@@ -262,6 +262,28 @@ def test_moebius_round_trip_exact_n5():
     assert redundancy_from_atoms(lattice, atoms) == values
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exact_round_trips_both_ways_on_sparse_vectors(n):
+    # inversion undoes the zeta steps: both orders give the vector back, and
+    # every value, zeros included, is a reduced Fraction (a zero is 0/1)
+    lattice = redundancy_lattice(n)
+    rng = random.Random(f"sparse-{n}")
+    for _ in range(4 if n < 5 else 1):
+        sparse = dict.fromkeys(lattice.nodes, Fraction(0))
+        for node in rng.sample(lattice.nodes, max(1, len(lattice) // 8)):
+            sparse[node] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.randint(1, 12))
+        for there, back, reference in (
+                (redundancy_from_atoms, atoms_from_values, reference_zeta_sums),
+                (atoms_from_values, redundancy_from_atoms, reference_moebius_atoms)):
+            image = there(lattice, sparse)
+            assert image == reference(lattice, sparse), there.__name__
+            returned = back(lattice, image)
+            assert returned == sparse, there.__name__
+            for vector in (image, returned):
+                assert all(type(x) is Fraction for x in vector.values())
+                assert all(x.denominator == 1 for x in vector.values() if x.numerator == 0)
+
+
 def value_kinds(rng, size) -> dict:
     """Seeded value vectors of every kind the engine takes, ``size`` values each."""
 

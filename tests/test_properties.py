@@ -494,14 +494,21 @@ def _relabel_sensitive_measure(scale: float) -> RedundancyMeasure:
 
 @pytest.mark.parametrize("tol, rei", [(None, "fail"), (1e-7, "fail"), (1e-5, "pass")])
 def test_given_tol_reaches_rei_and_the_theorem_witness(gate_corpus, tol, rei):
-    measure = _relabel_sensitive_measure(1e-6)
-    reports = {r.property_id: r for r in run_all_checks(gate_corpus["xor_source_copy"], measure,
-                                                        tol=tol, trials=2)}
+    d, measure = gate_corpus["xor_source_copy"], _relabel_sensitive_measure(1e-6)
+    reports = {r.property_id: r for r in run_all_checks(d, measure, tol=tol, trials=2)}
     assert reports["rei"].verdict == rei
     assert reports["rei"].tolerance == (1e-12 if tol is None else tol)
     assert reports["lp"].tolerance == (1e-9 if tol is None else tol)
     for theorem in ("t1", "t2"):
         assert reports[theorem].details["verdicts"]["rei"] == rei
+    # called directly, the library takes the same one tol, None for the defaults
+    witness = theorem_witness(d, measure, tol=tol, trials=2)
+    assert (witness.verdicts["rei"], witness.tolerance) == (rei, 1e-9 if tol is None else tol)
+    for theorem, check in (("t1", check_theorem1), ("t2", check_theorem2)):
+        assert check(d, measure, tol=tol, trials=2).to_json_dict() == reports[theorem].to_json_dict()
+    for call in (theorem_witness, check_theorem1, check_theorem2):
+        with pytest.raises(TypeError):
+            call(d, measure, trials=2, rei_tol=tol)
 
 
 def test_theorem_checks_are_vacuous_off_three_sources(gate_corpus):
