@@ -9,7 +9,7 @@ the consistency equations tie the atom sums to the mutual-information terms
 of the input distribution.  Both read each atom's parthood off its node's
 zero set in the lattice.
 
-Within a :func:`call_memo` call, one memo shares three kinds of work:
+Within a :func:`call_memo` call, one memo shares four kinds of work:
 
 * decompositions: :func:`decompose` decomposes each (distribution,
   measure) pair once;
@@ -19,10 +19,17 @@ Within a :func:`call_memo` call, one memo shares three kinds of work:
   :func:`conditional_atoms` averages them;
 * derived tables: :func:`derived` builds each conditioned, restricted,
   retargeted or re-encoded table once per (table, operation, arguments),
-  whatever the measure.
+  whatever the measure;
+* measure kernels: tables whose measure kernels have identical contents
+  (weights, int-coded source values and target indices, points in order)
+  share one kernel, and with it every specific-information table, log term
+  and measure value kept in it (:func:`measures._kernel`).
 
-Equal tables are equal keys, and a relabelled table is a table of its own,
-so nothing computed on one table is read for a different one.  Outside a
+Equal tables are equal keys.  A relabelled table is a table of its own,
+with its own decomposition; it reads another table's work only through a
+shared kernel, whose contents are the whole input of every value kept in
+it, so a shared value is bit for bit the one recomputing gives.  The memo
+lives in :data:`measures._memo`, where the kernels find it.  Outside a
 call the memo is absent and every call computes afresh.
 """
 
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -44,15 +50,12 @@ from .lattice import (
     nonempty_subsets,
     redundancy_lattice,
 )
-from .measures import RedundancyMeasure, normalize_args, subset_mi
+from .measures import RedundancyMeasure, _memo, normalize_args, subset_mi
 from .prob import JointDistribution, Selector
 
 
 #: default tolerance of the consistency equations and of every property check
 DEFAULT_TOL = 1e-9
-
-#: the memo of the call_memo() call in progress, if any
-_memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
 # A Fraction from a numerator and a positive denominator already in lowest
 # terms, without the gcd that Fraction() takes again (the constructor that
@@ -62,6 +65,10 @@ try:
 except AttributeError:
     def _reduced_fraction(numerator: int, denominator: int) -> Fraction:
         return Fraction(numerator, denominator, _normalize=False)
+
+
+# what _in_node_order reads for a node the mapping lacks
+_ABSENT = object()
 
 
 class MeasureEvaluationError(RuntimeError):
@@ -107,11 +114,15 @@ class PidResult:
 def _in_node_order(lattice: RedundancyLattice, values: Mapping) -> list:
     """``values[node]`` for each node of ``lattice``, in node order.  Keys
     other than exactly the nodes raise ``ValueError``, naming the first node
-    with no value, else the first key that is not a node."""
-    try:
-        v = [values[node] for node in lattice.nodes]
-    except KeyError as exc:
-        raise ValueError(f"antichain {exc.args[0].label} of A_{lattice.n} has no value") from None
+    with no value, else the first key that is not a node.  Values are read
+    with ``get``, so a mapping's ``__missing__`` (a ``Counter``'s zero, a
+    ``defaultdict``'s factory) neither fills in nor adds a node."""
+    v = []
+    for node in lattice.nodes:
+        value = values.get(node, _ABSENT)
+        if value is _ABSENT:
+            raise ValueError(f"antichain {node.label} of A_{lattice.n} has no value")
+        v.append(value)
     if len(values) != len(v):
         for key in values:
             lattice.index(key)

@@ -114,6 +114,11 @@ class Antichain:
         for a, b in itertools.combinations(members, 2):
             if a <= b or b <= a:
                 raise ValueError(f"members {set(a)} and {set(b)} are comparable")
+        # the value the generated hash would compute on every call, kept
+        object.__setattr__(self, "_hash", hash((members,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *members) -> "Antichain":

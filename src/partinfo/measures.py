@@ -13,14 +13,18 @@ antichains), which is what the conformance checks for symmetry and
 superset invariance exercise.  Every member is checked against the table
 and encoded as an int mask (:func:`lattice._subset_mask`), once per
 hashable argument tuple; the masks key what the measures keep per table,
-in a kernel that the distribution holds for them.  Additional measures can
-be registered at runtime without touching the decomposition engine.
+in a kernel that the distribution holds for them.  The kernel holds no
+labels, only integers, so within one :func:`engine.call_memo` call the
+tables whose kernels come out equal share one, and with it every table and
+value kept in it.  Additional measures can be registered at runtime without
+touching the decomposition engine.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -29,6 +33,10 @@ from typing import Callable, Sequence
 
 from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
 from .prob import DistributionError, JointDistribution, log2_ratio, mi_from_weights
+
+#: the memo of the engine.call_memo() call in progress, if any; it lives
+#: here so that kernels can be shared through it without an import cycle
+_memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
 
 def normalize_args(args) -> tuple:
@@ -69,41 +77,43 @@ class _Kernel:
 
     Point ``k`` is the k-th distinct (sources, target) pair in canonical
     support order and has probability ``weights[k] / denominator``, kept as
-    the float ``probs[k]``; the points and the target weights are read in
-    one pass over the support, which merges rows differing only in aux.
-    Its source values are one int, ``codes[k]``: each source owns a fixed
-    bit field, ``fields[i - 1]`` for source ``i``, holding the index at which
-    the point's value first appears in that source's column.  A source
-    subset is an int mask, bit ``i - 1`` for source ``i``; a point's values
-    on it are its code with the other sources' fields cleared.  Each
-    subset's specific information is a list aligned with ``target_weights``,
-    whose floats ``w_t / denominator`` are ``target_probs``.  Its agreement
-    column is one int holding, for each point ``p``, the exact weight of the
-    points that agree with ``p`` on the subset and, ``field_bits`` higher,
-    the weight of those of them that also share ``p``'s target; point
-    ``k``'s pair of fields starts at bit ``2k * field_bits``.  So an integer
-    combination of columns is one big-int sum whose fields are the combined
-    weights, as long as each lands in ``0..denominator``.  A field is 1, 2
-    or 4 bytes wide when the denominator fits, and a pair of fields is
-    packed and read by one ``struct``; wider fields by slicing.  Per-subset
-    tables and ``i_sx``'s log terms are filled on first request and never
-    change afterwards.  The kernel keeps no reference to its distribution.
+    the float ``probs[k]``; the points are read in one pass over the
+    support, which merges rows differing only in aux.  The kernel holds no
+    labels.  Point ``k``'s source values are one int, ``codes[k]``: each
+    source owns a fixed bit field, ``fields[i - 1]`` for source ``i``,
+    holding the index at which the point's value first appears in that
+    source's column.  Its target is ``targets[k]``, the index at which the
+    target value first appears; ``target_weights`` lists each target's
+    weight in that order, and the floats ``w_t / denominator`` are
+    ``target_probs``.  A source subset is an int mask, bit ``i - 1`` for
+    source ``i``; a point's values on it are its code with the other
+    sources' fields cleared.  Each subset's specific information is a list
+    aligned with ``target_weights``.  Its agreement column is one int
+    holding, for each point ``p``, the exact weight of the points that agree
+    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
+    of them that also share ``p``'s target; point ``k``'s pair of fields
+    starts at bit ``2k * field_bits``.  So an integer combination of columns
+    is one big-int sum whose fields are the combined weights, as long as
+    each lands in ``0..denominator``.  A field is 1, 2 or 4 bytes wide when
+    the denominator fits, and a pair of fields is packed and read by one
+    ``struct``; wider fields by slicing.  Per-subset tables, ``i_sx``'s log
+    terms and the measures' values (per tuple of member masks) are filled
+    on first request and never change afterwards.  They are functions of
+    ``contents`` alone, so tables whose kernels have equal contents can
+    share one kernel.  The kernel keeps no reference to its distribution.
     """
 
     __slots__ = ("n_sources", "denominator", "codes", "fields", "targets", "weights", "probs",
                  "target_weights", "target_probs", "si_tables", "isx_logs", "field_bits",
-                 "_subsets", "_columns", "_pairs")
+                 "imin_values", "isx_values", "_subsets", "_columns", "_pairs")
 
     def __init__(self, d: JointDistribution):
         n = self.n_sources = d.n_sources
         end = n + d.target_arity
         points: dict = {}                  # (sources, target) -> weight
-        self.target_weights = {}           # target value -> weight
         for values, w in d._weights:
             point = values[:end]           # rows differing only in aux merge
             points[point] = points.get(point, 0) + w
-            t = point[n:]
-            self.target_weights[t] = self.target_weights.get(t, 0) + w
         self.denominator = d._denominator
         self.codes = [0] * len(points)
         self.fields = []
@@ -114,13 +124,19 @@ class _Kernel:
             width = (len(index) - 1).bit_length()
             self.fields.append((1 << width) - 1 << shift)
             shift += width
-        self.targets = [key[n:] for key in points]
+        first: dict = {}                   # target value -> index of first appearance
+        self.targets = [first.setdefault(point[n:], len(first)) for point in points]
         self.weights = list(points.values())
+        self.target_weights = [0] * len(first)
+        for t, w in zip(self.targets, self.weights):
+            self.target_weights[t] += w
         self.probs = [w / self.denominator for w in self.weights]
-        self.target_probs = [w / self.denominator for w in self.target_weights.values()]
+        self.target_probs = [w / self.denominator for w in self.target_weights]
         self.si_tables: dict = {}          # subset mask -> specific information, per target
-        logs: dict = {t: {} for t in self.target_weights}
+        logs = [{} for _ in first]
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
+        self.imin_values: dict = {}        # member masks -> i_min
+        self.isx_values: dict = {}         # member masks -> i_sx
         self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
         # a field holds any weight up to the denominator; a pair of fields
@@ -131,6 +147,13 @@ class _Kernel:
         self.field_bits = 8 * size
         code = {1: "H", 2: "I", 4: "Q"}.get(size)
         self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
+
+    @property
+    def contents(self) -> tuple:
+        """What every table and value in the kernel is computed from, with
+        the points in order."""
+        return (self.n_sources, self.denominator, tuple(self.weights), tuple(self.codes),
+                tuple(self.fields), tuple(self.targets))
 
     def subset_weights(self, mask: int) -> tuple:
         """Each point's source values on the subset ``mask``, as its code
@@ -184,10 +207,19 @@ class _Kernel:
 
 def _kernel(d: JointDistribution) -> _Kernel:
     """The kernel of ``d``, built on first use and kept in the table's
-    slot; safe to keep because the distribution never changes."""
-    if d._measure_kernel is None:
-        d._measure_kernel = _Kernel(d)
-    return d._measure_kernel
+    slot; safe to keep because the distribution never changes.  Within an
+    :func:`engine.call_memo` call, a table whose kernel has the contents of
+    one already built in that call gets that one, so the two share what it
+    keeps, which is the same floats bit for bit; outside one, nothing is
+    shared."""
+    kernel = d._measure_kernel
+    if kernel is None:
+        kernel = _Kernel(d)
+        memo = _memo.get()
+        if memo is not None:
+            kernel = memo.setdefault(("kernel", kernel.contents), kernel)
+        d._measure_kernel = kernel
+    return kernel
 
 
 def specific_information(d: JointDistribution, a) -> dict:
@@ -199,15 +231,18 @@ def specific_information(d: JointDistribution, a) -> dict:
     common denominator D, summed from the kernel's points and their
     projections on ``a``, so p(t|s_a) / p(t) is the exact rational
     w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
-    order they first appear in the support.
+    order they first appear in the support.  The table is keyed by ``d``'s
+    own target outcomes, in the order they first appear in its support,
+    which is the order of the kernel's target indices.
     """
     kernel = _kernel(d)
-    table = dict.fromkeys(kernel.target_weights, 0.0)
+    table = [0.0] * len(kernel.target_weights)
     _, w_source, w_joint = kernel.subset_weights(_subset_mask(a, kernel.n_sources, DistributionError))
     for (s_a, t), w in w_joint.items():
         w_t = kernel.target_weights[t]
         table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
-    return table
+    n, end = d.n_sources, d.n_sources + d.target_arity
+    return dict(zip(dict.fromkeys(values[n:end] for values, _ in d._weights), table))
 
 
 def subset_mi(d: JointDistribution, a) -> float:
@@ -254,23 +289,28 @@ def _member_masks(args: tuple, n: int) -> tuple:
 def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
-    Each subset's specific-information table is computed once per
-    distribution and kept in its kernel under the subset's mask, as a list
-    aligned with the kernel's ``target_probs``; equal distributions built
-    separately each compute their own, with equal floats.  The average over
-    the target is a :func:`math.fsum` of ``p(t) * min``, the same float on
-    every interpreter.
+    Each subset's specific-information table is computed once per kernel
+    and kept in it under the subset's mask, as a list aligned with the
+    kernel's ``target_probs``; equal distributions built separately each
+    compute their own, with equal floats, unless a call memo gave them one
+    kernel.  The average over the target is a :func:`math.fsum` of
+    ``p(t) * min``, the same float on every interpreter, and is kept in the
+    kernel per tuple of member masks.
     """
     kernel = _kernel(d)
     args = tuple(args)
-    tables = []
-    for a, mask in zip(args, _member_masks(args, kernel.n_sources)):
-        table = kernel.si_tables.get(mask)
-        if table is None:
-            table = kernel.si_tables[mask] = list(specific_information(d, a).values())
-        tables.append(table)
-    least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
-    return math.fsum(map(mul, kernel.target_probs, least))
+    masks = _member_masks(args, kernel.n_sources)
+    value = kernel.imin_values.get(masks)
+    if value is None:
+        tables = []
+        for a, mask in zip(args, masks):
+            table = kernel.si_tables.get(mask)
+            if table is None:
+                table = kernel.si_tables[mask] = list(specific_information(d, a).values())
+            tables.append(table)
+        least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
+        value = kernel.imin_values[masks] = math.fsum(map(mul, kernel.target_probs, least))
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -310,18 +350,22 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     once; only the final log is floating point.  That log depends only on
     the target value and the two weights, so the kernel keeps it for later
     points and calls; the terms are still added per point, in support order.
+    The sum is kept in the kernel per tuple of member masks.
     """
     kernel = _kernel(d)
     masks = _member_masks(tuple(args), kernel.n_sources)
-    denominator, bits = kernel.denominator, kernel.field_bits
-    pairs = kernel.combined_pairs(_union_coefficients(masks))
-    total = 0.0
-    for p, t, logs, pair in zip(kernel.probs, kernel.targets, kernel.isx_logs, pairs):
-        term = logs.get(pair)
-        if term is None:
-            event, joint = pair & (1 << bits) - 1, pair >> bits
-            term = logs[pair] = log2_ratio(joint * denominator, event * kernel.target_weights[t])
-        total += p * term
+    total = kernel.isx_values.get(masks)
+    if total is None:
+        denominator, bits = kernel.denominator, kernel.field_bits
+        pairs = kernel.combined_pairs(_union_coefficients(masks))
+        total = 0.0
+        for p, t, logs, pair in zip(kernel.probs, kernel.targets, kernel.isx_logs, pairs):
+            term = logs.get(pair)
+            if term is None:
+                event, joint = pair & (1 << bits) - 1, pair >> bits
+                term = logs[pair] = log2_ratio(joint * denominator, event * kernel.target_weights[t])
+            total += p * term
+        kernel.isx_values[masks] = total
     return total
 
 

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import re
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -341,6 +343,25 @@ def test_a_vector_must_map_exactly_the_lattice_nodes(convert):
         convert(lattice, swapped)
     with pytest.raises(ValueError, match=r"^antichain '\{1\}' is not a node of A_2$"):
         convert(lattice, {**dict.fromkeys(lattice.nodes, 0), "{1}": 1})
+
+
+@pytest.mark.parametrize("convert", [atoms_from_values, redundancy_from_atoms])
+def test_a_mapping_with_missing_neither_fills_in_nor_gains_nodes(convert):
+    # a Counter's zero and a defaultdict's factory are not values: the first
+    # node without one is named, and the caller's mapping is left as it was
+    lattice = redundancy_lattice(2)
+    first, second = lattice.nodes[:2]
+    counter = Counter({second: 1})
+    with pytest.raises(ValueError, match=rf"^antichain {re.escape(first.label)} of A_2 has no value$"):
+        convert(lattice, counter)
+    assert counter == Counter({second: 1}) and list(counter) == [second]
+    filled = defaultdict(float, {first: 0.5})
+    with pytest.raises(ValueError, match=rf"^antichain {re.escape(second.label)} of A_2 has no value$"):
+        convert(lattice, filled)
+    assert dict(filled) == {first: 0.5}
+    complete = defaultdict(float, dict.fromkeys(lattice.nodes, 0.25))
+    assert convert(lattice, complete) == convert(lattice, dict(complete))
+    assert len(complete) == len(lattice.nodes)
 
 
 def test_five_sources_decompose_through_the_library():

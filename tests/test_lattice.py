@@ -141,6 +141,24 @@ def test_sorted_members_is_computed_once_and_leaves_identity_alone():
     assert {fresh: "node"}[seen] == "node"
 
 
+def test_equal_antichains_built_in_different_ways_hash_equal():
+    # the kept hash is the value the generated one gave, hash((members,)),
+    # so set and dict iteration orders do not move
+    members = frozenset({frozenset({2, 3}), frozenset({1})})
+    built = [
+        Antichain(members),
+        Antichain.of({1}, {2, 3}),
+        Antichain.of([3, 2], (1,)),
+        Antichain([{1}, {3, 2}]),
+        Antichain.from_label("{1}{2,3}"),
+        next(node for node in redundancy_lattice(3).nodes if node.label == "{1}{2,3}"),
+    ]
+    assert all(a == built[0] for a in built)
+    assert {hash(a) for a in built} == {hash((members,))}
+    for node in redundancy_lattice(4).nodes:
+        assert hash(node) == hash((node.members,))
+
+
 def test_lattice_leq_examples():
     assert lattice_leq(Antichain.of({1}, {2}, {3}), Antichain.of({1}, {2}))
     assert lattice_leq(Antichain.of({1}, {2, 3}), Antichain.of({1, 2}))

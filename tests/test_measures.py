@@ -10,6 +10,7 @@ import pytest
 from partinfo import (
     Antichain,
     DistributionError,
+    GateSpec,
     JointDistribution,
     Outcome,
     RedundancyMeasure,
@@ -20,10 +21,12 @@ from partinfo import (
     get_measure,
     i_min,
     i_sx,
+    make_gate,
     redundancy_lattice,
     register_measure,
     specific_information,
 )
+from partinfo.engine import call_memo
 from partinfo.lattice import nonempty_subsets
 from partinfo.measures import _kernel, subset_mi
 
@@ -479,3 +482,52 @@ def test_measure_argument_validation(gate_corpus):
         measure.evaluate(gate_corpus["xor"], ())
     with pytest.raises(ValueError):
         measure.evaluate(gate_corpus["xor"], (set(),))
+
+
+def _fresh(d: JointDistribution) -> JointDistribution:
+    """An equal table built again, with no kernel yet."""
+    return JointDistribution(d.n_sources, d.target_arity, d.outcomes)
+
+
+def test_equal_kernel_contents_share_one_kernel_within_a_call_memo():
+    # relabelling source 1 and the target in their canonical order leaves
+    # every point where it was, so the kernel's contents are unchanged;
+    # swapping source 1's symbols reorders the points, so it is not
+    gate = make_gate(GateSpec("and", "1/8"))
+    kept = [gate.reencode({1: ((0, "a"), (1, "b"))}),
+            gate.reencode(None, (((0,), (5,)), ((1,), (6,)))),
+            gate.reencode({2: ((0, -3), (1, 4))}, (((0,), ("p",)), ((1,), ("q",))))]
+    swapped = gate.reencode({1: ((0, 1), (1, 0))})
+    with call_memo():
+        kernel = _kernel(gate)
+        assert all(_kernel(d) is kernel for d in kept)
+        assert _kernel(swapped) is not kernel
+        assert _kernel(swapped).contents != kernel.contents
+    # outside a memo every table builds its own, with equal contents
+    tables = [_fresh(d) for d in [gate] + kept]
+    kernels = [_kernel(d) for d in tables]
+    assert len(set(map(id, kernels))) == len(kernels)
+    assert {k.contents for k in kernels} == {kernel.contents}
+
+
+def test_a_shared_kernel_gives_each_table_its_own_labels_and_the_fresh_values():
+    gate = make_gate(GateSpec("xor_source_copy", "1/16"))
+    relabelled = gate.reencode({3: ((0, "x"), (1, "y"))},
+                               [(t, (f"t{t[0]}",) + t[1:]) for t in gate.marginal_support(
+                                   [("target", 1), ("target", 2), ("target", 3)])])
+    nodes = [node.sorted_members for node in redundancy_lattice(3).nodes]
+    with call_memo():
+        imin = [i_min(gate, args) for args in nodes]
+        isx = [i_sx(gate, args) for args in nodes]
+        assert _kernel(relabelled) is _kernel(gate)
+        assert [i_min(relabelled, args) for args in nodes] == imin
+        assert [i_sx(relabelled, args) for args in nodes] == isx
+        for a in nonempty_subsets(3):
+            shared = specific_information(relabelled, a)
+            own = specific_information(gate, a)
+            assert list(shared) == [(f"t{t[0]}",) + t[1:] for t in own]
+            assert list(shared.values()) == list(own.values())
+            assert list(shared.items()) == list(specific_information(_fresh(relabelled), a).items())
+    fresh = _fresh(relabelled)
+    assert [i_min(fresh, args) for args in nodes] == imin
+    assert [i_sx(fresh, args) for args in nodes] == isx

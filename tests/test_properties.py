@@ -35,7 +35,7 @@ from partinfo import (
     theorem_witness,
 )
 from partinfo import JointDistribution, Outcome, conformance_suite, engine, properties
-from partinfo.measures import RedundancyMeasure
+from partinfo.measures import RedundancyMeasure, _kernel, _memo
 from partinfo.properties import PROPERTY_IDS, PreconditionError
 
 from conftest import lookup_measure, random_pair_copy, random_rational_distribution
@@ -194,6 +194,29 @@ def test_decompositions_list_their_values_in_lattice_node_order(gate_corpus, mea
         assert list(result.atoms) == nodes
         assert list(result.redundancy) == nodes
         assert list(engine.conditional_atoms(d, measure, ("source", 1)).atoms) == nodes
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("noise", ["0", "1/16", "1/8", "1/4"])
+@pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
+def test_tables_sharing_a_kernel_get_the_atoms_of_a_fresh_one(gate_id, noise, measure):
+    # every table the checks decompose within one call memo (the input, the
+    # rei scan's re-encodings, the split pieces and the derived targets)
+    # against an equal table built again outside the memo, with a kernel of
+    # its own: the atoms are equal
+    d = make_gate(GateSpec(gate_id, noise))
+    with engine.call_memo():
+        for pid in PROPERTY_IDS:
+            run_property(pid, d, measure, trials=8, seed=1)
+        decomposed = [r for r in _memo.get().values() if isinstance(r, engine.PidResult)]
+    if noise == "0" or gate_id == "xor_source_copy":
+        # some of these tables shared a kernel; the noisy two-source gates'
+        # re-encodings all reorder their points, so none of theirs do
+        assert len({id(_kernel(r.distribution)) for r in decomposed}) < len(decomposed)
+    for result in decomposed:
+        table = result.distribution
+        fresh = JointDistribution(table.n_sources, table.target_arity, table.outcomes)
+        assert engine.atoms_from_redundancy(fresh, measure).atoms == result.atoms
 
 
 def test_rei_reads_each_support_once_whatever_the_trials(monkeypatch):
