@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 0 success/expected, 1 unexpected verdict, 2 input error,
 3 resource cap exceeded, 141 stdout closed by its reader (128 + SIGPIPE).
+
+Each command imports the modules it uses when it runs, so ``lattice``
+loads only :mod:`partinfo.lattice`; the full parser (``--help``, or an
+option before the command) loads every command's modules for their flags.
 """
 
 from __future__ import annotations
@@ -17,29 +21,18 @@ import json
 import math
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 
-from .engine import DEFAULT_TOL, atoms_from_redundancy, consistency_check
-from .gates import GateSpec, gate_ids, make_gate
 from .lattice import LARGE_N, LatticeSizeError, redundancy_lattice
-from .measures import UNIMPLEMENTED_MEASURES, available_measures, get_measure
-from .prob import DistributionError, JointDistribution
-from .properties import (
-    DEFAULT_REI_TOL,
-    PROPERTY_IDS,
-    SCAN_PROPERTIES,
-    TABLE_PROPERTIES,
-    property_matrix,
-    run_all_checks,
-    run_property,
-)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141
+
+#: the most ``--trials`` that ``check`` and ``table2`` take: the rei scan
+#: keeps a table and a decomposition per trial until the call returns
+MAX_TRIALS = 4096
 
 _MEASURE_LABELS = {
     "imin": "I_min",
@@ -50,8 +43,6 @@ _MEASURE_LABELS = {
     "iunion_blackwell": "I_union^<",
 }
 _MARKS = {"pass": "✓", "fail": "✗", "vacuous": "n/a"}
-_TOL_HELP = "tolerance of every check (default: %s, and %s for rei's atom comparisons)" % tuple(
-    f"{tol:.0e}".replace("e-0", "e-") for tol in (DEFAULT_TOL, DEFAULT_REI_TOL))
 
 
 def _tolerance(text: str) -> float:
@@ -64,14 +55,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
+def _trials(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = -1              # rejected below
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if not 0 <= value <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 0 to {MAX_TRIALS}, got {text!r}")
     return value
+
+
+def _tol_help() -> str:
+    from .engine import DEFAULT_TOL
+    from .properties import DEFAULT_REI_TOL
+
+    return "tolerance of every check (default: %s, and %s for rei's atom comparisons)" % tuple(
+        f"{tol:.0e}".replace("e-0", "e-") for tol in (DEFAULT_TOL, DEFAULT_REI_TOL))
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -90,6 +90,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return p if p.add_help else None
 
     def add_input_flags(p):
+        from .gates import gate_ids
+
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--gate", choices=gate_ids(), help="built-in gate distribution")
         group.add_argument("--input", metavar="FILE", help="distribution JSON file")
@@ -97,21 +99,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--emit", metavar="FILE", help="write the distribution JSON and continue")
 
     if p_atoms := add_parser("atoms", "compute the information atoms", _cmd_atoms):
+        from .engine import DEFAULT_TOL
+
         add_input_flags(p_atoms)
         p_atoms.add_argument("--measure", required=True, help="registered measure id")
         p_atoms.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p_atoms.add_argument("--format", choices=("text", "json"), default="text")
 
     if p_check := add_parser("check", "run property checks", _cmd_check):
+        from .properties import PROPERTY_IDS, SCAN_PROPERTIES
+
         add_input_flags(p_check)
         p_check.add_argument("--measure", required=True)
         p_check.add_argument("--property", default="all",
                              help="property id (%s) or 'all'" % ",".join(PROPERTY_IDS))
-        p_check.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
+        p_check.add_argument("--tol", type=_tolerance, help=_tol_help())
         scan = ", ".join(SCAN_PROPERTIES)
         p_check.add_argument("--seed", type=int, help=f"seed of the rei scan of {scan} or all (default: 0)")
-        p_check.add_argument("--trials", type=_count,
-                             help=f"trials of the rei scan of {scan} or all (default: 32)")
+        p_check.add_argument("--trials", type=_trials, help=f"trials of the rei scan of {scan} "
+                             f"or all (default: 32, at most {MAX_TRIALS})")
         p_check.add_argument("--expect", metavar="FILE",
                              help="JSON mapping property -> expected verdict")
         p_check.add_argument("--format", choices=("text", "json"), default="text")
@@ -123,9 +129,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     if p_table := add_parser("table2", "property matrix over the gate corpus", _cmd_table2):
-        p_table.add_argument("--tol", type=_tolerance, help=_TOL_HELP)
+        p_table.add_argument("--tol", type=_tolerance, help=_tol_help())
         p_table.add_argument("--seed", type=int, default=0)
-        p_table.add_argument("--trials", type=_count, default=32)
+        p_table.add_argument("--trials", type=_trials, default=32,
+                             help=f"trials of each rei scan (default: 32, at most {MAX_TRIALS})")
         p_table.add_argument("--expect", metavar="FILE",
                              help="expectations JSON (default: packaged table)")
         p_table.add_argument("--format", choices=("text", "json"), default="text")
@@ -140,21 +147,27 @@ def _require_served(n: int, allow_large: bool = False) -> None:
                                f"and n = {LARGE_N} to lattice --allow-large)")
 
 
-def _load_distribution(args) -> JointDistribution:
+def _load_distribution(args):
+    from .gates import GateSpec, make_gate
+    from .prob import JointDistribution
+
     if args.gate:
         d = make_gate(GateSpec(args.gate, "0" if args.noise is None else args.noise))
     elif args.noise is not None:
-        raise DistributionError("--noise applies to --gate only, not to --input")
+        raise ValueError("--noise applies to --gate only, not to --input")
     else:
         d = JointDistribution.load(args.input)
     if args.emit:
         d.dump(args.emit)
     if d.target_arity == 0:
-        raise DistributionError("target_arity is 0: atoms and check need a target")
+        raise ValueError("target_arity is 0: atoms and check need a target")
     return d
 
 
 def _cmd_atoms(args) -> int:
+    from .engine import atoms_from_redundancy, consistency_check
+    from .measures import get_measure
+
     d = _load_distribution(args)
     measure = get_measure(args.measure)
     _require_served(d.n_sources)
@@ -184,30 +197,33 @@ def _render_report(report) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .measures import get_measure
+    from .properties import PROPERTY_IDS, SCAN_PROPERTIES, run_all_checks, run_property
+
     expected = _read_json(args.expect) if args.expect else {}
     if not isinstance(expected, dict) or not all(
         k in PROPERTY_IDS and isinstance(v, str) and v in _MARKS for k, v in expected.items()
     ):
-        raise DistributionError(
+        raise ValueError(
             f"{args.expect}: expected a JSON object of property id -> pass, fail or vacuous"
         )
     d = _load_distribution(args)
     measure = get_measure(args.measure)
     if args.property != "all" and args.property not in PROPERTY_IDS:
-        raise DistributionError(
+        raise ValueError(
             f"unknown property {args.property!r}; known: {', '.join(PROPERTY_IDS)} or 'all'"
         )
     not_run = [p for p in expected if args.property not in ("all", p)]
     if not_run:
-        raise DistributionError(f"{args.expect}: expects verdicts of properties that "
-                                f"--property {args.property} does not run: {', '.join(not_run)}")
+        raise ValueError(f"{args.expect}: expects verdicts of properties that "
+                         f"--property {args.property} does not run: {', '.join(not_run)}")
     # flags not given keep the checks' own defaults (seed 0, 32 trials)
     scan = {name: value for name, value in (("seed", args.seed), ("trials", args.trials))
             if value is not None}
     if scan and args.property not in ("all", *SCAN_PROPERTIES):
-        raise DistributionError(f"--{next(iter(scan))} applies to the rei scan of "
-                                f"{', '.join(SCAN_PROPERTIES)} or all; "
-                                f"--property {args.property} does not run it")
+        raise ValueError(f"--{next(iter(scan))} applies to the rei scan of "
+                         f"{', '.join(SCAN_PROPERTIES)} or all; "
+                         f"--property {args.property} does not run it")
     _require_served(d.n_sources)
     if args.property == "all":
         reports = run_all_checks(d, measure, tol=args.tol, **scan)
@@ -237,8 +253,8 @@ def _cmd_lattice(args) -> int:
             "--allow-large works with --format text or dot"
         )
     if args.allow_large and args.n < LARGE_N:
-        raise DistributionError(f"--allow-large applies to n = {LARGE_N} only; "
-                                f"--n {args.n} does not need it")
+        raise ValueError(f"--allow-large applies to n = {LARGE_N} only; "
+                         f"--n {args.n} does not need it")
     _require_served(args.n, args.allow_large)
     lattice = redundancy_lattice(args.n)
     if args.format == "dot":
@@ -254,17 +270,24 @@ def _cmd_lattice(args) -> int:
 
 
 def _read_json(path) -> object:
+    from pathlib import Path
+
     try:
         return json.loads(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DistributionError(f"cannot parse {path}: {exc}") from exc
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def _default_expectations() -> dict:
+    from importlib import resources
+
     return json.loads(resources.files("partinfo").joinpath("table2_expected.json").read_text())
 
 
 def _cmd_table2(args) -> int:
+    from .measures import UNIMPLEMENTED_MEASURES, available_measures, get_measure
+    from .properties import TABLE_PROPERTIES, property_matrix
+
     expected = _read_json(args.expect) if args.expect else _default_expectations()
     if not (
         isinstance(expected, dict)
@@ -273,8 +296,8 @@ def _cmd_table2(args) -> int:
         and isinstance(expected.get("not_implemented", []), list)
         and all(isinstance(mid, str) for mid in expected.get("not_implemented", []))
     ):
-        raise DistributionError(f"{args.expect}: expected an object with \"measures\" "
-                                "as an object of objects")
+        raise ValueError(f"{args.expect}: expected an object with \"measures\" "
+                         "as an object of objects")
     measures = [get_measure(mid) for mid in available_measures()]
     matrix = property_matrix(measures, tol=args.tol, trials=args.trials, seed=args.seed)
 
@@ -321,7 +344,7 @@ def main(argv=None) -> int:
         # flush at interpreter exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (DistributionError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:   # DistributionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

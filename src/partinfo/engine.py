@@ -29,18 +29,24 @@ Equal tables are equal keys.  A relabelled table is a table of its own,
 with its own decomposition; it reads another table's work only through a
 shared kernel, whose contents are the whole input of every value kept in
 it, so a shared value is bit for bit the one recomputing gives.  The memo
-lives in :data:`measures._memo`, where the kernels find it.  Outside a
-call the memo is absent and every call computes afresh.
+lives in :data:`_memo`, which :mod:`measures` imports to find it.  Outside
+a call the memo is absent and every call computes afresh.
+
+This module imports only :mod:`lattice` when it loads, so the lattice and
+the inversions run without the measures or the probability tables;
+:func:`consistency_check` and :func:`c_information` import what they use
+of :mod:`measures` when called.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .lattice import (
     RedundancyLattice,
@@ -50,9 +56,14 @@ from .lattice import (
     nonempty_subsets,
     redundancy_lattice,
 )
-from .measures import RedundancyMeasure, _memo, normalize_args, subset_mi
-from .prob import JointDistribution, Selector
 
+if TYPE_CHECKING:
+    from .measures import RedundancyMeasure
+    from .prob import JointDistribution, Selector
+
+
+#: the memo of the call_memo() call in progress, if any
+_memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
 #: default tolerance of the consistency equations and of every property check
 DEFAULT_TOL = 1e-9
@@ -324,6 +335,8 @@ def consistency_check(
 
     Each atom sum is ``c_information(result, "red", (S,))``, read as the one
     zero-set bit of S, and each I(S;T) is :func:`measures.subset_mi`."""
+    from .measures import subset_mi
+
     if result.n != d.n_sources:
         raise ValueError("result and distribution have different source counts")
     atoms = list(zip(result.atoms.values(), result.zero_sets))
@@ -343,6 +356,8 @@ def c_information(result: PidResult, condition, args) -> float:
     """Sum the atoms whose parthood distribution satisfies the named
     condition (``red``, ``union``, ``ws`` or ``vul``) on ``args``, with
     :func:`math.fsum`; always a float, ``0.0`` when none is selected."""
+    from .measures import normalize_args
+
     selected = condition_test(condition, normalize_args(args), result.n)
     return math.fsum(value for value, zeros in zip(result.atoms.values(), result.zero_sets)
                      if selected(zeros))

@@ -16,27 +16,24 @@ hashable argument tuple; the masks key what the measures keep per table,
 in a kernel that the distribution holds for them.  The kernel holds no
 labels, only integers, so within one :func:`engine.call_memo` call the
 tables whose kernels come out equal share one, and with it every table and
-value kept in it.  Additional measures can be registered at runtime without
-touching the decomposition engine.
+value kept in it; the call's memo is :data:`engine._memo`, which lives in
+the engine so that it loads without this module.  Additional measures can
+be registered at runtime without touching the decomposition engine.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from operator import mul, or_
 from typing import Callable, Sequence
 
+from .engine import _memo
 from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
 from .prob import DistributionError, JointDistribution, log2_ratio, mi_from_weights
-
-#: the memo of the engine.call_memo() call in progress, if any; it lives
-#: here so that kernels can be shared through it without an import cycle
-_memo: ContextVar = ContextVar("partinfo_engine_memo", default=None)
 
 
 def normalize_args(args) -> tuple:
@@ -99,41 +96,26 @@ class _Kernel:
     ``struct``; wider fields by slicing.  Per-subset tables, ``i_sx``'s log
     terms and the measures' values (per tuple of member masks) are filled
     on first request and never change afterwards.  They are functions of
-    ``contents`` alone, so tables whose kernels have equal contents can
-    share one kernel.  The kernel keeps no reference to its distribution.
+    ``contents`` alone (:func:`_kernel_contents`), so tables whose kernels
+    have equal contents can share one kernel.  The kernel keeps no
+    reference to its distribution.
     """
 
-    __slots__ = ("n_sources", "denominator", "codes", "fields", "targets", "weights", "probs",
-                 "target_weights", "target_probs", "si_tables", "isx_logs", "field_bits",
-                 "imin_values", "isx_values", "_subsets", "_columns", "_pairs")
+    __slots__ = ("contents", "n_sources", "denominator", "weights", "codes", "fields", "targets",
+                 "probs", "target_weights", "target_probs", "si_tables", "isx_logs",
+                 "field_bits", "imin_values", "isx_values", "_subsets", "_columns", "_pairs")
 
-    def __init__(self, d: JointDistribution):
-        n = self.n_sources = d.n_sources
-        end = n + d.target_arity
-        points: dict = {}                  # (sources, target) -> weight
-        for values, w in d._weights:
-            point = values[:end]           # rows differing only in aux merge
-            points[point] = points.get(point, 0) + w
-        self.denominator = d._denominator
-        self.codes = [0] * len(points)
-        self.fields = []
-        shift = 0
-        for column in list(zip(*points))[:n]:
-            index = {v: k << shift for k, v in enumerate(dict.fromkeys(column))}
-            self.codes = list(map(or_, self.codes, map(index.__getitem__, column)))
-            width = (len(index) - 1).bit_length()
-            self.fields.append((1 << width) - 1 << shift)
-            shift += width
-        first: dict = {}                   # target value -> index of first appearance
-        self.targets = [first.setdefault(point[n:], len(first)) for point in points]
-        self.weights = list(points.values())
-        self.target_weights = [0] * len(first)
+    def __init__(self, contents: tuple):
+        self.contents = contents
+        (self.n_sources, self.denominator, self.weights, self.codes, self.fields,
+         self.targets) = contents
+        self.target_weights = [0] * (max(self.targets) + 1)
         for t, w in zip(self.targets, self.weights):
             self.target_weights[t] += w
         self.probs = [w / self.denominator for w in self.weights]
         self.target_probs = [w / self.denominator for w in self.target_weights]
         self.si_tables: dict = {}          # subset mask -> specific information, per target
-        logs = [{} for _ in first]
+        logs = [{} for _ in self.target_weights]
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
         self.imin_values: dict = {}        # member masks -> i_min
         self.isx_values: dict = {}         # member masks -> i_sx
@@ -147,13 +129,6 @@ class _Kernel:
         self.field_bits = 8 * size
         code = {1: "H", 2: "I", 4: "Q"}.get(size)
         self._pairs = code and struct.Struct(f"<{len(self.weights)}{code}")
-
-    @property
-    def contents(self) -> tuple:
-        """What every table and value in the kernel is computed from, with
-        the points in order."""
-        return (self.n_sources, self.denominator, tuple(self.weights), tuple(self.codes),
-                tuple(self.fields), tuple(self.targets))
 
     def subset_weights(self, mask: int) -> tuple:
         """Each point's source values on the subset ``mask``, as its code
@@ -205,19 +180,49 @@ class _Kernel:
                 for i in range(0, len(raw), pair_bytes)]
 
 
+def _kernel_contents(d: JointDistribution) -> tuple:
+    """The contents of ``d``'s kernel: (n_sources, denominator, weights,
+    codes, fields, targets), each sequence a tuple, with the points read
+    in one pass over the support (see :class:`_Kernel`)."""
+    n = d.n_sources
+    end = n + d.target_arity
+    points: dict = {}                  # (sources, target) -> weight
+    for values, w in d._weights:
+        point = values[:end]           # rows differing only in aux merge
+        points[point] = points.get(point, 0) + w
+    codes = [0] * len(points)
+    fields = []
+    shift = 0
+    for column in list(zip(*points))[:n]:
+        index = {v: k << shift for k, v in enumerate(dict.fromkeys(column))}
+        codes = list(map(or_, codes, map(index.__getitem__, column)))
+        width = (len(index) - 1).bit_length()
+        fields.append((1 << width) - 1 << shift)
+        shift += width
+    first: dict = {}                   # target value -> index of first appearance
+    targets = [first.setdefault(point[n:], len(first)) for point in points]
+    return (n, d._denominator, tuple(points.values()), tuple(codes), tuple(fields),
+            tuple(targets))
+
+
 def _kernel(d: JointDistribution) -> _Kernel:
     """The kernel of ``d``, built on first use and kept in the table's
     slot; safe to keep because the distribution never changes.  Within an
-    :func:`engine.call_memo` call, a table whose kernel has the contents of
-    one already built in that call gets that one, so the two share what it
-    keeps, which is the same floats bit for bit; outside one, nothing is
-    shared."""
+    :func:`engine.call_memo` call, a table whose kernel contents are those
+    of a kernel already built in that call gets that one, so the two share
+    what it keeps, which is the same floats bit for bit; the contents are
+    read first, and a kernel is built only when the call has none with
+    them.  Outside a call, nothing is shared."""
     kernel = d._measure_kernel
     if kernel is None:
-        kernel = _Kernel(d)
+        contents = _kernel_contents(d)
         memo = _memo.get()
-        if memo is not None:
-            kernel = memo.setdefault(("kernel", kernel.contents), kernel)
+        if memo is None:
+            kernel = _Kernel(contents)
+        else:
+            kernel = memo.get(("kernel", contents))
+            if kernel is None:
+                kernel = memo["kernel", contents] = _Kernel(contents)
         d._measure_kernel = kernel
     return kernel
 

@@ -21,7 +21,6 @@ A row is one flat value tuple (sources, target, then aux if present);
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -539,6 +538,8 @@ class JointDistribution:
     def digest(self) -> str:
         """Stable hash of the canonical support table."""
         if self._digest is None:
+            import hashlib      # loaded only by a call that reads a digest
+
             payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
             self._digest = hashlib.sha256(payload.encode()).hexdigest()
         return self._digest

@@ -42,7 +42,6 @@ from .engine import (
     rsi_decomposition_check,
     split_on,
 )
-from .gates import make_gate
 from .lattice import Antichain, condition_test, nonempty_subsets, redundancy_lattice
 from .measures import RedundancyMeasure
 from .prob import DistributionError, JointDistribution
@@ -717,6 +716,8 @@ def property_matrix(
     """Verdict matrix over the gate corpus: a property fails for a measure
     if any corpus gate witnesses a violation, and passes when at least one
     gate exercised it without any violation being found."""
+    from .gates import make_gate
+
     corpus = [make_gate(gate_id) for gate_id in TABLE_GATES]
     matrix = {}
     for measure in measures:

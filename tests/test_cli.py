@@ -550,6 +550,26 @@ def test_zero_tol_and_trials_are_valid(capsys):
     assert report["tolerance"] == 0 and report["details"]["trials"] == 0
 
 
+@pytest.mark.parametrize("argv", [["check", "--gate", "xor_source_copy", "--measure", "imin"],
+                                  ["table2"]])
+def test_trials_above_the_bound_exit_2_promptly(capsys, argv):
+    # every rei trial keeps a table and a decomposition until the call
+    # returns, so an unbounded count runs until memory gives out
+    from partinfo.cli import MAX_TRIALS
+
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {MAX_TRIALS}" in " ".join(capsys.readouterr().out.split())
+    for value in ("99999999999999999999", str(MAX_TRIALS + 1)):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", value])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --trials" in err and f"from 0 to {MAX_TRIALS}" in err
+
+
 @pytest.mark.parametrize("extra, rei_tol, lp_tol", [
     ([], 1e-12, 1e-9),
     (["--tol", "1e-20"], 1e-20, 1e-20),

@@ -28,7 +28,7 @@ from partinfo import (
 )
 from partinfo.engine import call_memo
 from partinfo.lattice import nonempty_subsets
-from partinfo.measures import _kernel, subset_mi
+from partinfo.measures import _Kernel, _kernel, subset_mi
 
 from conftest import (
     draw_aux_table,
@@ -489,7 +489,7 @@ def _fresh(d: JointDistribution) -> JointDistribution:
     return JointDistribution(d.n_sources, d.target_arity, d.outcomes)
 
 
-def test_equal_kernel_contents_share_one_kernel_within_a_call_memo():
+def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
     # relabelling source 1 and the target in their canonical order leaves
     # every point where it was, so the kernel's contents are unchanged;
     # swapping source 1's symbols reorders the points, so it is not
@@ -498,11 +498,17 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo():
             gate.reencode(None, (((0,), (5,)), ((1,), (6,)))),
             gate.reencode({2: ((0, -3), (1, 4))}, (((0,), ("p",)), ((1,), ("q",))))]
     swapped = gate.reencode({1: ((0, 1), (1, 0))})
+    built = []
+    init = _Kernel.__init__
+    monkeypatch.setattr(_Kernel, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
     with call_memo():
         kernel = _kernel(gate)
         assert all(_kernel(d) is kernel for d in kept)
         assert _kernel(swapped) is not kernel
         assert _kernel(swapped).contents != kernel.contents
+    # a table that finds its kernel's contents in the memo builds no kernel
+    assert built == [kernel, _kernel(swapped)]
     # outside a memo every table builds its own, with equal contents
     tables = [_fresh(d) for d in [gate] + kept]
     kernels = [_kernel(d) for d in tables]
