@@ -31,7 +31,9 @@ EXIT_RESOURCE = 3
 EXIT_PIPE = 141
 
 #: the most ``--trials`` that ``check`` and ``table2`` take: the rei scan
-#: keeps a table and a decomposition per trial until the call returns
+#: keeps a table and a decomposition per distinct relabelling, keyed by the
+#: symbols it moves (an identity one compares the input itself), until the
+#: call returns
 MAX_TRIALS = 4096
 
 _MEASURE_LABELS = {

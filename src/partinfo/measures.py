@@ -238,7 +238,8 @@ def specific_information(d: JointDistribution, a) -> dict:
     w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
     order they first appear in the support.  The table is keyed by ``d``'s
     own target outcomes, in the order they first appear in its support,
-    which is the order of the kernel's target indices.
+    which is the order of the kernel's target indices; ``d`` reads that
+    order once and keeps it.
     """
     kernel = _kernel(d)
     table = [0.0] * len(kernel.target_weights)
@@ -246,8 +247,7 @@ def specific_information(d: JointDistribution, a) -> dict:
     for (s_a, t), w in w_joint.items():
         w_t = kernel.target_weights[t]
         table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
-    n, end = d.n_sources, d.n_sources + d.target_arity
-    return dict(zip(dict.fromkeys(values[n:end] for values, _ in d._weights), table))
+    return dict(zip(d._target_keys(), table))
 
 
 def subset_mi(d: JointDistribution, a) -> float:

@@ -124,16 +124,23 @@ def _canonical_order(rows: list) -> list:
     """``rows`` (value tuples of one length, with weights) sorted by the
     :func:`_symbol_key` of each value, position by position; stable.
 
-    The key is computed once per distinct ``(type, value)`` symbol, so
-    ``True`` and ``1`` stay apart, and each row is sorted by the tuple of
-    its symbols' ranks in key order, equal keys sharing a rank.
+    Each row is sorted by the tuple of its values' ranks in key order, equal
+    keys sharing a rank, and the key is computed once per distinct symbol.
+    When every value has one type, the values themselves are ranked;
+    otherwise each is ranked as its ``(type, value)`` pair, so ``True`` and
+    ``1`` stay apart.
     """
-    columns = [list(zip(map(type, column), column)) for column in zip(*[v for v, _ in rows])]
+    columns = list(zip(*[v for v, _ in rows]))
+    if len({type(value) for column in columns for value in column}) > 1:
+        columns = [list(zip(map(type, column), column)) for column in columns]
+        key = lambda symbol: _symbol_key(symbol[1])
+    else:
+        key = _symbol_key
     rank, previous = {}, None
-    for symbol in sorted(set().union(*columns), key=lambda s: _symbol_key(s[1])):
-        key = _symbol_key(symbol[1])
-        if key != previous:
-            r, previous = len(rank), key
+    for symbol in sorted(set().union(*columns), key=key):
+        symbol_key = key(symbol)
+        if symbol_key != previous:
+            r, previous = len(rank), symbol_key
         rank[symbol] = r
     ranked = list(zip(*[map(rank.__getitem__, column) for column in columns]))
     return [rows[i] for i in sorted(range(len(rows)), key=ranked.__getitem__)]
@@ -224,7 +231,7 @@ class JointDistribution:
     """
 
     __slots__ = ("n_sources", "target_arity", "_rows", "_weights", "_denominator",
-                 "_digest", "_hash", "_measure_kernel")
+                 "_targets", "_digest", "_hash", "_measure_kernel")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
         if not isinstance(outcomes, _Weights):
@@ -255,6 +262,7 @@ class JointDistribution:
         self._rows = tuple(rows)
         self._weights = self._rows if all(weights) else tuple(row for row in rows if row[1])
         self._denominator = denominator // g
+        self._targets = None
         self._digest = None
         self._hash = None
         self._measure_kernel = None     # the measures' per-table state, built by them on first use
@@ -349,6 +357,14 @@ class JointDistribution:
     def marginal_support(self, selectors: Sequence[Selector]) -> tuple:
         """The value tuples of :meth:`marginal`, without their probabilities."""
         return tuple(dict.fromkeys(map(self._key(selectors), (v for v, _ in self._weights))))
+
+    def _target_keys(self) -> tuple:
+        """The distinct target tuples in the order they first appear in the
+        support, read on first use and kept in the table."""
+        if self._targets is None:
+            n, end = self.n_sources, self.n_sources + self.target_arity
+            self._targets = tuple(dict.fromkeys(values[n:end] for values, _ in self._weights))
+        return self._targets
 
     def source_marginal(self, indices: Iterable[int]) -> dict:
         return self.marginal([("source", i) for i in sorted(indices)])
@@ -448,28 +464,31 @@ class JointDistribution:
         target tuples to new tuples (all of one arity, possibly different
         from the current one).  Tables must be injective on the respective
         support.  Each map, and each symbol table, may also be given as a
-        sequence of (key, image) pairs, which is hashable.
+        sequence of (key, image) pairs, which is hashable.  The table is
+        relabelled column by column: each relabelled source column is mapped
+        through its symbol table, and the target columns through the images
+        of the target tuples.
         """
         n, end = self.n_sources, self.n_sources + self.target_arity
         source_maps = {i: dict(table) for i, table in dict(source_maps or {}).items()}
-        sources = dict.fromkeys(v[:n] for v, _ in self._weights)   # distinct, in order
+        values, weights = zip(*self._weights)
+        columns = list(zip(*values))
         for i, table in source_maps.items():
             self._check_indices("source", (i,))
-            _check_injective(f"source {i} table", table, dict.fromkeys(s[i - 1] for s in sources))
-        targets = dict.fromkeys(v[n:end] for v, _ in self._weights)
-        if target_map is None:
-            target_map, new_arity = {t: t for t in targets}, self.target_arity
-        else:
+            _check_injective(f"source {i} table", table, dict.fromkeys(columns[i - 1]))
+            columns[i - 1] = map(table.__getitem__, columns[i - 1])
+        new_arity = self.target_arity
+        if target_map is not None:
+            targets = self._target_keys()
             target_map = dict(target_map)
             target_map = {t: tuple(target_map[t]) for t in targets if t in target_map}
             arities = {len(image) for image in _check_injective("target table", target_map, targets)}
             if len(arities) != 1:
                 raise EncodingError("target table maps to tuples of mixed arity")
             new_arity = arities.pop()
-        maps = [source_maps.get(i) for i in range(1, n + 1)]
-        columns = [c if m is None else map(m.__getitem__, c) for c, m in zip(zip(*sources), maps)]
-        relabelled = dict(zip(sources, zip(*columns)))
-        rows = [(relabelled[v[:n]] + target_map[v[n:end]] + v[end:], w) for v, w in self._weights]
+            # the images' columns; an arity-0 image leaves none
+            columns[n:end] = zip(*map(target_map.__getitem__, map(itemgetter(slice(n, end)), values)))
+        rows = list(zip(zip(*columns), weights))
         return JointDistribution(n, new_arity, _Weights(rows, self._denominator))
 
     # ------------------------------------------------------------------

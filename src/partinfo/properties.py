@@ -126,11 +126,14 @@ def check_rei(
     permutation of each source support and then of the target support of at
     most four symbols, and, for each source pair that determines the target
     one-to-one, the table with that pair as target: a re-encoding of the
-    input, so its atoms must agree.  A map drawn again within a call memo
-    reuses its table and decomposition.  Each comparison's atom deltas are
-    taken by position, since every decomposition lists its atoms in lattice
-    node order; the first comparison with the largest delta is the witness.
-    With nothing to compare, it raises :class:`PreconditionError`.
+    input, so its atoms must agree.  A map is keyed by the symbol tables in
+    it that move a symbol, so within a call memo the maps that move the same
+    symbols share one table and decomposition, and a map that moves none
+    compares the input itself.  Each comparison's atom deltas are taken by
+    position, since every decomposition lists its atoms in lattice node
+    order, and their largest is computed once per distinct table; the first
+    comparison with the largest delta is the witness.  With nothing to
+    compare, it raises :class:`PreconditionError`.
     """
     base = decompose(d, measure)
     supports = {i: d.variable_support(("source", i)) for i in range(1, d.n_sources + 1)}
@@ -149,7 +152,7 @@ def check_rei(
     if d.target_arity >= 1 and len(targets) <= 4:
         maps += [("target permutation", None, tuple(zip(targets, perm)))
                  for perm in itertools.permutations(targets)]
-    tables = [(label, derived(d, "reencode", source_maps, target_map))
+    tables = [(label, _relabelled(d, source_maps, target_map))
               for label, source_maps, target_map in maps]
 
     for i, j in itertools.combinations(supports, 2):
@@ -167,14 +170,35 @@ def check_rei(
     tol = DEFAULT_REI_TOL if tol is None else tol
     max_delta, witness = 0.0, None
     base_atoms = list(base.atoms.values())
+    deltas = {}                       # table -> its largest atom delta
     for label, table in tables:
-        delta = max(map(abs, map(sub, base_atoms, decompose(table, measure).atoms.values())))
+        delta = deltas.get(table)
+        if delta is None:
+            atoms = decompose(table, measure).atoms.values()
+            delta = deltas[table] = max(map(abs, map(sub, base_atoms, atoms)))
         if delta > max_delta:
             max_delta, witness = delta, {"transformation": label, "max_atom_delta": delta}
     return _report(
         "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
         {"trials": trials, "seed": seed, "comparisons": len(tables), "max_atom_delta": max_delta},
     )
+
+
+def _relabelled(d: JointDistribution, source_maps, target_map) -> JointDistribution:
+    """``d`` re-encoded by those of the symbol tables (``source_maps``, as
+    (index, pairs) pairs, and ``target_map``, pairs or ``None``) that move a
+    symbol; ``d`` itself when none does.  So maps that move the same
+    symbols share one key, and with it one table, within a call memo."""
+    source_maps = tuple((i, pairs) for i, pairs in source_maps or () if _moves(pairs))
+    target_map = target_map if target_map and _moves(target_map) else None
+    if not source_maps and target_map is None:
+        return d
+    return derived(d, "reencode", source_maps or None, target_map)
+
+
+def _moves(pairs) -> bool:
+    """Whether a symbol table, as (symbol, image) pairs, moves a symbol."""
+    return any(symbol != image for symbol, image in pairs)
 
 
 def _memoized_check(key, compute):

@@ -326,6 +326,11 @@ def test_rows_are_ordered_by_symbol_type_name_then_text():
     d = JointDistribution(2, 1, [(Outcome(s, (0,)), p) for s, p in rows])
     assert [repr(o.sources) for o, _ in d.support] == [
         "(True, 'b')", "(1, 'a')", "(10, 'a')", "(2, 'a')"]
+    # with ints and bools alone too: 1 is read before True, but True comes first
+    d = JointDistribution(2, 1, [(Outcome((1, 0), (0,)), Fraction(1, 2)),
+                                 (Outcome((True, 1), (0,)), Fraction(1, 2))])
+    assert [o.sources for o, _ in d.support] == [(True, 1), (1, 0)]
+    assert [type(o.sources[0]) for o, _ in d.support] == [bool, int]
     with pytest.raises(DistributionError, match="duplicate outcome"):
         JointDistribution(2, 1, [(Outcome((True, "a"), (0,)), Fraction(1, 2)),
                                  (Outcome((1, "a"), (0,)), Fraction(1, 2))])
@@ -335,16 +340,23 @@ def test_rows_are_ordered_by_symbol_type_name_then_text():
 def test_integer_core_matches_fraction_reference_on_generated_tables():
     # ints 10 and -1: the (type name, str) order puts "-1" first and "10" before "2"
     symbols = st.one_of(st.sampled_from([0, 1, 2, 10, -1]), st.sampled_from(["a", "b", "1"]))
+    # relabelling images: fresh symbols too, and ints in place of strs or strs in place of ints
+    images = st.one_of(st.integers(-3, 20), st.sampled_from(["a", "b", "1", "x", "10"]))
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
               phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
     @given(st.data())
     def check(data):
         n = data.draw(st.integers(1, 3), label="n")
         arity = data.draw(st.integers(1, 2), label="target arity")
-        aux = symbols if data.draw(st.booleans(), label="aux") else st.none()
+        # an API table may hold True beside 1 in a column: equal values, but
+        # different symbols, which JSON cannot carry; with no str among them,
+        # only the cells' types tell the table's symbols apart
+        with_true = data.draw(st.sampled_from([False] * 3 + [True]), label="True among the symbols")
+        cell = st.sampled_from([0, 1, 2, True]) if with_true else symbols
+        aux = cell if data.draw(st.booleans(), label="aux") else st.none()
         cells = data.draw(st.lists(
-            st.tuples(st.tuples(*[symbols] * n), st.tuples(*[symbols] * arity), aux),
+            st.tuples(st.tuples(*[cell] * n), st.tuples(*[cell] * arity), aux),
             min_size=1, max_size=10, unique=True,
         ), label="cells")
         weights = data.draw(st.lists(st.integers(0, 6), min_size=len(cells),
@@ -353,8 +365,9 @@ def test_integer_core_matches_fraction_reference_on_generated_tables():
         d = JointDistribution(n, arity, [(Outcome(s, t, z), p) for s, t, z, p in rows])
         assert list(d.support) == reference_support(rows)
         # the API boundary: JSON and Outcome rows, zero ones included, give the table back
-        loaded = JointDistribution.from_json_dict(d.to_json_dict())
-        assert loaded == d and loaded.digest == d.digest
+        if not with_true:
+            loaded = JointDistribution.from_json_dict(d.to_json_dict())
+            assert loaded == d and loaded.digest == d.digest
         rebuilt = JointDistribution(n, arity, d.outcomes)
         assert rebuilt == d and rebuilt.outcomes == d.outcomes
 
@@ -363,6 +376,7 @@ def test_integer_core_matches_fraction_reference_on_generated_tables():
             assert list(child.support) == support
             twin = JointDistribution(n, arity, support)
             assert child == twin and hash(child) == hash(twin)
+            return twin
 
         target = [("target", j) for j in range(1, arity + 1)]
         selectors = [("source", i) for i in range(1, n + 1)] + target + (["aux"] if d.has_aux else [])
@@ -380,19 +394,34 @@ def test_integer_core_matches_fraction_reference_on_generated_tables():
         assert_table(d.condition_on(selector, value), arity - (selector[0] == "target"),
                      reference_condition_on(rows, selector, value))
         components = data.draw(st.lists(st.integers(1, arity), max_size=3), label="components")
-        assert_table(d.restrict_target(components), len(components),
-                     reference_restrict_target(rows, components))
         indices = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3), label="indices")
-        assert_table(d.retarget_to_sources(indices), len(indices),
-                     reference_retarget_to_sources(rows, indices))
+        if not with_true:
+            # rows that merge keep one of their equal symbols: the table the
+            # first in canonical order, the reference the first in input order
+            assert_table(d.restrict_target(components), len(components),
+                         reference_restrict_target(rows, components))
+            assert_table(d.retarget_to_sources(indices), len(indices),
+                         reference_retarget_to_sources(rows, indices))
 
+        # each relabelled source permutes its support or maps it one-to-one
+        # onto drawn symbols; the target permutes its support or maps it onto
+        # tuples of a drawn arity (0 only for a single target tuple)
         source_maps = {}
         for i in data.draw(st.frozensets(st.integers(1, n)), label="relabelled sources"):
             values = d.variable_support(("source", i))
-            source_maps[i] = dict(zip(values, data.draw(st.permutations(values))))
+            injection = st.lists(images, min_size=len(values), max_size=len(values), unique=True)
+            drawn = data.draw(st.one_of(st.permutations(values), injection), label=f"source {i}")
+            source_maps[i] = dict(zip(values, drawn))
         targets = list(reference_marginal(rows, target))
-        target_map = dict(zip(targets, data.draw(st.permutations(targets), label="targets")))
-        assert_table(d.reencode(source_maps, target_map), arity,
-                     reference_reencode(rows, source_maps, target_map))
+        new_arity = data.draw(st.integers(len(targets) > 1, 3), label="new target arity")
+        tuples = st.lists(st.tuples(*[images] * new_arity), min_size=len(targets),
+                          max_size=len(targets), unique=True)
+        if new_arity == arity:
+            tuples = st.one_of(st.permutations(targets), tuples)
+        target_map = dict(zip(targets, data.draw(tuples, label="targets")))
+        relabelled = d.reencode(source_maps, target_map)
+        twin = assert_table(relabelled, new_arity, reference_reencode(rows, source_maps, target_map))
+        # no two rows merge, so the twin holds the same symbols: the digest tells True from 1
+        assert relabelled._rows == twin._rows and relabelled.digest == twin.digest
 
     check()

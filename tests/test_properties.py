@@ -639,15 +639,24 @@ def test_property_matrix_derives_each_table_once(monkeypatch):
     assert (sum(retargeted.values()), len(retargeted)) == (6, 6)
 
 
-@pytest.mark.parametrize("gate_id, tables", [("xor_source_copy", 38), ("xor", 14)])
-def test_rei_builds_one_table_per_distinct_map(monkeypatch, gate_id, tables):
-    # a map drawn again reuses its table, but every trial is still compared
+@pytest.mark.parametrize("name, tables, comparisons",
+                         [("xor_source_copy", 35, 38), ("xor", 7, 38), ("constant", 0, 34)],
+                         ids=["xor_source_copy", "xor", "constant"])
+def test_rei_builds_one_table_per_distinct_map(monkeypatch, name, tables, comparisons):
+    # a map is keyed by the symbol tables that move a symbol: maps that move
+    # the same symbols share one table, an identity map compares the input
+    # itself, and every map is still compared; xor's 7 tables are the 7
+    # nonempty sets of its three binary variables that a map flips
     reencoded = _count_calls(monkeypatch, "reencode")
-    d = make_gate(GateSpec(gate_id, Fraction(1, 8)))
+    if name == "constant":      # one symbol per variable, so every map is an identity
+        d = JointDistribution(1, 1, [(Outcome((0,), ("t",)), Fraction(1))])
+    else:
+        d = make_gate(GateSpec(name, Fraction(1, 8)))
     reports = {r.property_id: r for r in run_all_checks(d, IMIN)}
-    assert max(reencoded.values()) == 1
+    assert set(reencoded.values()) <= {1}
     assert len(reencoded) == tables
-    assert reports["rei"].details["comparisons"] == 38
+    assert reports["rei"].details["comparisons"] == comparisons
+    assert reports["rei"].details["max_atom_delta"] == 0.0
 
 
 @pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
