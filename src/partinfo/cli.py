@@ -33,7 +33,13 @@ EXIT_PIPE = 141
 #: the most ``--trials`` that ``check`` and ``table2`` take: the rei scan
 #: keeps a table and a decomposition per distinct relabelling, keyed by the
 #: symbols it moves (an identity one compares the input itself), until the
-#: call returns
+#: call returns.  Each relabelled table reads the input's measure kernel
+#: through a view that keeps only its own point order and sums, so
+#: ``check --gate xor_source_copy --noise 1/8 --property rei --trials 4096``
+#: runs in 0.69-0.70 s at 62 MiB peak RSS with imin and 0.60-0.61 s at
+#: 55 MiB with isx (``cli.main`` alone, Python 3.11, 2 vCPUs); with a
+#: kernel built per relabelled table it took 1.24-1.56 s at 121 MiB, and
+#: 1.30-1.34 s at 126 MiB
 MAX_TRIALS = 4096
 
 _MEASURE_LABELS = {

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
-from operator import mul, or_
+from operator import add, mul, or_
 from typing import Callable, Sequence
 
 from .engine import _memo
@@ -94,16 +94,17 @@ class _Kernel:
     each lands in ``0..denominator``.  A field is 1, 2 or 4 bytes wide when
     the denominator fits, and a pair of fields is packed and read by one
     ``struct``; wider fields by slicing.  Per-subset tables, ``i_sx``'s log
-    terms and the measures' values (per tuple of member masks) are filled
-    on first request and never change afterwards.  They are functions of
-    ``contents`` alone (:func:`_kernel_contents`), so tables whose kernels
-    have equal contents can share one kernel.  The kernel keeps no
-    reference to its distribution.
+    terms and products and the measures' values (per tuple of member masks)
+    are filled on first request and never change afterwards.  They are
+    functions of ``contents`` alone (:func:`_kernel_contents`), so tables
+    whose kernels have equal contents can share one kernel.  The kernel
+    keeps no reference to its distribution.
     """
 
     __slots__ = ("contents", "n_sources", "denominator", "weights", "codes", "fields", "targets",
                  "probs", "target_weights", "target_probs", "si_tables", "isx_logs",
-                 "field_bits", "imin_values", "isx_values", "_subsets", "_columns", "_pairs")
+                 "field_bits", "imin_values", "isx_values", "_subsets", "_columns", "_pairs",
+                 "_terms", "_groups", "_products")
 
     def __init__(self, contents: tuple):
         self.contents = contents
@@ -121,6 +122,9 @@ class _Kernel:
         self.isx_values: dict = {}         # member masks -> i_sx
         self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
+        self._terms: dict = {}             # subset mask -> terms()
+        self._groups: dict = {}            # subset mask -> groups()
+        self._products: dict = {}          # member masks -> isx_products()
         # a field holds any weight up to the denominator; a pair of fields
         # that fills 2, 4 or 8 bytes is packed and read by struct, a wider
         # one by slicing
@@ -152,6 +156,47 @@ class _Kernel:
             self._subsets[mask] = projections, w_source, w_joint
         return self._subsets[mask]
 
+    def specific_information(self, mask: int) -> list:
+        """The specific information of the subset ``mask`` per target: each
+        (value, target) group's term added in the order the groups first
+        appear (:func:`specific_information`)."""
+        table = [0.0] * len(self.target_weights)
+        _, w_source, w_joint = self.subset_weights(mask)
+        for (s_a, t), w in w_joint.items():
+            w_t = self.target_weights[t]
+            table[t] += w / w_t * log2_ratio(w * self.denominator, w_source[s_a] * w_t)
+        return table
+
+    def mutual_information(self, mask: int) -> float:
+        """I(mask; T), summed by :func:`prob.mi_from_weights` in group order."""
+        _, w_source, w_joint = self.subset_weights(mask)
+        return mi_from_weights(w_joint, w_source, self.target_weights, self.denominator)
+
+    def terms(self, mask: int) -> list:
+        """Per (value, target) group of the subset ``mask``, in the order of
+        :meth:`subset_weights`: its target and the terms that
+        :meth:`specific_information` and :meth:`mutual_information` add for
+        it, the same floats; once per mask, for the views that re-add them."""
+        terms = self._terms.get(mask)
+        if terms is None:
+            _, w_source, w_joint = self.subset_weights(mask)
+            denominator, terms = self.denominator, []
+            for (s_a, t), w in w_joint.items():
+                w_t = self.target_weights[t]
+                term = log2_ratio(w * denominator, w_source[s_a] * w_t)
+                terms.append((t, w / w_t * term, w / denominator * term))
+            self._terms[mask] = terms
+        return terms
+
+    def groups(self, mask: int) -> list:
+        """Per point, the index of its group in :meth:`terms`; once per mask."""
+        groups = self._groups.get(mask)
+        if groups is None:
+            projections, _, w_joint = self.subset_weights(mask)
+            index = {pair: g for g, pair in enumerate(w_joint)}
+            groups = self._groups[mask] = list(map(index.__getitem__, zip(projections, self.targets)))
+        return groups
+
     def column(self, mask: int) -> int:
         """The agreement column of the subset ``mask``: per point, its
         ``w_source | w_joint << field_bits`` pair, packed in point order."""
@@ -179,6 +224,86 @@ class _Kernel:
         return [int.from_bytes(raw[i : i + pair_bytes], "little")
                 for i in range(0, len(raw), pair_bytes)]
 
+    def isx(self, masks: tuple) -> float:
+        """:func:`i_sx` of the member masks ``masks``: the points' terms
+        added in point order.  A log term depends only on the target and
+        the pair of weights, so it is kept per target for later points."""
+        denominator, bits = self.denominator, self.field_bits
+        total = 0.0
+        pairs = self.combined_pairs(_union_coefficients(masks))
+        for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
+            term = logs.get(pair)
+            if term is None:
+                event, joint = pair & (1 << bits) - 1, pair >> bits
+                term = logs[pair] = log2_ratio(joint * denominator, event * self.target_weights[t])
+            total += p * term
+        return total
+
+    def isx_products(self, masks: tuple) -> list:
+        """Per point, the term :meth:`isx` adds for it, computed once per
+        tuple of member masks, with the log terms :meth:`isx` keeps."""
+        products = self._products.get(masks)
+        if products is None:
+            denominator, bits = self.denominator, self.field_bits
+            products = self._products[masks] = []
+            pairs = self.combined_pairs(_union_coefficients(masks))
+            for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
+                term = logs.get(pair)
+                if term is None:
+                    event, joint = pair & (1 << bits) - 1, pair >> bits
+                    term = logs[pair] = log2_ratio(joint * denominator, event * self.target_weights[t])
+                products.append(p * term)
+        return products
+
+
+class _View:
+    """The kernel of a table that :meth:`JointDistribution.reencode` built,
+    read off ``kernel``, the kernel of the first table of its chain of
+    relabellings.  Relabelling maps the points one to one, so the table's
+    point ``k`` is the kernel's point ``order[k]``, with its weight, and
+    points agree on a subset, or on the target, in the table exactly when
+    they do in the kernel.  So every log term and product that a value of
+    the table adds up is one the kernel keeps (:meth:`_Kernel.terms`,
+    :meth:`_Kernel.isx_products`), and only the order of the sums is the
+    table's own: the view adds the kernel's terms in the table's order,
+    which gives bit for bit the floats of a kernel built from the table.
+    Its targets are the kernel's in the order they first appear in
+    ``order``; ``target_index`` maps a kernel target to its index here.
+    The view keeps its own specific-information tables and values, as the
+    kernel does.
+    """
+
+    __slots__ = ("kernel", "order", "n_sources", "target_index", "target_probs",
+                 "si_tables", "imin_values", "isx_values")
+
+    def __init__(self, kernel: _Kernel, order: tuple):
+        self.kernel, self.order, self.n_sources = kernel, order, kernel.n_sources
+        targets = dict.fromkeys(map(kernel.targets.__getitem__, order))
+        self.target_index = {t: k for k, t in enumerate(targets)}
+        self.target_probs = list(map(kernel.target_probs.__getitem__, targets))
+        self.si_tables, self.imin_values, self.isx_values = {}, {}, {}
+
+    def _terms(self, mask: int):
+        """The kernel's :meth:`_Kernel.terms` of the subset ``mask``, in the
+        order their groups first appear among the table's points."""
+        first = dict.fromkeys(map(self.kernel.groups(mask).__getitem__, self.order))
+        return map(self.kernel.terms(mask).__getitem__, first)
+
+    def specific_information(self, mask: int) -> list:
+        table = [0.0] * len(self.target_probs)
+        for t, term, _ in self._terms(mask):
+            table[self.target_index[t]] += term
+        return table
+
+    def mutual_information(self, mask: int) -> float:
+        total = 0.0
+        for _, _, term in self._terms(mask):
+            total += term
+        return total
+
+    def isx(self, masks: tuple) -> float:
+        return reduce(add, map(self.kernel.isx_products(masks).__getitem__, self.order), 0.0)
+
 
 def _kernel_contents(d: JointDistribution) -> tuple:
     """The contents of ``d``'s kernel: (n_sources, denominator, weights,
@@ -205,24 +330,42 @@ def _kernel_contents(d: JointDistribution) -> tuple:
             tuple(targets))
 
 
-def _kernel(d: JointDistribution) -> _Kernel:
+def _point_order(d: JointDistribution, rows: tuple) -> tuple:
+    """The points of ``d``'s kernel that the support rows ``rows`` (their
+    indices in ``d``'s support) fall on, in the order they first appear."""
+    if not d.has_aux:
+        return rows                    # with no aux, support row k is point k
+    end = d.n_sources + d.target_arity
+    index: dict = {}                   # point -> its index
+    points = [index.setdefault(values[:end], len(index)) for values, _ in d._weights]
+    return tuple(dict.fromkeys(map(points.__getitem__, rows)))
+
+
+def _kernel(d: JointDistribution):
     """The kernel of ``d``, built on first use and kept in the table's
-    slot; safe to keep because the distribution never changes.  Within an
-    :func:`engine.call_memo` call, a table whose kernel contents are those
-    of a kernel already built in that call gets that one, so the two share
-    what it keeps, which is the same floats bit for bit; the contents are
-    read first, and a kernel is built only when the call has none with
-    them.  Outside a call, nothing is shared."""
+    slot; safe to keep because the distribution never changes.  A table
+    that :meth:`JointDistribution.reencode` built gets a :class:`_View` of
+    the kernel of the first table of its chain; any other table gets a
+    :class:`_Kernel` of its own.  Within an :func:`engine.call_memo` call,
+    a table whose kernel contents, or whose view's kernel and point order,
+    are those of one already built in that call gets that one, so the
+    tables share what it keeps, which is the same floats bit for bit; the
+    contents are read first, and a kernel is built only when the call has
+    none with them.  Outside a call, nothing is shared but a view's kernel."""
     kernel = d._measure_kernel
     if kernel is None:
-        contents = _kernel_contents(d)
-        memo = _memo.get()
-        if memo is None:
-            kernel = _Kernel(contents)
+        if d._origin is None:
+            kind, parts = _Kernel, (_kernel_contents(d),)
         else:
-            kernel = memo.get(("kernel", contents))
-            if kernel is None:
-                kernel = memo["kernel", contents] = _Kernel(contents)
+            first, rows = d._origin
+            parent = _kernel(first)
+            kind, parts = _View, (parent, _point_order(first, rows))
+        memo, key = _memo.get(), (kind, *parts)
+        kernel = None if memo is None else memo.get(key)
+        if kernel is None:
+            kernel = kind(*parts)
+            if memo is not None:
+                memo[key] = kernel
         d._measure_kernel = kernel
     return kernel
 
@@ -242,11 +385,7 @@ def specific_information(d: JointDistribution, a) -> dict:
     order once and keeps it.
     """
     kernel = _kernel(d)
-    table = [0.0] * len(kernel.target_weights)
-    _, w_source, w_joint = kernel.subset_weights(_subset_mask(a, kernel.n_sources, DistributionError))
-    for (s_a, t), w in w_joint.items():
-        w_t = kernel.target_weights[t]
-        table[t] += w / w_t * log2_ratio(w * kernel.denominator, w_source[s_a] * w_t)
+    table = kernel.specific_information(_subset_mask(a, kernel.n_sources, DistributionError))
     return dict(zip(d._target_keys(), table))
 
 
@@ -256,8 +395,7 @@ def subset_mi(d: JointDistribution, a) -> float:
     if d.target_arity == 0:
         raise DistributionError("distribution has no target")
     kernel = _kernel(d)
-    _, w_source, w_joint = kernel.subset_weights(_subset_mask(a, kernel.n_sources, DistributionError))
-    return mi_from_weights(w_joint, w_source, kernel.target_weights, kernel.denominator)
+    return kernel.mutual_information(_subset_mask(a, kernel.n_sources, DistributionError))
 
 
 def _checked_masks(args: tuple, n: int) -> tuple:
@@ -298,9 +436,10 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
     and kept in it under the subset's mask, as a list aligned with the
     kernel's ``target_probs``; equal distributions built separately each
     compute their own, with equal floats, unless a call memo gave them one
-    kernel.  The average over the target is a :func:`math.fsum` of
-    ``p(t) * min``, the same float on every interpreter, and is kept in the
-    kernel per tuple of member masks.
+    kernel.  A :class:`_Kernel` computes it by :func:`specific_information`
+    and a :class:`_View` re-adds its kernel's terms.  The average over the
+    target is a :func:`math.fsum` of ``p(t) * min``, the same float on every
+    interpreter, and is kept in the kernel per tuple of member masks.
     """
     kernel = _kernel(d)
     args = tuple(args)
@@ -311,7 +450,9 @@ def i_min(d: JointDistribution, args: Sequence) -> float:
         for a, mask in zip(args, masks):
             table = kernel.si_tables.get(mask)
             if table is None:
-                table = kernel.si_tables[mask] = list(specific_information(d, a).values())
+                table = (kernel.specific_information(mask) if type(kernel) is _View
+                         else list(specific_information(d, a).values()))
+                kernel.si_tables[mask] = table
             tables.append(table)
         least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
         value = kernel.imin_values[masks] = math.fsum(map(mul, kernel.target_probs, least))
@@ -354,23 +495,15 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     of the kernel's per-subset agreement columns, summed for all points at
     once; only the final log is floating point.  That log depends only on
     the target value and the two weights, so the kernel keeps it for later
-    points and calls; the terms are still added per point, in support order.
-    The sum is kept in the kernel per tuple of member masks.
+    points and calls; the terms are still added per point, in support order
+    (:meth:`_Kernel.isx`, :meth:`_View.isx`).  The sum is kept in the kernel
+    per tuple of member masks.
     """
     kernel = _kernel(d)
     masks = _member_masks(tuple(args), kernel.n_sources)
     total = kernel.isx_values.get(masks)
     if total is None:
-        denominator, bits = kernel.denominator, kernel.field_bits
-        pairs = kernel.combined_pairs(_union_coefficients(masks))
-        total = 0.0
-        for p, t, logs, pair in zip(kernel.probs, kernel.targets, kernel.isx_logs, pairs):
-            term = logs.get(pair)
-            if term is None:
-                event, joint = pair & (1 << bits) - 1, pair >> bits
-                term = logs[pair] = log2_ratio(joint * denominator, event * kernel.target_weights[t])
-            total += p * term
-        kernel.isx_values[masks] = total
+        total = kernel.isx_values[masks] = kernel.isx(masks)
     return total
 
 

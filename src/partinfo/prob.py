@@ -8,7 +8,9 @@ base-2 logarithms (of gcd-reduced integer ratios) are applied only at the
 final step of each Shannon quantity, so the lattice algebra downstream never
 accumulates rounding error beyond the log evaluation itself.  A table keeps
 one slot for state that :mod:`partinfo.measures` derives from it; this
-module never reads it.
+module never reads it.  A table built by :meth:`JointDistribution.reencode`
+also records where its rows came from, so that the measures can derive
+that state from the table it relabels.
 
 A row is one flat value tuple (sources, target, then aux if present);
 :class:`Outcome` exists only where the API takes or returns rows.  Each
@@ -121,8 +123,9 @@ def _symbol_key(symbol) -> tuple:
 
 
 def _canonical_order(rows: list) -> list:
-    """``rows`` (value tuples of one length, with weights) sorted by the
-    :func:`_symbol_key` of each value, position by position; stable.
+    """The indices of ``rows`` (value tuples of one length, with weights)
+    sorted by the :func:`_symbol_key` of each value, position by position;
+    stable.
 
     Each row is sorted by the tuple of its values' ranks in key order, equal
     keys sharing a rank, and the key is computed once per distinct symbol.
@@ -143,7 +146,7 @@ def _canonical_order(rows: list) -> list:
             r, previous = len(rank), symbol_key
         rank[symbol] = r
     ranked = list(zip(*[map(rank.__getitem__, column) for column in columns]))
-    return [rows[i] for i in sorted(range(len(rows)), key=ranked.__getitem__)]
+    return sorted(range(len(rows)), key=ranked.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -181,10 +184,13 @@ def _normalize_selector(selector: Selector) -> tuple:
 
 class _Weights(NamedTuple):
     """(value tuple, integer weight) rows over one denominator: how a
-    distribution is handed its table once its rows are checked."""
+    distribution is handed its table once its rows are checked.  When the
+    rows relabel the support rows of a table one for one and in order,
+    ``relabels`` is that table."""
 
     rows: list
     denominator: int
+    relabels: "JointDistribution | None" = None
 
 
 def _api_parts(row) -> tuple:
@@ -231,18 +237,19 @@ class JointDistribution:
     """
 
     __slots__ = ("n_sources", "target_arity", "_rows", "_weights", "_denominator",
-                 "_targets", "_digest", "_hash", "_measure_kernel")
+                 "_targets", "_digest", "_hash", "_measure_kernel", "_origin")
 
     def __init__(self, n_sources: int, target_arity: int, outcomes: Iterable):
         if not isinstance(outcomes, _Weights):
             outcomes = _weighted(n_sources, target_arity, map(_api_parts, outcomes))
-        rows, denominator = outcomes
+        rows, denominator, relabels = outcomes
         if not rows:
             raise DistributionError("empty outcome table")
         if len({len(values) for values, _ in rows}) > 1:
             raise DistributionError("auxiliary value must be present on all outcomes or none")
         # every row has one arity, so this orders sources, then target, then aux
-        rows = _canonical_order(rows)
+        order = _canonical_order(rows)
+        rows = [rows[i] for i in order]
         values, weights = zip(*rows)
         if len(set(values)) < len(rows):
             counts = Counter(values)
@@ -266,6 +273,13 @@ class JointDistribution:
         self._digest = None
         self._hash = None
         self._measure_kernel = None     # the measures' per-table state, built by them on first use
+        # for a relabelling, the first table of its chain of relabellings and
+        # each row's index in that table's support (a relabelling's rows are
+        # all positive, so its own support rows are in this order too)
+        self._origin = None
+        if relabels is not None:
+            first, index = relabels._origin or (relabels, range(len(rows)))
+            self._origin = first, tuple(map(index.__getitem__, order))
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -467,7 +481,9 @@ class JointDistribution:
         sequence of (key, image) pairs, which is hashable.  The table is
         relabelled column by column: each relabelled source column is mapped
         through its symbol table, and the target columns through the images
-        of the target tuples.
+        of the target tuples.  The new table records this one (or the first
+        table this one relabels) and its rows' order in that table's
+        support.
         """
         n, end = self.n_sources, self.n_sources + self.target_arity
         source_maps = {i: dict(table) for i, table in dict(source_maps or {}).items()}
@@ -489,7 +505,7 @@ class JointDistribution:
             # the images' columns; an arity-0 image leaves none
             columns[n:end] = zip(*map(target_map.__getitem__, map(itemgetter(slice(n, end)), values)))
         rows = list(zip(zip(*columns), weights))
-        return JointDistribution(n, new_arity, _Weights(rows, self._denominator))
+        return JointDistribution(n, new_arity, _Weights(rows, self._denominator, self))
 
     # ------------------------------------------------------------------
     # serialization

@@ -17,6 +17,7 @@ from partinfo import (
     atoms_from_redundancy,
     available_measures,
     conformance_suite,
+    consistency_check,
     enumerate_antichains,
     get_measure,
     i_min,
@@ -24,11 +25,12 @@ from partinfo import (
     make_gate,
     redundancy_lattice,
     register_measure,
+    run_all_checks,
     specific_information,
 )
 from partinfo.engine import call_memo
 from partinfo.lattice import nonempty_subsets
-from partinfo.measures import _Kernel, _kernel, subset_mi
+from partinfo.measures import _Kernel, _View, _kernel, subset_mi
 
 from conftest import (
     draw_aux_table,
@@ -492,7 +494,10 @@ def _fresh(d: JointDistribution) -> JointDistribution:
 def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
     # relabelling source 1 and the target in their canonical order leaves
     # every point where it was, so the kernel's contents are unchanged;
-    # swapping source 1's symbols reorders the points, so it is not
+    # swapping source 1's symbols reorders the points, so it is not.  Each
+    # relabelling reads the gate's kernel through a view in its own point
+    # order; the same tables built again from their rows have no such link
+    # and share a kernel by its contents
     gate = make_gate(GateSpec("and", "1/8"))
     kept = [gate.reencode({1: ((0, "a"), (1, "b"))}),
             gate.reencode(None, (((0,), (5,)), ((1,), (6,)))),
@@ -504,12 +509,21 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
                         lambda self, *args: built.append(self) or init(self, *args))
     with call_memo():
         kernel = _kernel(gate)
-        assert all(_kernel(d) is kernel for d in kept)
-        assert _kernel(swapped) is not kernel
-        assert _kernel(swapped).contents != kernel.contents
-    # a table that finds its kernel's contents in the memo builds no kernel
-    assert built == [kernel, _kernel(swapped)]
-    # outside a memo every table builds its own, with equal contents
+        views = [_kernel(d) for d in kept]
+        assert all(type(view) is _View and view.kernel is kernel for view in views)
+        assert all(view.order == tuple(range(len(gate.support))) for view in views)
+        assert views[0] is views[1] is views[2]     # one kernel and one order: one view
+        assert _kernel(swapped) is not views[0] and _kernel(swapped).kernel is kernel
+        assert _kernel(swapped).order != views[0].order
+        rebuilt = [_fresh(d) for d in kept]
+        assert all(_kernel(d) is kernel for d in rebuilt)
+        swapped_kernel = _kernel(_fresh(swapped))
+        assert swapped_kernel is not kernel
+        assert swapped_kernel.contents != kernel.contents
+    # a table that finds its kernel's contents in the memo builds no kernel,
+    # and a view builds none
+    assert built == [kernel, swapped_kernel]
+    # outside a memo every table built from rows builds its own, with equal contents
     tables = [_fresh(d) for d in [gate] + kept]
     kernels = [_kernel(d) for d in tables]
     assert len(set(map(id, kernels))) == len(kernels)
@@ -525,7 +539,7 @@ def test_a_shared_kernel_gives_each_table_its_own_labels_and_the_fresh_values():
     with call_memo():
         imin = [i_min(gate, args) for args in nodes]
         isx = [i_sx(gate, args) for args in nodes]
-        assert _kernel(relabelled) is _kernel(gate)
+        assert _kernel(relabelled).kernel is _kernel(gate)
         assert [i_min(relabelled, args) for args in nodes] == imin
         assert [i_sx(relabelled, args) for args in nodes] == isx
         for a in nonempty_subsets(3):
@@ -537,3 +551,116 @@ def test_a_shared_kernel_gives_each_table_its_own_labels_and_the_fresh_values():
     fresh = _fresh(relabelled)
     assert [i_min(fresh, args) for args in nodes] == imin
     assert [i_sx(fresh, args) for args in nodes] == isx
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_a_relabelled_table_gives_the_floats_of_a_table_built_from_its_rows():
+    # a relabelling, and a relabelling of it, read their parent's kernel
+    # through views; every value equals, float.hex for float.hex, the one a
+    # table built from the same rows with no link to a parent gives, in a
+    # call memo or out of one, and whether the parent is evaluated first or
+    # last.  The parents hold aux rows that merge into one point and zero
+    # rows; their symbols are ints and strs, or ints with True beside 1
+    symbols = st.one_of(st.sampled_from([0, 1, 2, 10, -1]), st.sampled_from(["a", "b", "1"]))
+    images = st.one_of(st.integers(-3, 20), st.sampled_from(["a", "b", "1", "x", "10"]))
+    measures = [get_measure("imin"), get_measure("isx")]
+
+    def readout(d: JointDistribution) -> str:
+        n, floats = d.n_sources, []
+        nodes = [node.sorted_members for node in redundancy_lattice(n).nodes]
+        floats.append([i_min(d, args).hex() for args in nodes])
+        floats.append([i_sx(d, args).hex() for args in nodes])
+        for a in nonempty_subsets(n):
+            table = specific_information(d, a)
+            floats.append((list(table), [v.hex() for v in table.values()]))
+            if d.target_arity:
+                floats.append(subset_mi(d, a).hex())
+        for measure in measures:
+            result = atoms_from_redundancy(d, measure)
+            floats.append([(node.label, v.hex()) for node, v in result.atoms.items()])
+            if d.target_arity:
+                floats.append(consistency_check(result, d))
+        return repr(floats)         # repr tells True from 1 in the target keys
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.generate), suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3), label="n")
+        arity = data.draw(st.integers(1, 2), label="target arity")
+        with_true = data.draw(st.sampled_from([False] * 3 + [True]), label="True among the symbols")
+        cell = st.sampled_from([0, 1, 2, True]) if with_true else symbols
+        points = data.draw(st.lists(st.tuples(st.tuples(*[cell] * n), st.tuples(*[cell] * arity)),
+                                    min_size=1, max_size=8, unique=True), label="points")
+        cells = [(s, t, z) for s, t in points
+                 for z in data.draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=2,
+                                             unique=True), label="aux values")]
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=len(cells),
+                                     max_size=len(cells)).filter(any), label="weights")
+        rows = [(Outcome(s, t, z), Fraction(w, sum(weights))) for (s, t, z), w in zip(cells, weights)]
+
+        def draw_maps(d: JointDistribution, label: str) -> tuple:
+            # each relabelled source permutes its support or maps it onto
+            # drawn symbols; the target permutes its tuples or maps them onto
+            # tuples of arity 0 to 3 (0 only for a single target tuple)
+            source_maps = {}
+            for i in data.draw(st.frozensets(st.integers(1, n)), label=f"{label} sources"):
+                values = d.variable_support(("source", i))
+                injection = st.lists(images, min_size=len(values), max_size=len(values), unique=True)
+                drawn = data.draw(st.one_of(st.permutations(values), injection), label=f"{label} {i}")
+                source_maps[i] = dict(zip(values, drawn))
+            targets = list(d._target_keys())
+            new_arity = data.draw(st.integers(len(targets) > 1, 3), label=f"{label} target arity")
+            tuples = st.lists(st.tuples(*[images] * new_arity), min_size=len(targets),
+                              max_size=len(targets), unique=True)
+            if new_arity == d.target_arity:
+                tuples = st.one_of(st.permutations(targets), tuples)
+            return source_maps, dict(zip(targets, data.draw(tuples, label=f"{label} targets")))
+
+        def chain() -> list:
+            parent = JointDistribution(n, arity, rows)
+            child = parent.reencode(*first_maps)
+            return [parent, child, child.reencode(*second_maps)]
+
+        first_maps = draw_maps(JointDistribution(n, arity, rows), "first")
+        second_maps = draw_maps(JointDistribution(n, arity, rows).reencode(*first_maps), "second")
+        want = [readout(JointDistribution(d.n_sources, d.target_arity, d.outcomes)) for d in chain()]
+        parent, child, grandchild = tables = chain()
+        # a chain links to its first table, not to the table in the middle
+        assert child._origin[0] is parent and grandchild._origin[0] is parent
+        assert _kernel(grandchild).kernel is _kernel(child).kernel is _kernel(parent)
+        assert [readout(d) for d in tables[::-1]] == want[::-1]
+        with call_memo():
+            assert [readout(d) for d in chain()] == want
+        with call_memo():
+            assert [readout(d) for d in chain()[::-1]] == want[::-1]
+
+    check()
+
+
+def test_a_check_run_builds_no_kernel_for_a_relabelled_table(monkeypatch):
+    # every table the rei scan relabels reads its parent's kernel through a
+    # view, so within one run of every check, a kernel is built only for
+    # tables that reencode did not build
+    from partinfo import measures
+
+    relabelled, evaluating, built_for = [], [], []
+    reencode = JointDistribution.reencode
+    monkeypatch.setattr(JointDistribution, "reencode",
+                        lambda self, *args: relabelled.append(reencode(self, *args)) or relabelled[-1])
+    kernel = measures._kernel
+
+    def spy(d):
+        evaluating.append(d)
+        try:
+            return kernel(d)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(measures, "_kernel", spy)
+    init = _Kernel.__init__
+    monkeypatch.setattr(_Kernel, "__init__",
+                        lambda self, *args: built_for.append(evaluating[-1]) or init(self, *args))
+    run_all_checks(make_gate(GateSpec("xor_source_copy", "1/8")), get_measure("imin"), trials=8, seed=1)
+    assert relabelled and built_for
+    assert not any(d is table for d in built_for for table in relabelled)
