@@ -36,10 +36,10 @@ EXIT_PIPE = 141
 #: call returns.  Each relabelled table reads the input's measure kernel
 #: through a view that keeps only its own point order and sums, so
 #: ``check --gate xor_source_copy --noise 1/8 --property rei --trials 4096``
-#: runs in 0.69-0.70 s at 62 MiB peak RSS with imin and 0.60-0.61 s at
-#: 55 MiB with isx (``cli.main`` alone, Python 3.11, 2 vCPUs); with a
-#: kernel built per relabelled table it took 1.24-1.56 s at 121 MiB, and
-#: 1.30-1.34 s at 126 MiB
+#: runs in 0.79-0.89 s (median 0.83 s) at 63 MiB peak RSS with imin and
+#: 0.63-0.72 s (median 0.66 s) at 55 MiB with isx (``cli.main`` alone, 10
+#: runs each, Python 3.11, 2 vCPUs); with a kernel built per relabelled
+#: table it took 1.24-1.56 s at 121 MiB, and 1.30-1.34 s at 126 MiB
 MAX_TRIALS = 4096
 
 _MEASURE_LABELS = {

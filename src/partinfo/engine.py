@@ -9,7 +9,7 @@ the consistency equations tie the atom sums to the mutual-information terms
 of the input distribution.  Both read each atom's parthood off its node's
 zero set in the lattice.
 
-Within a :func:`call_memo` call, one memo shares five kinds of work:
+Within a :func:`call_memo` call, one memo shares four kinds of work:
 
 * decompositions: :func:`decompose` decomposes each (distribution,
   measure) pair once;
@@ -20,24 +20,24 @@ Within a :func:`call_memo` call, one memo shares five kinds of work:
 * derived tables: :func:`derived` builds each conditioned, restricted,
   retargeted or re-encoded table once per (table, operation, arguments),
   whatever the measure;
-* measure kernels: tables whose measure kernels have identical contents
-  (weights, int-coded source values and target indices, points in order)
-  share one kernel, and with it every specific-information table, log term
-  and measure value kept in it (:func:`measures._kernel`);
-* kernel views: a table that :meth:`JointDistribution.reencode` built
-  reads the kernel of the first table of its chain of relabellings through
-  a view in its own point order, and relabellings with one kernel and one
-  point order share one view, and with it every value kept in it.
+* measure state: every table reads its measure values through a view of
+  a kernel (:func:`measures._kernel`).  Tables whose kernels have
+  identical contents (weights, int-coded source values and target
+  indices, points in order) share one kernel, and with it every term and
+  log term kept in it; a table that :meth:`JointDistribution.reencode`
+  built reads the kernel of the first table of its chain of relabellings
+  in its own point order; tables with one kernel and one point order share
+  one view, and with it every measure value kept in it.
 
 Equal tables are equal keys.  A relabelled table is a table of its own,
 with its own decomposition; it reads another table's work only through a
-shared kernel, whose contents are the whole input of every value kept in
-it, or through a view, which adds that kernel's terms in the table's own
-order, so a shared value is bit for bit the one recomputing gives.  The
-memo lives in :data:`_memo`, which :mod:`measures` imports to find it.
-Outside a call the memo is absent and every call computes afresh, except
-that a relabelled table still reads its first table's kernel through a
-view of its own.
+kernel, whose contents are the whole input of every term kept in it, and
+its view adds that kernel's terms in the table's own order, so a shared
+value is bit for bit the one recomputing gives.  The memo lives in
+:data:`_memo`, which :func:`memoized` reads, and :mod:`measures` keeps its
+kernels and views through :func:`memoized` too.  Outside a call the memo
+is absent and every call computes afresh, except that a relabelled table
+still reads its first table's kernel through a view of its own.
 
 This module imports only :mod:`lattice` when it loads, so the lattice and
 the inversions run without the measures or the probability tables;

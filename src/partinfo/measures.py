@@ -13,12 +13,12 @@ antichains), which is what the conformance checks for symmetry and
 superset invariance exercise.  Every member is checked against the table
 and encoded as an int mask (:func:`lattice._subset_mask`), once per
 hashable argument tuple; the masks key what the measures keep per table,
-in a kernel that the distribution holds for them.  The kernel holds no
-labels, only integers, so within one :func:`engine.call_memo` call the
-tables whose kernels come out equal share one, and with it every table and
-value kept in it; the call's memo is :data:`engine._memo`, which lives in
-the engine so that it loads without this module.  Additional measures can
-be registered at runtime without touching the decomposition engine.
+in a view (:class:`_View`) that the distribution holds for them.  The view
+adds up terms kept in a kernel (:class:`_Kernel`) that holds no labels, only
+integers; within one :func:`engine.call_memo` call, tables whose kernels
+come out equal share one, and tables with one kernel and one point order
+share one view and every value kept in it.  Additional measures can be
+registered at runtime without touching the decomposition engine.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from itertools import permutations
 from operator import add, mul, or_
 from typing import Callable, Sequence
 
-from .engine import _memo
+from .engine import memoized
 from .lattice import Antichain, _subset_mask, nonempty_subsets, redundancy_lattice
-from .prob import DistributionError, JointDistribution, log2_ratio, mi_from_weights
+from .prob import DistributionError, JointDistribution, log2_ratio
 
 
 def normalize_args(args) -> tuple:
@@ -84,27 +84,26 @@ class _Kernel:
     weight in that order, and the floats ``w_t / denominator`` are
     ``target_probs``.  A source subset is an int mask, bit ``i - 1`` for
     source ``i``; a point's values on it are its code with the other
-    sources' fields cleared.  Each subset's specific information is a list
-    aligned with ``target_weights``.  Its agreement column is one int
-    holding, for each point ``p``, the exact weight of the points that agree
-    with ``p`` on the subset and, ``field_bits`` higher, the weight of those
-    of them that also share ``p``'s target; point ``k``'s pair of fields
-    starts at bit ``2k * field_bits``.  So an integer combination of columns
-    is one big-int sum whose fields are the combined weights, as long as
-    each lands in ``0..denominator``.  A field is 1, 2 or 4 bytes wide when
-    the denominator fits, and a pair of fields is packed and read by one
-    ``struct``; wider fields by slicing.  Per-subset tables, ``i_sx``'s log
-    terms and products and the measures' values (per tuple of member masks)
-    are filled on first request and never change afterwards.  They are
-    functions of ``contents`` alone (:func:`_kernel_contents`), so tables
-    whose kernels have equal contents can share one kernel.  The kernel
-    keeps no reference to its distribution.
+    sources' fields cleared.  Its agreement column is one int holding, for
+    each point ``p``, the exact weight of the points that agree with ``p``
+    on the subset and, ``field_bits`` higher, the weight of those of them
+    that also share ``p``'s target; point ``k``'s pair of fields starts at
+    bit ``2k * field_bits``.  So an integer combination of columns is one
+    big-int sum whose fields are the combined weights, as long as each
+    lands in ``0..denominator``.  A field is 1, 2 or 4 bytes wide when the
+    denominator fits, and a pair of fields is packed and read by one
+    ``struct``; wider fields by slicing.  Per-subset groupings, terms and
+    columns and ``i_sx``'s log terms and products are filled on first
+    request and never change afterwards; the measures' values are kept in
+    the :class:`_View` of each table.  All are functions of ``contents``
+    alone (:func:`_kernel_contents`), so tables whose kernels have equal
+    contents can share one kernel.  The kernel keeps no reference to its
+    distribution.
     """
 
     __slots__ = ("contents", "n_sources", "denominator", "weights", "codes", "fields", "targets",
-                 "probs", "target_weights", "target_probs", "si_tables", "isx_logs",
-                 "field_bits", "imin_values", "isx_values", "_subsets", "_columns", "_pairs",
-                 "_terms", "_groups", "_products")
+                 "probs", "target_weights", "target_probs", "isx_logs", "field_bits",
+                 "_subsets", "_columns", "_pairs", "_terms", "_groups", "_products")
 
     def __init__(self, contents: tuple):
         self.contents = contents
@@ -115,11 +114,8 @@ class _Kernel:
             self.target_weights[t] += w
         self.probs = [w / self.denominator for w in self.weights]
         self.target_probs = [w / self.denominator for w in self.target_weights]
-        self.si_tables: dict = {}          # subset mask -> specific information, per target
         logs = [{} for _ in self.target_weights]
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
-        self.imin_values: dict = {}        # member masks -> i_min
-        self.isx_values: dict = {}         # member masks -> i_sx
         self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
         self._terms: dict = {}             # subset mask -> terms()
@@ -156,27 +152,11 @@ class _Kernel:
             self._subsets[mask] = projections, w_source, w_joint
         return self._subsets[mask]
 
-    def specific_information(self, mask: int) -> list:
-        """The specific information of the subset ``mask`` per target: each
-        (value, target) group's term added in the order the groups first
-        appear (:func:`specific_information`)."""
-        table = [0.0] * len(self.target_weights)
-        _, w_source, w_joint = self.subset_weights(mask)
-        for (s_a, t), w in w_joint.items():
-            w_t = self.target_weights[t]
-            table[t] += w / w_t * log2_ratio(w * self.denominator, w_source[s_a] * w_t)
-        return table
-
-    def mutual_information(self, mask: int) -> float:
-        """I(mask; T), summed by :func:`prob.mi_from_weights` in group order."""
-        _, w_source, w_joint = self.subset_weights(mask)
-        return mi_from_weights(w_joint, w_source, self.target_weights, self.denominator)
-
     def terms(self, mask: int) -> list:
         """Per (value, target) group of the subset ``mask``, in the order of
-        :meth:`subset_weights`: its target and the terms that
-        :meth:`specific_information` and :meth:`mutual_information` add for
-        it, the same floats; once per mask, for the views that re-add them."""
+        :meth:`subset_weights`: its target, its term of the specific
+        information ``w / w_t * log2(w * D / (w_s * w_t))`` and its term of
+        the mutual information ``w / D * log2(...)``; once per mask."""
         terms = self._terms.get(mask)
         if terms is None:
             _, w_source, w_joint = self.subset_weights(mask)
@@ -224,18 +204,23 @@ class _Kernel:
         return [int.from_bytes(raw[i : i + pair_bytes], "little")
                 for i in range(0, len(raw), pair_bytes)]
 
+    def _log_term(self, logs: dict, pair: int, t: int) -> float:
+        """The log term of a point of target ``t`` whose combined fields are
+        ``pair``, computed on a miss and kept in its target's ``logs``."""
+        event, joint = pair & (1 << self.field_bits) - 1, pair >> self.field_bits
+        term = logs[pair] = log2_ratio(joint * self.denominator, event * self.target_weights[t])
+        return term
+
     def isx(self, masks: tuple) -> float:
         """:func:`i_sx` of the member masks ``masks``: the points' terms
         added in point order.  A log term depends only on the target and
         the pair of weights, so it is kept per target for later points."""
-        denominator, bits = self.denominator, self.field_bits
         total = 0.0
         pairs = self.combined_pairs(_union_coefficients(masks))
         for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
             term = logs.get(pair)
             if term is None:
-                event, joint = pair & (1 << bits) - 1, pair >> bits
-                term = logs[pair] = log2_ratio(joint * denominator, event * self.target_weights[t])
+                term = self._log_term(logs, pair, t)
             total += p * term
         return total
 
@@ -244,41 +229,40 @@ class _Kernel:
         tuple of member masks, with the log terms :meth:`isx` keeps."""
         products = self._products.get(masks)
         if products is None:
-            denominator, bits = self.denominator, self.field_bits
             products = self._products[masks] = []
             pairs = self.combined_pairs(_union_coefficients(masks))
             for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
                 term = logs.get(pair)
                 if term is None:
-                    event, joint = pair & (1 << bits) - 1, pair >> bits
-                    term = logs[pair] = log2_ratio(joint * denominator, event * self.target_weights[t])
+                    term = self._log_term(logs, pair, t)
                 products.append(p * term)
         return products
 
 
 class _View:
-    """The kernel of a table that :meth:`JointDistribution.reencode` built,
-    read off ``kernel``, the kernel of the first table of its chain of
-    relabellings.  Relabelling maps the points one to one, so the table's
-    point ``k`` is the kernel's point ``order[k]``, with its weight, and
-    points agree on a subset, or on the target, in the table exactly when
-    they do in the kernel.  So every log term and product that a value of
-    the table adds up is one the kernel keeps (:meth:`_Kernel.terms`,
-    :meth:`_Kernel.isx_products`), and only the order of the sums is the
-    table's own: the view adds the kernel's terms in the table's order,
-    which gives bit for bit the floats of a kernel built from the table.
-    Its targets are the kernel's in the order they first appear in
-    ``order``; ``target_index`` maps a kernel target to its index here.
-    The view keeps its own specific-information tables and values, as the
-    kernel does.
+    """A table's measure values, kept per subset or tuple of member masks,
+    and the kernel they are summed from.  A table built from rows reads a
+    kernel of its own points (``order`` is None): the view adds the terms
+    as the kernel keeps them, and ``isx`` runs the kernel's point loop.  A
+    table that :meth:`JointDistribution.reencode` built reads the kernel of
+    the first table of its chain of relabellings.  Relabelling maps the
+    points one to one, so the table's point ``k`` is the kernel's point
+    ``order[k]``, and points agree on a subset, or on the target, in the
+    table exactly when they do in the kernel.  So every term the table adds
+    up is one the kernel keeps (:meth:`_Kernel.terms`,
+    :meth:`_Kernel.isx_products`), and the view adds them in the table's
+    order: bit for bit the floats of a kernel built from the table.  Its
+    targets are the kernel's in the order they first appear in ``order``;
+    ``target_index`` maps a kernel target to its index here.
     """
 
     __slots__ = ("kernel", "order", "n_sources", "target_index", "target_probs",
                  "si_tables", "imin_values", "isx_values")
 
-    def __init__(self, kernel: _Kernel, order: tuple):
+    def __init__(self, kernel: _Kernel, order: tuple | None):
         self.kernel, self.order, self.n_sources = kernel, order, kernel.n_sources
-        targets = dict.fromkeys(map(kernel.targets.__getitem__, order))
+        targets = (range(len(kernel.target_probs)) if order is None
+                   else dict.fromkeys(map(kernel.targets.__getitem__, order)))
         self.target_index = {t: k for k, t in enumerate(targets)}
         self.target_probs = list(map(kernel.target_probs.__getitem__, targets))
         self.si_tables, self.imin_values, self.isx_values = {}, {}, {}
@@ -286,8 +270,11 @@ class _View:
     def _terms(self, mask: int):
         """The kernel's :meth:`_Kernel.terms` of the subset ``mask``, in the
         order their groups first appear among the table's points."""
+        terms = self.kernel.terms(mask)
+        if self.order is None:
+            return terms
         first = dict.fromkeys(map(self.kernel.groups(mask).__getitem__, self.order))
-        return map(self.kernel.terms(mask).__getitem__, first)
+        return map(terms.__getitem__, first)
 
     def specific_information(self, mask: int) -> list:
         table = [0.0] * len(self.target_probs)
@@ -296,12 +283,11 @@ class _View:
         return table
 
     def mutual_information(self, mask: int) -> float:
-        total = 0.0
-        for _, _, term in self._terms(mask):
-            total += term
-        return total
+        return reduce(add, (term for _, _, term in self._terms(mask)), 0.0)
 
     def isx(self, masks: tuple) -> float:
+        if self.order is None:
+            return self.kernel.isx(masks)
         return reduce(add, map(self.kernel.isx_products(masks).__getitem__, self.order), 0.0)
 
 
@@ -341,33 +327,26 @@ def _point_order(d: JointDistribution, rows: tuple) -> tuple:
     return tuple(dict.fromkeys(map(points.__getitem__, rows)))
 
 
-def _kernel(d: JointDistribution):
-    """The kernel of ``d``, built on first use and kept in the table's
-    slot; safe to keep because the distribution never changes.  A table
-    that :meth:`JointDistribution.reencode` built gets a :class:`_View` of
-    the kernel of the first table of its chain; any other table gets a
-    :class:`_Kernel` of its own.  Within an :func:`engine.call_memo` call,
-    a table whose kernel contents, or whose view's kernel and point order,
-    are those of one already built in that call gets that one, so the
-    tables share what it keeps, which is the same floats bit for bit; the
-    contents are read first, and a kernel is built only when the call has
-    none with them.  Outside a call, nothing is shared but a view's kernel."""
-    kernel = d._measure_kernel
-    if kernel is None:
+def _kernel(d: JointDistribution) -> _View:
+    """The :class:`_View` of ``d``, built on first use and kept in the
+    table's slot; safe to keep because the distribution never changes.  A
+    table that :meth:`JointDistribution.reencode` built views the kernel of
+    the first table of its chain in its own point order; any other table
+    views a :class:`_Kernel` of its own points, with no order.  Within an
+    :func:`engine.call_memo` call there is one kernel per contents, read
+    before any kernel is built, and one view per (kernel, order), so the
+    tables that share one share what it keeps, the same floats bit for bit.
+    Outside a call, nothing is shared but a relabelled table's kernel."""
+    view = d._measure_kernel
+    if view is None:
         if d._origin is None:
-            kind, parts = _Kernel, (_kernel_contents(d),)
+            contents = _kernel_contents(d)
+            kernel, order = memoized((_Kernel, contents), lambda: _Kernel(contents)), None
         else:
             first, rows = d._origin
-            parent = _kernel(first)
-            kind, parts = _View, (parent, _point_order(first, rows))
-        memo, key = _memo.get(), (kind, *parts)
-        kernel = None if memo is None else memo.get(key)
-        if kernel is None:
-            kernel = kind(*parts)
-            if memo is not None:
-                memo[key] = kernel
-        d._measure_kernel = kernel
-    return kernel
+            kernel, order = _kernel(first).kernel, _point_order(first, rows)
+        view = d._measure_kernel = memoized((_View, kernel, order), lambda: _View(kernel, order))
+    return view
 
 
 def specific_information(d: JointDistribution, a) -> dict:
@@ -381,11 +360,11 @@ def specific_information(d: JointDistribution, a) -> dict:
     w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
     order they first appear in the support.  The table is keyed by ``d``'s
     own target outcomes, in the order they first appear in its support,
-    which is the order of the kernel's target indices; ``d`` reads that
+    which is the order of the view's target indices; ``d`` reads that
     order once and keeps it.
     """
-    kernel = _kernel(d)
-    table = kernel.specific_information(_subset_mask(a, kernel.n_sources, DistributionError))
+    view = _kernel(d)
+    table = view.specific_information(_subset_mask(a, view.n_sources, DistributionError))
     return dict(zip(d._target_keys(), table))
 
 
@@ -394,8 +373,8 @@ def subset_mi(d: JointDistribution, a) -> float:
     ``d.marginal_mi(a)`` sums the same weights: the same float."""
     if d.target_arity == 0:
         raise DistributionError("distribution has no target")
-    kernel = _kernel(d)
-    return kernel.mutual_information(_subset_mask(a, kernel.n_sources, DistributionError))
+    view = _kernel(d)
+    return view.mutual_information(_subset_mask(a, view.n_sources, DistributionError))
 
 
 def _checked_masks(args: tuple, n: int) -> tuple:
@@ -432,30 +411,27 @@ def _member_masks(args: tuple, n: int) -> tuple:
 def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
-    Each subset's specific-information table is computed once per kernel
-    and kept in it under the subset's mask, as a list aligned with the
-    kernel's ``target_probs``; equal distributions built separately each
-    compute their own, with equal floats, unless a call memo gave them one
-    kernel.  A :class:`_Kernel` computes it by :func:`specific_information`
-    and a :class:`_View` re-adds its kernel's terms.  The average over the
+    Each subset's specific-information table is computed once per view by
+    :func:`specific_information` and kept in the view under the subset's
+    mask, as a list aligned with the view's ``target_probs``; equal
+    distributions built separately each compute their own, with equal
+    floats, unless a call memo gave them one view.  The average over the
     target is a :func:`math.fsum` of ``p(t) * min``, the same float on every
-    interpreter, and is kept in the kernel per tuple of member masks.
+    interpreter, and is kept in the view per tuple of member masks.
     """
-    kernel = _kernel(d)
+    view = _kernel(d)
     args = tuple(args)
-    masks = _member_masks(args, kernel.n_sources)
-    value = kernel.imin_values.get(masks)
+    masks = _member_masks(args, view.n_sources)
+    value = view.imin_values.get(masks)
     if value is None:
         tables = []
         for a, mask in zip(args, masks):
-            table = kernel.si_tables.get(mask)
+            table = view.si_tables.get(mask)
             if table is None:
-                table = (kernel.specific_information(mask) if type(kernel) is _View
-                         else list(specific_information(d, a).values()))
-                kernel.si_tables[mask] = table
+                table = view.si_tables[mask] = list(specific_information(d, a).values())
             tables.append(table)
         least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
-        value = kernel.imin_values[masks] = math.fsum(map(mul, kernel.target_probs, least))
+        value = view.imin_values[masks] = math.fsum(map(mul, view.target_probs, least))
     return value
 
 
@@ -495,15 +471,17 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     of the kernel's per-subset agreement columns, summed for all points at
     once; only the final log is floating point.  That log depends only on
     the target value and the two weights, so the kernel keeps it for later
-    points and calls; the terms are still added per point, in support order
-    (:meth:`_Kernel.isx`, :meth:`_View.isx`).  The sum is kept in the kernel
-    per tuple of member masks.
+    points and calls; the terms are still added per point, in support order:
+    a table built from rows runs the kernel's point loop (:meth:`_Kernel.isx`)
+    and a relabelled one re-adds the kernel's products in its own order
+    (:meth:`_View.isx`).  The sum is kept in the view per tuple of member
+    masks.
     """
-    kernel = _kernel(d)
-    masks = _member_masks(tuple(args), kernel.n_sources)
-    total = kernel.isx_values.get(masks)
+    view = _kernel(d)
+    masks = _member_masks(tuple(args), view.n_sources)
+    total = view.isx_values.get(masks)
     if total is None:
-        total = kernel.isx_values[masks] = kernel.isx(masks)
+        total = view.isx_values[masks] = view.isx(masks)
     return total
 
 

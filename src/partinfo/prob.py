@@ -96,15 +96,6 @@ def log2_ratio(a: int, b: int) -> float:
     return math.log2(a // g) - math.log2(b // g)
 
 
-def mi_from_weights(joint: Mapping, w_left: Mapping, w_right: Mapping, denominator: int) -> float:
-    """I(A;B) in bits from the integer weights over ``denominator`` of each (a, b) pair,
-    each a and each b, with the terms added in ``joint``'s order."""
-    total = 0.0
-    for (a, b), w in joint.items():
-        total += w / denominator * log2_ratio(w * denominator, w_left[a] * w_right[b])
-    return total
-
-
 def _check_injective(name: str, table: Mapping, support) -> list:
     """The images of ``support`` under ``table``, which must map it one-to-one."""
     images = []
@@ -403,17 +394,21 @@ class JointDistribution:
 
     def mutual_information(self, left: Sequence[Selector], right: Sequence[Selector]) -> float:
         """I(left; right) in bits, from exact joint/marginal ratios; both
-        marginals are integer sums over the one joint marginal."""
+        marginals are integer sums over the one joint marginal, and the
+        terms are added in the order the joint values first appear."""
         if not left or not right:
             return 0.0
-        k = len(left)
+        k, d = len(left), self._denominator
         joint, w_left, w_right = {}, {}, {}
         for key, w in self._marginal_weights(list(left) + list(right)).items():
             a, b = joint_key = key[:k], key[k:]
             joint[joint_key] = w
             w_left[a] = w_left.get(a, 0) + w
             w_right[b] = w_right.get(b, 0) + w
-        return mi_from_weights(joint, w_left, w_right, self._denominator)
+        total = 0.0
+        for (a, b), w in joint.items():
+            total += w / d * log2_ratio(w * d, w_left[a] * w_right[b])
+        return total
 
     def marginal_mi(self, a: Iterable[int]) -> float:
         """I({S_i : i in a}; T) in bits; the empty collection carries 0 bits."""

@@ -288,7 +288,7 @@ def test_isx_kernel_equals_the_direct_formula_at_n4_and_n5(points, max_weight, f
     # read by struct, wider ones (wide weights) by slicing
     rng = random.Random(f"isx-kernel:{max_weight}")
     d = _seeded_aux_table(rng, 4, 3, points, max_weight)
-    kernel = _kernel(d)
+    kernel = _kernel(d).kernel
     if field_bits is None:
         assert kernel.field_bits > 32 and not kernel._pairs
     else:
@@ -508,7 +508,7 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
     monkeypatch.setattr(_Kernel, "__init__",
                         lambda self, *args: built.append(self) or init(self, *args))
     with call_memo():
-        kernel = _kernel(gate)
+        kernel = _kernel(gate).kernel
         views = [_kernel(d) for d in kept]
         assert all(type(view) is _View and view.kernel is kernel for view in views)
         assert all(view.order == tuple(range(len(gate.support))) for view in views)
@@ -516,8 +516,8 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
         assert _kernel(swapped) is not views[0] and _kernel(swapped).kernel is kernel
         assert _kernel(swapped).order != views[0].order
         rebuilt = [_fresh(d) for d in kept]
-        assert all(_kernel(d) is kernel for d in rebuilt)
-        swapped_kernel = _kernel(_fresh(swapped))
+        assert all(_kernel(d).kernel is kernel for d in rebuilt)
+        swapped_kernel = _kernel(_fresh(swapped)).kernel
         assert swapped_kernel is not kernel
         assert swapped_kernel.contents != kernel.contents
     # a table that finds its kernel's contents in the memo builds no kernel,
@@ -525,7 +525,7 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
     assert built == [kernel, swapped_kernel]
     # outside a memo every table built from rows builds its own, with equal contents
     tables = [_fresh(d) for d in [gate] + kept]
-    kernels = [_kernel(d) for d in tables]
+    kernels = [_kernel(d).kernel for d in tables]
     assert len(set(map(id, kernels))) == len(kernels)
     assert {k.contents for k in kernels} == {kernel.contents}
 
@@ -539,7 +539,7 @@ def test_a_shared_kernel_gives_each_table_its_own_labels_and_the_fresh_values():
     with call_memo():
         imin = [i_min(gate, args) for args in nodes]
         isx = [i_sx(gate, args) for args in nodes]
-        assert _kernel(relabelled).kernel is _kernel(gate)
+        assert _kernel(relabelled).kernel is _kernel(gate).kernel
         assert [i_min(relabelled, args) for args in nodes] == imin
         assert [i_sx(relabelled, args) for args in nodes] == isx
         for a in nonempty_subsets(3):
@@ -628,7 +628,7 @@ def test_a_relabelled_table_gives_the_floats_of_a_table_built_from_its_rows():
         parent, child, grandchild = tables = chain()
         # a chain links to its first table, not to the table in the middle
         assert child._origin[0] is parent and grandchild._origin[0] is parent
-        assert _kernel(grandchild).kernel is _kernel(child).kernel is _kernel(parent)
+        assert _kernel(grandchild).kernel is _kernel(child).kernel is _kernel(parent).kernel
         assert [readout(d) for d in tables[::-1]] == want[::-1]
         with call_memo():
             assert [readout(d) for d in chain()] == want
@@ -664,3 +664,24 @@ def test_a_check_run_builds_no_kernel_for_a_relabelled_table(monkeypatch):
     run_all_checks(make_gate(GateSpec("xor_source_copy", "1/8")), get_measure("imin"), trials=8, seed=1)
     assert relabelled and built_for
     assert not any(d is table for d in built_for for table in relabelled)
+
+
+def test_every_table_reads_a_view_and_computes_each_specific_information_once(monkeypatch):
+    # within one run of every check, each table the measures read holds a
+    # view, whether reencode built it or not, and each specific-information
+    # table is computed by specific_information once per view and subset and
+    # kept in the view, relabelled tables included
+    from partinfo import measures
+
+    tables, calls = [], []
+    kernel, specific = measures._kernel, measures.specific_information
+    monkeypatch.setattr(measures, "_kernel", lambda d: tables.append(d) or kernel(d))
+    monkeypatch.setattr(measures, "specific_information",
+                        lambda d, a: calls.append((d, frozenset(a))) or specific(d, a))
+    run_all_checks(make_gate(GateSpec("xor_source_copy", "1/8")), get_measure("imin"), trials=8, seed=1)
+    assert tables and all(type(d._measure_kernel) is _View for d in tables)
+    reads = [(id(d._measure_kernel), a) for d, a in calls]
+    assert len(reads) == len(set(reads))
+    views = {id(d._measure_kernel): d._measure_kernel for d in tables}.values()
+    assert len(reads) == sum(len(view.si_tables) for view in views)
+    assert any(d._origin for d, _ in calls) and any(d._origin is None for d, _ in calls)

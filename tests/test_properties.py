@@ -35,7 +35,7 @@ from partinfo import (
     theorem_witness,
 )
 from partinfo import JointDistribution, Outcome, conformance_suite, engine, properties
-from partinfo.measures import RedundancyMeasure, _kernel, _memo
+from partinfo.measures import RedundancyMeasure, _kernel
 from partinfo.properties import PROPERTY_IDS, PreconditionError
 
 from conftest import lookup_measure, random_pair_copy, random_rational_distribution
@@ -208,13 +208,13 @@ def test_tables_sharing_a_kernel_get_the_atoms_of_a_fresh_one(gate_id, noise, me
     with engine.call_memo():
         for pid in PROPERTY_IDS:
             run_property(pid, d, measure, trials=8, seed=1)
-        decomposed = [r for r in _memo.get().values() if isinstance(r, engine.PidResult)]
+        decomposed = [r for r in engine._memo.get().values() if isinstance(r, engine.PidResult)]
     # each re-encoding reads the kernel of the table it relabels through a
     # view, so fewer kernels are built than tables decomposed
     relabelled = [r.distribution for r in decomposed if r.distribution._origin]
-    assert relabelled and all(_kernel(t).kernel is _kernel(t._origin[0]) for t in relabelled)
-    kernels = [_kernel(r.distribution) for r in decomposed]
-    assert len({id(getattr(k, "kernel", k)) for k in kernels}) < len(decomposed)
+    assert relabelled and all(_kernel(t).kernel is _kernel(t._origin[0]).kernel for t in relabelled)
+    kernels = [_kernel(r.distribution).kernel for r in decomposed]
+    assert len(set(map(id, kernels))) < len(decomposed)
     for result in decomposed:
         table = result.distribution
         fresh = JointDistribution(table.n_sources, table.target_arity, table.outcomes)
