@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .lattice import LARGE_N, LatticeSizeError, redundancy_lattice
 
@@ -33,11 +34,11 @@ EXIT_PIPE = 141
 #: the most ``--trials`` that ``check`` and ``table2`` take: the rei scan
 #: keeps a table and a decomposition per distinct relabelling, keyed by the
 #: symbols it moves (an identity one compares the input itself), until the
-#: call returns.  Each relabelled table reads the input's measure kernel
-#: through a view that keeps only its own point order and sums, so
+#: call returns.  Each relabelled table reads the input's measure kernel,
+#: and its imin or isx decomposition is the input's own, so
 #: ``check --gate xor_source_copy --noise 1/8 --property rei --trials 4096``
-#: runs in 0.79-0.89 s (median 0.83 s) at 63 MiB peak RSS with imin and
-#: 0.63-0.72 s (median 0.66 s) at 55 MiB with isx (``cli.main`` alone, 10
+#: runs in 0.56-0.60 s (median 0.58 s) at 52 MiB peak RSS with imin and
+#: 0.56-0.83 s (median 0.60 s) at 52 MiB with isx (``cli.main`` alone, 10
 #: runs each, Python 3.11, 2 vCPUs); with a kernel built per relabelled
 #: table it took 1.24-1.56 s at 121 MiB, and 1.30-1.34 s at 126 MiB
 MAX_TRIALS = 4096
@@ -92,9 +93,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, help_text, run):    # None for a command whose flags are not built
+    def add_parser(name, help_text):    # None for a command whose flags are not built
         p = sub.add_parser(name, help=help_text, add_help=command in (None, name))
-        p.set_defaults(run=run)
         return p if p.add_help else None
 
     def add_input_flags(p):
@@ -106,7 +106,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--noise", help="gate noise level (rational, e.g. 1/8; default 0)")
         p.add_argument("--emit", metavar="FILE", help="write the distribution JSON and continue")
 
-    if p_atoms := add_parser("atoms", "compute the information atoms", _cmd_atoms):
+    if p_atoms := add_parser("atoms", "compute the information atoms"):
         from .engine import DEFAULT_TOL
 
         add_input_flags(p_atoms)
@@ -114,7 +114,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_atoms.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p_atoms.add_argument("--format", choices=("text", "json"), default="text")
 
-    if p_check := add_parser("check", "run property checks", _cmd_check):
+    if p_check := add_parser("check", "run property checks"):
         from .properties import PROPERTY_IDS, SCAN_PROPERTIES
 
         add_input_flags(p_check)
@@ -130,13 +130,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                              help="JSON mapping property -> expected verdict")
         p_check.add_argument("--format", choices=("text", "json"), default="text")
 
-    if p_lattice := add_parser("lattice", "emit the antichain lattice", _cmd_lattice):
+    if p_lattice := add_parser("lattice", "emit the antichain lattice"):
         p_lattice.add_argument("--n", type=int, default=3)
         p_lattice.add_argument("--allow-large", action="store_true",
                                help="permit n=5 (text and DOT only)")
         p_lattice.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    if p_table := add_parser("table2", "property matrix over the gate corpus", _cmd_table2):
+    if p_table := add_parser("table2", "property matrix over the gate corpus"):
         p_table.add_argument("--tol", type=_tolerance, help=_tol_help())
         p_table.add_argument("--seed", type=int, default=0)
         p_table.add_argument("--trials", type=_trials, default=32,
@@ -146,6 +146,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_table.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """:func:`build_parser`, once per command per process: a build costs
+    several times what a parse does, and leaves reference cycles behind."""
+    return build_parser(command)
 
 
 def _require_served(n: int, allow_large: bool = False) -> None:
@@ -341,9 +348,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first argument names the command, unless it is an option or absent
     named = argv[0] if argv and argv[0] in ("atoms", "check", "lattice", "table2") else None
-    args = build_parser(named).parse_args(argv)
+    args = _parser(named).parse_args(argv)
+    run = globals()[f"_cmd_{args.command}"]    # read per call, as the parser is kept
     try:
-        return args.run(args)
+        return run(args)
     except LatticeSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

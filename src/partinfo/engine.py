@@ -12,7 +12,8 @@ zero set in the lattice.
 Within a :func:`call_memo` call, one memo shares four kinds of work:
 
 * decompositions: :func:`decompose` decomposes each (distribution,
-  measure) pair once;
+  measure) pair once, and for the built-in ``imin`` and ``isx`` each
+  (measure kernel, measure) pair once;
 * chain-rule splits: :func:`split_on` splits each (distribution, measure,
   variable) triple once, conditioning the table on each value of the
   variable and decomposing the pieces through that memo;
@@ -20,29 +21,28 @@ Within a :func:`call_memo` call, one memo shares four kinds of work:
 * derived tables: :func:`derived` builds each conditioned, restricted,
   retargeted or re-encoded table once per (table, operation, arguments),
   whatever the measure;
-* measure state: every table reads its measure values through a view of
-  a kernel (:func:`measures._kernel`).  Tables whose kernels have
-  identical contents (weights, int-coded source values and target
-  indices, points in order) share one kernel, and with it every term and
-  log term kept in it; a table that :meth:`JointDistribution.reencode`
-  built reads the kernel of the first table of its chain of relabellings
-  in its own point order; tables with one kernel and one point order share
-  one view, and with it every measure value kept in it.
+* measure state: every table reads its measure values from a kernel
+  (:func:`measures._kernel`).  Tables whose kernels have identical
+  contents (weights, int-coded source values and target indices, points
+  in order) share one kernel, and with it every term, log term and
+  measure value kept in it; a table that :meth:`JointDistribution.reencode`
+  built reads the kernel of the first table of its chain of relabellings.
 
 Equal tables are equal keys.  A relabelled table is a table of its own,
-with its own decomposition; it reads another table's work only through a
-kernel, whose contents are the whole input of every term kept in it, and
-its view adds that kernel's terms in the table's own order, so a shared
-value is bit for bit the one recomputing gives.  The memo lives in
-:data:`_memo`, which :func:`memoized` reads, and :mod:`measures` keeps its
-kernels and views through :func:`memoized` too.  Outside a call the memo
-is absent and every call computes afresh, except that a relabelled table
-still reads its first table's kernel through a view of its own.
+with a result bound to it; it reads another table's work only through a
+kernel, whose contents are the whole input of every term kept in it.
+Every measure value is a :func:`math.fsum` of those terms, which does not
+depend on their order, so a shared value is bit for bit the one
+recomputing gives.  The memo lives in :data:`_memo`, which
+:func:`memoized` reads, and :mod:`measures` keeps its kernels through
+:func:`memoized` too.  Outside a call the memo is absent and every call
+computes afresh, except that a relabelled table still reads its first
+table's kernel.
 
 This module imports only :mod:`lattice` when it loads, so the lattice and
 the inversions run without the measures or the probability tables;
-:func:`consistency_check` and :func:`c_information` import what they use
-of :mod:`measures` when called.
+:func:`decompose`, :func:`consistency_check` and :func:`c_information`
+import what they use of :mod:`measures` when called.
 """
 
 from __future__ import annotations
@@ -267,10 +267,24 @@ def derived(d: JointDistribution, operation: str, *args) -> JointDistribution:
 
 def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
     """:func:`atoms_from_redundancy`, once per (distribution, measure) within a
-    :func:`call_memo` call."""
+    :func:`call_memo` call.  The values of the built-in ``imin`` and ``isx``
+    are functions of a table's measure kernel alone, so for those two the
+    tables that read one kernel share one set of atoms and values, each in
+    a result bound to its own table."""
     # equal distributions share one canonical support, so a memo hit gives
     # the same atoms, bit for bit, as decomposing again
-    return memoized((d, measure), lambda: atoms_from_redundancy(d, measure))
+    return memoized((d, measure), lambda: _decompose(d, measure))
+
+
+def _decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
+    from .measures import IMIN, ISX, _kernel
+
+    if measure is not IMIN and measure is not ISX:
+        return atoms_from_redundancy(d, measure)
+    shared = memoized((_kernel(d).kernel, measure), lambda: atoms_from_redundancy(d, measure))
+    if shared.distribution is d:
+        return shared
+    return PidResult(d.n_sources, shared.atoms, measure.id, d, shared.redundancy)
 
 
 def split_on(d: JointDistribution, measure: RedundancyMeasure, z: Selector) -> tuple:

@@ -12,12 +12,13 @@ Both accept an arbitrary tuple of source-index collections (not only
 antichains), which is what the conformance checks for symmetry and
 superset invariance exercise.  Every member is checked against the table
 and encoded as an int mask (:func:`lattice._subset_mask`), once per
-hashable argument tuple; the masks key what the measures keep per table,
-in a view (:class:`_View`) that the distribution holds for them.  The view
-adds up terms kept in a kernel (:class:`_Kernel`) that holds no labels, only
-integers; within one :func:`engine.call_memo` call, tables whose kernels
-come out equal share one, and tables with one kernel and one point order
-share one view and every value kept in it.  Additional measures can be
+hashable argument tuple; the masks key what the measures keep, in a
+kernel (:class:`_Kernel`) that holds no labels, only integers, and that a
+table reaches through its view (:class:`_View`).  Every value is a
+:func:`math.fsum`, which does not depend on the order of its terms, so a
+relabelled table reads the kernel of the table it relabels, and within one
+:func:`engine.call_memo` call, tables whose kernels come out equal share
+one and every value kept in it.  Additional measures can be
 registered at runtime without touching the decomposition engine.
 """
 
@@ -26,9 +27,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
-from operator import add, mul, or_
+from operator import mul, or_
 from typing import Callable, Sequence
 
 from .engine import memoized
@@ -92,18 +93,23 @@ class _Kernel:
     big-int sum whose fields are the combined weights, as long as each
     lands in ``0..denominator``.  A field is 1, 2 or 4 bytes wide when the
     denominator fits, and a pair of fields is packed and read by one
-    ``struct``; wider fields by slicing.  Per-subset groupings, terms and
-    columns and ``i_sx``'s log terms and products are filled on first
-    request and never change afterwards; the measures' values are kept in
-    the :class:`_View` of each table.  All are functions of ``contents``
-    alone (:func:`_kernel_contents`), so tables whose kernels have equal
-    contents can share one kernel.  The kernel keeps no reference to its
-    distribution.
+    ``struct``; wider fields by slicing.
+
+    Per-subset groupings, terms, columns and specific-information tables,
+    ``i_sx``'s log terms, and the measures' values per tuple of member
+    masks (``imin_values``, ``isx_values``) are filled on first request and
+    never change afterwards.  Every value is a :func:`math.fsum` of terms
+    that are functions of ``contents`` alone (:func:`_kernel_contents`), and
+    an ``fsum`` is correctly rounded, so it does not depend on the order of
+    its terms.  So tables whose kernels have equal contents can share one
+    kernel, and so can tables whose points are the kernel's relabelled and
+    reordered.  The kernel keeps no reference to a distribution.
     """
 
     __slots__ = ("contents", "n_sources", "denominator", "weights", "codes", "fields", "targets",
                  "probs", "target_weights", "target_probs", "isx_logs", "field_bits",
-                 "_subsets", "_columns", "_pairs", "_terms", "_groups", "_products")
+                 "si_tables", "imin_values", "isx_values", "_subsets", "_columns", "_pairs",
+                 "_terms")
 
     def __init__(self, contents: tuple):
         self.contents = contents
@@ -116,11 +122,12 @@ class _Kernel:
         self.target_probs = [w / self.denominator for w in self.target_weights]
         logs = [{} for _ in self.target_weights]
         self.isx_logs = [logs[t] for t in self.targets]   # per point: its target's (pair -> log2 term)
+        self.si_tables: dict = {}          # subset mask -> specific_information()
+        self.imin_values: dict = {}        # member masks -> i_min value
+        self.isx_values: dict = {}         # member masks -> i_sx value
         self._subsets: dict = {}           # subset mask -> subset_weights()
         self._columns: dict = {}           # subset mask -> agreement column
         self._terms: dict = {}             # subset mask -> terms()
-        self._groups: dict = {}            # subset mask -> groups()
-        self._products: dict = {}          # member masks -> isx_products()
         # a field holds any weight up to the denominator; a pair of fields
         # that fills 2, 4 or 8 bytes is packed and read by struct, a wider
         # one by slicing
@@ -153,10 +160,10 @@ class _Kernel:
         return self._subsets[mask]
 
     def terms(self, mask: int) -> list:
-        """Per (value, target) group of the subset ``mask``, in the order of
-        :meth:`subset_weights`: its target, its term of the specific
-        information ``w / w_t * log2(w * D / (w_s * w_t))`` and its term of
-        the mutual information ``w / D * log2(...)``; once per mask."""
+        """Per (value, target) group of the subset ``mask``: its target, its
+        term of the specific information ``w / w_t * log2(w * D / (w_s *
+        w_t))`` and its term of the mutual information ``w / D * log2(...)``;
+        once per mask."""
         terms = self._terms.get(mask)
         if terms is None:
             _, w_source, w_joint = self.subset_weights(mask)
@@ -168,14 +175,20 @@ class _Kernel:
             self._terms[mask] = terms
         return terms
 
-    def groups(self, mask: int) -> list:
-        """Per point, the index of its group in :meth:`terms`; once per mask."""
-        groups = self._groups.get(mask)
-        if groups is None:
-            projections, _, w_joint = self.subset_weights(mask)
-            index = {pair: g for g, pair in enumerate(w_joint)}
-            groups = self._groups[mask] = list(map(index.__getitem__, zip(projections, self.targets)))
-        return groups
+    def specific_information(self, mask: int) -> list:
+        """Per target, in target order, the :func:`math.fsum` of its
+        specific-information terms of the subset ``mask``; once per mask."""
+        table = self.si_tables.get(mask)
+        if table is None:
+            per_target = [[] for _ in self.target_weights]
+            for t, term, _ in self.terms(mask):
+                per_target[t].append(term)
+            table = self.si_tables[mask] = list(map(math.fsum, per_target))
+        return table
+
+    def mutual_information(self, mask: int) -> float:
+        """I(S;T) of the subset ``mask``: the :func:`math.fsum` of its terms."""
+        return math.fsum([term for _, _, term in self.terms(mask)])
 
     def column(self, mask: int) -> int:
         """The agreement column of the subset ``mask``: per point, its
@@ -204,91 +217,39 @@ class _Kernel:
         return [int.from_bytes(raw[i : i + pair_bytes], "little")
                 for i in range(0, len(raw), pair_bytes)]
 
-    def _log_term(self, logs: dict, pair: int, t: int) -> float:
-        """The log term of a point of target ``t`` whose combined fields are
-        ``pair``, computed on a miss and kept in its target's ``logs``."""
-        event, joint = pair & (1 << self.field_bits) - 1, pair >> self.field_bits
-        term = logs[pair] = log2_ratio(joint * self.denominator, event * self.target_weights[t])
-        return term
-
     def isx(self, masks: tuple) -> float:
-        """:func:`i_sx` of the member masks ``masks``: the points' terms
-        added in point order.  A log term depends only on the target and
+        """:func:`i_sx` of the member masks ``masks``: the :func:`math.fsum`
+        of the points' terms.  A log term depends only on the target and
         the pair of weights, so it is kept per target for later points."""
-        total = 0.0
+        bits, denominator, target_weights = self.field_bits, self.denominator, self.target_weights
+        low, terms = (1 << bits) - 1, []
         pairs = self.combined_pairs(_union_coefficients(masks))
         for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
             term = logs.get(pair)
             if term is None:
-                term = self._log_term(logs, pair, t)
-            total += p * term
-        return total
-
-    def isx_products(self, masks: tuple) -> list:
-        """Per point, the term :meth:`isx` adds for it, computed once per
-        tuple of member masks, with the log terms :meth:`isx` keeps."""
-        products = self._products.get(masks)
-        if products is None:
-            products = self._products[masks] = []
-            pairs = self.combined_pairs(_union_coefficients(masks))
-            for p, t, logs, pair in zip(self.probs, self.targets, self.isx_logs, pairs):
-                term = logs.get(pair)
-                if term is None:
-                    term = self._log_term(logs, pair, t)
-                products.append(p * term)
-        return products
+                term = logs[pair] = log2_ratio((pair >> bits) * denominator,
+                                               (pair & low) * target_weights[t])
+            terms.append(p * term)
+        return math.fsum(terms)
 
 
 class _View:
-    """A table's measure values, kept per subset or tuple of member masks,
-    and the kernel they are summed from.  A table built from rows reads a
-    kernel of its own points (``order`` is None): the view adds the terms
-    as the kernel keeps them, and ``isx`` runs the kernel's point loop.  A
+    """What a table reads of the measures: the kernel it reads its values
+    from.  A table built from rows reads a kernel of its own points.  A
     table that :meth:`JointDistribution.reencode` built reads the kernel of
-    the first table of its chain of relabellings.  Relabelling maps the
-    points one to one, so the table's point ``k`` is the kernel's point
-    ``order[k]``, and points agree on a subset, or on the target, in the
-    table exactly when they do in the kernel.  So every term the table adds
-    up is one the kernel keeps (:meth:`_Kernel.terms`,
-    :meth:`_Kernel.isx_products`), and the view adds them in the table's
-    order: bit for bit the floats of a kernel built from the table.  Its
-    targets are the kernel's in the order they first appear in ``order``;
-    ``target_index`` maps a kernel target to its index here.
+    the first table of its chain of relabellings: relabelling maps the
+    points one to one, and points agree on a subset, or on the target, in
+    the table exactly when they do in the kernel, so the table's terms are
+    the kernel's in another order, and each of its values, an ``fsum``, is
+    the kernel's bit for bit.  Only :func:`specific_information`, which
+    keys its table by the table's own target outcomes, reads where the
+    table's targets are among the kernel's.
     """
 
-    __slots__ = ("kernel", "order", "n_sources", "target_index", "target_probs",
-                 "si_tables", "imin_values", "isx_values")
+    __slots__ = ("kernel",)
 
-    def __init__(self, kernel: _Kernel, order: tuple | None):
-        self.kernel, self.order, self.n_sources = kernel, order, kernel.n_sources
-        targets = (range(len(kernel.target_probs)) if order is None
-                   else dict.fromkeys(map(kernel.targets.__getitem__, order)))
-        self.target_index = {t: k for k, t in enumerate(targets)}
-        self.target_probs = list(map(kernel.target_probs.__getitem__, targets))
-        self.si_tables, self.imin_values, self.isx_values = {}, {}, {}
-
-    def _terms(self, mask: int):
-        """The kernel's :meth:`_Kernel.terms` of the subset ``mask``, in the
-        order their groups first appear among the table's points."""
-        terms = self.kernel.terms(mask)
-        if self.order is None:
-            return terms
-        first = dict.fromkeys(map(self.kernel.groups(mask).__getitem__, self.order))
-        return map(terms.__getitem__, first)
-
-    def specific_information(self, mask: int) -> list:
-        table = [0.0] * len(self.target_probs)
-        for t, term, _ in self._terms(mask):
-            table[self.target_index[t]] += term
-        return table
-
-    def mutual_information(self, mask: int) -> float:
-        return reduce(add, (term for _, _, term in self._terms(mask)), 0.0)
-
-    def isx(self, masks: tuple) -> float:
-        if self.order is None:
-            return self.kernel.isx(masks)
-        return reduce(add, map(self.kernel.isx_products(masks).__getitem__, self.order), 0.0)
+    def __init__(self, kernel: _Kernel):
+        self.kernel = kernel
 
 
 def _kernel_contents(d: JointDistribution) -> tuple:
@@ -316,36 +277,23 @@ def _kernel_contents(d: JointDistribution) -> tuple:
             tuple(targets))
 
 
-def _point_order(d: JointDistribution, rows: tuple) -> tuple:
-    """The points of ``d``'s kernel that the support rows ``rows`` (their
-    indices in ``d``'s support) fall on, in the order they first appear."""
-    if not d.has_aux:
-        return rows                    # with no aux, support row k is point k
-    end = d.n_sources + d.target_arity
-    index: dict = {}                   # point -> its index
-    points = [index.setdefault(values[:end], len(index)) for values, _ in d._weights]
-    return tuple(dict.fromkeys(map(points.__getitem__, rows)))
-
-
 def _kernel(d: JointDistribution) -> _View:
     """The :class:`_View` of ``d``, built on first use and kept in the
     table's slot; safe to keep because the distribution never changes.  A
-    table that :meth:`JointDistribution.reencode` built views the kernel of
-    the first table of its chain in its own point order; any other table
-    views a :class:`_Kernel` of its own points, with no order.  Within an
-    :func:`engine.call_memo` call there is one kernel per contents, read
-    before any kernel is built, and one view per (kernel, order), so the
-    tables that share one share what it keeps, the same floats bit for bit.
+    table that :meth:`JointDistribution.reencode` built reads the kernel of
+    the first table of its chain; any other table reads a :class:`_Kernel`
+    of its own points.  Within an :func:`engine.call_memo` call there is one
+    kernel per contents, read before any kernel is built, so the tables that
+    share one share every value kept in it, the same floats bit for bit.
     Outside a call, nothing is shared but a relabelled table's kernel."""
     view = d._measure_kernel
     if view is None:
         if d._origin is None:
             contents = _kernel_contents(d)
-            kernel, order = memoized((_Kernel, contents), lambda: _Kernel(contents)), None
+            kernel = memoized((_Kernel, contents), lambda: _Kernel(contents))
         else:
-            first, rows = d._origin
-            kernel, order = _kernel(first).kernel, _point_order(first, rows)
-        view = d._measure_kernel = memoized((_View, kernel, order), lambda: _View(kernel, order))
+            kernel = _kernel(d._origin[0]).kernel
+        view = d._measure_kernel = _View(kernel)
     return view
 
 
@@ -357,24 +305,29 @@ def specific_information(d: JointDistribution, a) -> dict:
     p(t) recovers I(a;T).  Masses are integer weights over the kernel's
     common denominator D, summed from the kernel's points and their
     projections on ``a``, so p(t|s_a) / p(t) is the exact rational
-    w(s_a, t) * D / (w(s_a) * w(t)).  The (s_a, t) terms are added in the
-    order they first appear in the support.  The table is keyed by ``d``'s
-    own target outcomes, in the order they first appear in its support,
-    which is the order of the view's target indices; ``d`` reads that
-    order once and keeps it.
+    w(s_a, t) * D / (w(s_a) * w(t)).  Each target's terms are added by
+    :func:`math.fsum`.  The table is keyed by ``d``'s own target outcomes,
+    in the order they first appear in its support: for a relabelled table,
+    each is the kernel target its first support row falls on.
     """
-    view = _kernel(d)
-    table = view.specific_information(_subset_mask(a, view.n_sources, DistributionError))
+    kernel = _kernel(d).kernel
+    table = kernel.specific_information(_subset_mask(a, kernel.n_sources, DistributionError))
+    if d._origin is not None:      # the first table's targets, in the order d's rows reach them
+        first, rows = d._origin
+        n, end = first.n_sources, first.n_sources + first.target_arity
+        index = {t: k for k, t in enumerate(first._target_keys())}
+        table = map(table.__getitem__,
+                    dict.fromkeys(index[first._weights[r][0][n:end]] for r in rows))
     return dict(zip(d._target_keys(), table))
 
 
 def subset_mi(d: JointDistribution, a) -> float:
-    """I(a;T) in bits from the kernel's grouping by ``a``, summed as
-    ``d.marginal_mi(a)`` sums the same weights: the same float."""
+    """I(a;T) in bits from the kernel's grouping by ``a``: ``fsum`` of the
+    terms ``d.marginal_mi(a)`` adds, so the same float."""
     if d.target_arity == 0:
         raise DistributionError("distribution has no target")
-    view = _kernel(d)
-    return view.mutual_information(_subset_mask(a, view.n_sources, DistributionError))
+    kernel = _kernel(d).kernel
+    return kernel.mutual_information(_subset_mask(a, kernel.n_sources, DistributionError))
 
 
 def _checked_masks(args: tuple, n: int) -> tuple:
@@ -411,27 +364,20 @@ def _member_masks(args: tuple, n: int) -> tuple:
 def i_min(d: JointDistribution, args: Sequence) -> float:
     """Minimum specific information, averaged over the target.
 
-    Each subset's specific-information table is computed once per view by
-    :func:`specific_information` and kept in the view under the subset's
-    mask, as a list aligned with the view's ``target_probs``; equal
-    distributions built separately each compute their own, with equal
-    floats, unless a call memo gave them one view.  The average over the
-    target is a :func:`math.fsum` of ``p(t) * min``, the same float on every
-    interpreter, and is kept in the view per tuple of member masks.
+    Each subset's specific-information table is computed once per kernel
+    (:meth:`_Kernel.specific_information`) and kept in it under the
+    subset's mask, as a list aligned with the kernel's ``target_probs``.
+    The average over the target is a :func:`math.fsum` of ``p(t) * min``,
+    the same float on every interpreter and in any target order, and is
+    kept in the kernel per tuple of member masks.
     """
-    view = _kernel(d)
-    args = tuple(args)
-    masks = _member_masks(args, view.n_sources)
-    value = view.imin_values.get(masks)
+    kernel = _kernel(d).kernel
+    masks = _member_masks(tuple(args), kernel.n_sources)
+    value = kernel.imin_values.get(masks)
     if value is None:
-        tables = []
-        for a, mask in zip(args, masks):
-            table = view.si_tables.get(mask)
-            if table is None:
-                table = view.si_tables[mask] = list(specific_information(d, a).values())
-            tables.append(table)
+        tables = list(map(kernel.specific_information, masks))
         least = map(min, *tables) if len(tables) > 1 else tables[0]   # min() of one float fails
-        value = view.imin_values[masks] = math.fsum(map(mul, view.target_probs, least))
+        value = kernel.imin_values[masks] = math.fsum(map(mul, kernel.target_probs, least))
     return value
 
 
@@ -471,17 +417,15 @@ def i_sx(d: JointDistribution, args: Sequence) -> float:
     of the kernel's per-subset agreement columns, summed for all points at
     once; only the final log is floating point.  That log depends only on
     the target value and the two weights, so the kernel keeps it for later
-    points and calls; the terms are still added per point, in support order:
-    a table built from rows runs the kernel's point loop (:meth:`_Kernel.isx`)
-    and a relabelled one re-adds the kernel's products in its own order
-    (:meth:`_View.isx`).  The sum is kept in the view per tuple of member
-    masks.
+    points and calls.  The terms are added by :func:`math.fsum`
+    (:meth:`_Kernel.isx`), and the sum is kept in the kernel per tuple of
+    member masks.
     """
-    view = _kernel(d)
-    masks = _member_masks(tuple(args), view.n_sources)
-    total = view.isx_values.get(masks)
+    kernel = _kernel(d).kernel
+    masks = _member_masks(tuple(args), kernel.n_sources)
+    total = kernel.isx_values.get(masks)
     if total is None:
-        total = view.isx_values[masks] = view.isx(masks)
+        total = kernel.isx_values[masks] = kernel.isx(masks)
     return total
 
 

@@ -395,7 +395,7 @@ class JointDistribution:
     def mutual_information(self, left: Sequence[Selector], right: Sequence[Selector]) -> float:
         """I(left; right) in bits, from exact joint/marginal ratios; both
         marginals are integer sums over the one joint marginal, and the
-        terms are added in the order the joint values first appear."""
+        terms are added by :func:`math.fsum`, so in any order the same float."""
         if not left or not right:
             return 0.0
         k, d = len(left), self._denominator
@@ -405,10 +405,8 @@ class JointDistribution:
             joint[joint_key] = w
             w_left[a] = w_left.get(a, 0) + w
             w_right[b] = w_right.get(b, 0) + w
-        total = 0.0
-        for (a, b), w in joint.items():
-            total += w / d * log2_ratio(w * d, w_left[a] * w_right[b])
-        return total
+        return math.fsum([w / d * log2_ratio(w * d, w_left[a] * w_right[b])
+                          for (a, b), w in joint.items()])
 
     def marginal_mi(self, a: Iterable[int]) -> float:
         """I({S_i : i in a}; T) in bits; the empty collection carries 0 bits."""

@@ -131,7 +131,9 @@ def check_rei(
     symbols share one table and decomposition, and a map that moves none
     compares the input itself.  Each comparison's atom deltas are taken by
     position, since every decomposition lists its atoms in lattice node
-    order, and their largest is computed once per distinct table; the first
+    order, and their largest is computed once per distinct table (0.0 with
+    no subtraction when the table's atoms are the input's own object, as a
+    call memo gives every relabelling for ``imin`` and ``isx``); the first
     comparison with the largest delta is the witness.  With nothing to
     compare, it raises :class:`PreconditionError`.
     """
@@ -174,8 +176,9 @@ def check_rei(
     for label, table in tables:
         delta = deltas.get(table)
         if delta is None:
-            atoms = decompose(table, measure).atoms.values()
-            delta = deltas[table] = max(map(abs, map(sub, base_atoms, atoms)))
+            atoms = decompose(table, measure).atoms
+            delta = deltas[table] = 0.0 if atoms is base.atoms else max(
+                map(abs, map(sub, base_atoms, atoms.values())))
         if delta > max_delta:
             max_delta, witness = delta, {"transformation": label, "max_atom_delta": delta}
     return _report(
@@ -570,12 +573,12 @@ def theorem_witness(
         first_result = decompose(d_first, measure)
         scan(f"target S_{j}", first_result)
         first_term = first_result.redundancy[args]
-        cond_term = cond_mi_i = cond_mi_j = 0.0
-        for z, pz, dz, result in split_on(d_pair, measure, ("target", 2)):
+        pieces = split_on(d_pair, measure, ("target", 2))
+        for z, _, _, result in pieces:
             scan(f"target S_{i} given S_{j}={z}", result)
-            cond_term += pz * result.redundancy[args]
-            cond_mi_i += pz * dz.marginal_mi({i})
-            cond_mi_j += pz * dz.marginal_mi({j})
+        cond_term = math.fsum(pz * result.redundancy[args] for _, pz, _, result in pieces)
+        cond_mi_i = math.fsum(pz * dz.marginal_mi({i}) for _, pz, dz, _ in pieces)
+        cond_mi_j = math.fsum(pz * dz.marginal_mi({j}) for _, pz, dz, _ in pieces)
         residual = abs(value_pair - first_term - cond_term)
         chains.append({
             "pair": pair_label,

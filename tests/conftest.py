@@ -277,11 +277,8 @@ def reference_entropy(rows, selectors) -> float:
 def reference_mutual_information(rows, left, right) -> float:
     joint = reference_marginal(rows, list(left) + list(right))
     p_left, p_right = reference_marginal(rows, left), reference_marginal(rows, right)
-    total = 0.0
-    for key, p in joint.items():
-        ratio = p / (p_left[key[: len(left)]] * p_right[key[len(left):]])
-        total += float(p) * _reference_log2(ratio)
-    return total
+    return math.fsum(float(p) * _reference_log2(p / (p_left[key[: len(left)]] * p_right[key[len(left):]]))
+                     for key, p in joint.items())
 
 
 def _merged_support(rows) -> list:
@@ -325,21 +322,22 @@ def reference_reencode(rows, source_maps, target_map) -> list:
 # ----------------------------------------------------------------------
 # the measures' formulas written out directly on a distribution's integer
 # marginals, with no memo: the kernel's cached paths must give the same
-# floats bit for bit (compare with ==)
+# floats bit for bit (compare with ==).  Every sum is a math.fsum, correctly
+# rounded, so the reference does not depend on the order of its terms
 
 
 def formula_specific_information(d: JointDistribution, a) -> dict:
     """Specific information from two ``_marginal_weights`` passes over the
-    support, terms added in the order their (s_a, t) keys first appear."""
+    support, each target's terms added by :func:`math.fsum`."""
     w_target, denominator = d._marginal_weights(_targets(d)), d._denominator
-    table = dict.fromkeys(w_target, 0.0)
+    terms = {t: [] for t in w_target}
     a = sorted(frozenset(a))
     sources = [("source", i) for i in a]
     w_source = d._marginal_weights(sources)
     for key, w in d._marginal_weights(sources + _targets(d)).items():
         t = key[len(a):]
-        table[t] += w / w_target[t] * log2_ratio(w * denominator, w_source[key[:len(a)]] * w_target[t])
-    return table
+        terms[t].append(w / w_target[t] * log2_ratio(w * denominator, w_source[key[:len(a)]] * w_target[t]))
+    return {t: math.fsum(values) for t, values in terms.items()}
 
 
 def formula_i_min(d: JointDistribution, args) -> float:
@@ -353,12 +351,12 @@ def formula_i_min(d: JointDistribution, args) -> float:
 
 def formula_i_sx(d: JointDistribution, args) -> float:
     """Shared-exclusions redundancy, one exact event mass and one log per
-    (sources, target) point, in support order."""
+    (sources, target) point, the terms added by :func:`math.fsum`."""
     points = d._marginal_weights([("source", i) for i in range(1, d.n_sources + 1)] + _targets(d))
     w_target = d._marginal_weights(_targets(d))
     denominator, n = d._denominator, d.n_sources
     argsets = [sorted(frozenset(a)) for a in args]
-    total = 0.0
+    terms = []
     for key, w in points.items():
         s, t = key[:n], key[n:]
 
@@ -368,8 +366,8 @@ def formula_i_sx(d: JointDistribution, args) -> float:
         event = [(k2, w2) for k2, w2 in points.items() if in_event(k2[:n])]
         w_event = sum(w2 for _, w2 in event)
         w_t_event = sum(w2 for k2, w2 in event if k2[n:] == t)
-        total += w / denominator * log2_ratio(w_t_event * denominator, w_event * w_target[t])
-    return total
+        terms.append(w / denominator * log2_ratio(w_t_event * denominator, w_event * w_target[t]))
+    return math.fsum(terms)
 
 
 def _targets(d: JointDistribution) -> list:

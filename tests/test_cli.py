@@ -206,6 +206,7 @@ def test_main_parses_and_prints_as_the_full_parser(monkeypatch, argv):
         monkeypatch.setattr(cli, f"_cmd_{name}", parsed.append)
     monkeypatch.setattr(cli, "build_parser",
                         lambda command=None: built.append(command) or build_parser(command))
+    cli._parser.cache_clear()       # main builds each command's parser once per process
 
     def run(argv):
         main(argv)

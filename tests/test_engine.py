@@ -26,12 +26,14 @@ from partinfo import (
     enumerate_antichains,
     get_measure,
     lattice_leq,
+    make_gate,
     redundancy_from_atoms,
     redundancy_lattice,
     rsi,
     rsi_decomposition_check,
 )
 
+from partinfo.gates import GateSpec
 from partinfo.lattice import nonempty_subsets
 
 from conftest import (
@@ -111,6 +113,39 @@ def test_a_decomposition_hashes_its_table_only_when_the_digest_is_read(gate_corp
             "atoms": {a.label: value for a, value in result.atoms.items()},
         }
         assert list(result.to_json_dict()) == ["n", "measure", "distribution_digest", "atoms"]
+
+
+def test_a_relabelled_table_shares_its_origins_decomposition_within_a_call_memo(monkeypatch):
+    # imin and isx values are functions of the measure kernel, which a
+    # relabelled table reads from the table it relabels: within a call memo
+    # its decomposition is the origin's atoms and values, bound to its own
+    # table, and no measure is evaluated for it.  Any other measure, even
+    # one with the same function, is decomposed per table
+    from dataclasses import replace
+
+    from partinfo.engine import call_memo, decompose
+
+    gate = make_gate(GateSpec("xor_source_copy", "1/8"))
+    evaluated = []
+    evaluate = RedundancyMeasure.evaluate
+    monkeypatch.setattr(RedundancyMeasure, "evaluate",
+                        lambda self, d, args: evaluated.append(d) or evaluate(self, d, args))
+    for measure in (IMIN, ISX, replace(IMIN, id="imin_copy")):
+        with call_memo():
+            base = decompose(gate, measure)
+            relabelled = gate.reencode({1: ((0, 1), (1, 0))}, [(t, t[::-1]) for t in gate._target_keys()])
+            evaluated.clear()
+            result = decompose(relabelled, measure)
+            assert result.distribution is relabelled and result.measure_id == measure.id
+            assert result.distribution_digest == relabelled.digest != base.distribution_digest
+            assert result.atoms == base.atoms and result.redundancy == base.redundancy
+            if measure in (IMIN, ISX):
+                assert result.atoms is base.atoms and result.redundancy is base.redundancy
+                assert evaluated == []
+            else:
+                assert result.atoms is not base.atoms
+                assert evaluated == [relabelled] * len(result.atoms)
+            assert decompose(relabelled, measure) is result
 
 
 def test_consistency_on_xor_source_copy(gate_corpus):

@@ -495,9 +495,9 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
     # relabelling source 1 and the target in their canonical order leaves
     # every point where it was, so the kernel's contents are unchanged;
     # swapping source 1's symbols reorders the points, so it is not.  Each
-    # relabelling reads the gate's kernel through a view in its own point
-    # order; the same tables built again from their rows have no such link
-    # and share a kernel by its contents
+    # relabelling reads the gate's kernel through a view of its own; the
+    # same tables built again from their rows have no such link and share
+    # a kernel by its contents
     gate = make_gate(GateSpec("and", "1/8"))
     kept = [gate.reencode({1: ((0, "a"), (1, "b"))}),
             gate.reencode(None, (((0,), (5,)), ((1,), (6,)))),
@@ -509,19 +509,16 @@ def test_equal_kernel_contents_share_one_kernel_within_a_call_memo(monkeypatch):
                         lambda self, *args: built.append(self) or init(self, *args))
     with call_memo():
         kernel = _kernel(gate).kernel
-        views = [_kernel(d) for d in kept]
+        views = [_kernel(d) for d in kept + [swapped]]
         assert all(type(view) is _View and view.kernel is kernel for view in views)
-        assert all(view.order == tuple(range(len(gate.support))) for view in views)
-        assert views[0] is views[1] is views[2]     # one kernel and one order: one view
-        assert _kernel(swapped) is not views[0] and _kernel(swapped).kernel is kernel
-        assert _kernel(swapped).order != views[0].order
+        assert len(set(map(id, views))) == len(views)      # one view per table
         rebuilt = [_fresh(d) for d in kept]
         assert all(_kernel(d).kernel is kernel for d in rebuilt)
         swapped_kernel = _kernel(_fresh(swapped)).kernel
         assert swapped_kernel is not kernel
         assert swapped_kernel.contents != kernel.contents
     # a table that finds its kernel's contents in the memo builds no kernel,
-    # and a view builds none
+    # and a relabelled table builds none
     assert built == [kernel, swapped_kernel]
     # outside a memo every table built from rows builds its own, with equal contents
     tables = [_fresh(d) for d in [gate] + kept]
@@ -666,22 +663,30 @@ def test_a_check_run_builds_no_kernel_for_a_relabelled_table(monkeypatch):
     assert not any(d is table for d in built_for for table in relabelled)
 
 
-def test_every_table_reads_a_view_and_computes_each_specific_information_once(monkeypatch):
+def test_each_specific_information_is_computed_once_per_kernel_and_subset(monkeypatch):
     # within one run of every check, each table the measures read holds a
-    # view, whether reencode built it or not, and each specific-information
-    # table is computed by specific_information once per view and subset and
-    # kept in the view, relabelled tables included
+    # view, whether reencode built it or not; each specific-information
+    # table is computed once per kernel and subset and kept in the kernel,
+    # and i_min reads the kernel's tables, not the keyed ones of
+    # specific_information
     from partinfo import measures
 
-    tables, calls = [], []
-    kernel, specific = measures._kernel, measures.specific_information
+    tables, computed, keyed = [], [], []
+    kernel, specific = measures._kernel, _Kernel.specific_information
     monkeypatch.setattr(measures, "_kernel", lambda d: tables.append(d) or kernel(d))
-    monkeypatch.setattr(measures, "specific_information",
-                        lambda d, a: calls.append((d, frozenset(a))) or specific(d, a))
+    monkeypatch.setattr(measures, "specific_information", lambda d, a: keyed.append(d))
+
+    def spy(self, mask):
+        if mask not in self.si_tables:
+            computed.append((self, mask))
+        return specific(self, mask)
+
+    monkeypatch.setattr(_Kernel, "specific_information", spy)
     run_all_checks(make_gate(GateSpec("xor_source_copy", "1/8")), get_measure("imin"), trials=8, seed=1)
     assert tables and all(type(d._measure_kernel) is _View for d in tables)
-    reads = [(id(d._measure_kernel), a) for d, a in calls]
-    assert len(reads) == len(set(reads))
-    views = {id(d._measure_kernel): d._measure_kernel for d in tables}.values()
-    assert len(reads) == sum(len(view.si_tables) for view in views)
-    assert any(d._origin for d, _ in calls) and any(d._origin is None for d, _ in calls)
+    assert any(d._origin for d in tables) and any(d._origin is None for d in tables)
+    reads = [(id(k), mask) for k, mask in computed]
+    assert reads and len(reads) == len(set(reads))
+    kernels = {id(d._measure_kernel.kernel): d._measure_kernel.kernel for d in tables}.values()
+    assert len(reads) == sum(len(k.si_tables) for k in kernels)
+    assert keyed == []
