@@ -242,8 +242,8 @@ class _View:
     the table exactly when they do in the kernel, so the table's terms are
     the kernel's in another order, and each of its values, an ``fsum``, is
     the kernel's bit for bit.  Only :func:`specific_information`, which
-    keys its table by the table's own target outcomes, reads where the
-    table's targets are among the kernel's.
+    keys the kernel's table by the table's own target outcomes, reads more
+    of the table: its ``_origin``.
     """
 
     __slots__ = ("kernel",)
