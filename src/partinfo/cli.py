@@ -31,16 +31,14 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141
 
-#: the most ``--trials`` that ``check`` and ``table2`` take: the rei scan
-#: keeps a table and a decomposition per distinct relabelling, keyed by the
-#: symbols it moves (an identity one compares the input itself), until the
-#: call returns.  Each relabelled table reads the input's measure kernel,
-#: and its imin or isx decomposition is the input's own, so
-#: ``check --gate xor_source_copy --noise 1/8 --property rei --trials 4096``
-#: runs in 0.56-0.60 s (median 0.58 s) at 52 MiB peak RSS with imin and
-#: 0.56-0.83 s (median 0.60 s) at 52 MiB with isx (``cli.main`` alone, 10
-#: runs each, Python 3.11, 2 vCPUs); with a kernel built per relabelled
-#: table it took 1.24-1.56 s at 121 MiB, and 1.30-1.34 s at 126 MiB
+#: the most ``--trials`` that ``check`` and ``table2`` take.  For imin and
+#: isx the rei scan counts each relabelling without drawing or building it,
+#: so ``check --gate xor_source_copy --noise 1/8 --property rei --trials
+#: 4096`` runs in 0.036-0.065 s (median 0.040 s) at 22 MiB peak RSS with
+#: imin and 0.036-0.060 s (median 0.038 s) with isx (``cli.main`` alone, 10
+#: runs each, Python 3.11, 2 vCPUs), against medians of 0.57 s at 52 MiB
+#: when every relabelled table was built.  Any other measure keeps a table
+#: and a decomposition per distinct relabelling until the call returns.
 MAX_TRIALS = 4096
 
 _MEASURE_LABELS = {

@@ -12,8 +12,8 @@ zero set in the lattice.
 Within a :func:`call_memo` call, one memo shares four kinds of work:
 
 * decompositions: :func:`decompose` decomposes each (distribution,
-  measure) pair once, and for the built-in ``imin`` and ``isx`` each
-  (measure kernel, measure) pair once;
+  measure) pair once, and for a :func:`kernel_determined` measure (the
+  built-in ``imin`` and ``isx``) each (measure kernel, measure) pair once;
 * chain-rule splits: :func:`split_on` splits each (distribution, measure,
   variable) triple once, conditioning the table on each value of the
   variable and decomposing the pieces through that memo;
@@ -265,10 +265,24 @@ def derived(d: JointDistribution, operation: str, *args) -> JointDistribution:
     return memoized((operation, d, args), lambda: getattr(d, operation)(*args))
 
 
+def kernel_determined(measure: RedundancyMeasure) -> bool:
+    """Whether ``measure``'s decomposition of a table is a function of the
+    table's measure kernel alone, so that the tables reading one kernel,
+    a table and each of its relabellings among them, have equal atoms.
+
+    Only the built-in ``imin`` and ``isx`` objects qualify: each of their
+    values is an ``fsum`` of the kernel's terms, which relabelling only
+    permutes.  The test is by identity, so any other measure object, even
+    one with the same function (``dataclasses.replace(IMIN, id=...)``, or
+    a measure registered again in its place), is decomposed per table."""
+    from .measures import IMIN, ISX
+
+    return measure is IMIN or measure is ISX
+
+
 def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
     """:func:`atoms_from_redundancy`, once per (distribution, measure) within a
-    :func:`call_memo` call.  The values of the built-in ``imin`` and ``isx``
-    are functions of a table's measure kernel alone, so for those two the
+    :func:`call_memo` call.  For a :func:`kernel_determined` measure the
     tables that read one kernel share one set of atoms and values, each in
     a result bound to its own table."""
     # equal distributions share one canonical support, so a memo hit gives
@@ -277,10 +291,10 @@ def decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
 
 
 def _decompose(d: JointDistribution, measure: RedundancyMeasure) -> PidResult:
-    from .measures import IMIN, ISX, _kernel
-
-    if measure is not IMIN and measure is not ISX:
+    if not kernel_determined(measure):
         return atoms_from_redundancy(d, measure)
+    from .measures import _kernel
+
     shared = memoized((_kernel(d).kernel, measure), lambda: atoms_from_redundancy(d, measure))
     if shared.distribution is d:
         return shared

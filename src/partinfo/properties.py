@@ -37,6 +37,7 @@ from .engine import (
     consistency_check,
     decompose,
     derived,
+    kernel_determined,
     memoized,
     rsi,
     rsi_decomposition_check,
@@ -119,45 +120,29 @@ def check_rei(
     """Re-encoding invariance of the atoms, compared at ``tol`` (``None``:
     ``DEFAULT_REI_TOL``).
 
-    Each source support and the joint target support are read once.  The
-    full decomposition is compared, in this order, against ``trials`` seeded
-    random bijections of every source support and of the target support
-    (each trial draws the sources in index order, then the target), every
-    permutation of each source support and then of the target support of at
-    most four symbols, and, for each source pair that determines the target
-    one-to-one, the table with that pair as target: a re-encoding of the
-    input, so its atoms must agree.  A map is keyed by the symbol tables in
-    it that move a symbol, so within a call memo the maps that move the same
-    symbols share one table and decomposition, and a map that moves none
-    compares the input itself.  Each comparison's atom deltas are taken by
-    position, since every decomposition lists its atoms in lattice node
-    order, and their largest is computed once per distinct table (0.0 with
-    no subtraction when the table's atoms are the input's own object, as a
-    call memo gives every relabelling for ``imin`` and ``isx``); the first
-    comparison with the largest delta is the witness.  With nothing to
-    compare, it raises :class:`PreconditionError`.
+    The full decomposition is compared, in this order, against the
+    relabellings of :func:`_relabellings` and, for each source pair that
+    determines the target one-to-one, the table with that pair as target: a
+    re-encoding of the input, so its atoms must agree.  For a
+    :func:`engine.kernel_determined` measure a relabelling's atoms are the
+    input's own, so each counts as one comparison with delta 0.0, and no
+    bijection is drawn and no relabelled table built.  For any other
+    measure a map is keyed by the symbol tables in it that move a symbol, so
+    within a call memo the maps that move the same symbols share one table
+    and decomposition, and a map that moves none compares the input itself.
+    Each comparison's atom deltas are taken by position, since every
+    decomposition lists its atoms in lattice node order, and their largest
+    is computed once per distinct table (0.0 with no subtraction when the
+    table's atoms are the input's own object); the first comparison with
+    the largest delta is the witness.  With nothing to compare, it raises
+    :class:`PreconditionError`.
     """
     base = decompose(d, measure)
-    supports = {i: d.variable_support(("source", i)) for i in range(1, d.n_sources + 1)}
-    targets = d.marginal_support(_target(d))
-    rng = random.Random(seed)
-    maps = []                         # (label, source maps, target map)
-    for trial in range(trials):
-        source_maps = tuple((i, tuple(zip(values, rng.sample(values, len(values)))))
-                            for i, values in supports.items())
-        maps.append((f"random bijection #{trial}", source_maps,
-                     tuple(zip(targets, rng.sample(targets, len(targets))))))
-    for i, values in supports.items():
-        if len(values) <= 4:
-            maps += [(f"source {i} permutation {perm}", ((i, tuple(zip(values, perm))),), None)
-                     for perm in itertools.permutations(values)]
-    if d.target_arity >= 1 and len(targets) <= 4:
-        maps += [("target permutation", None, tuple(zip(targets, perm)))
-                 for perm in itertools.permutations(targets)]
-    tables = [(label, _relabelled(d, source_maps, target_map))
-              for label, source_maps, target_map in maps]
-
-    for i, j in itertools.combinations(supports, 2):
+    relabellings, maps = _relabellings(d, trials, seed)
+    tables = [] if kernel_determined(measure) else [
+        (label, _relabelled(d, source_maps, target_map)) for label, source_maps, target_map in maps]
+    pairs = []
+    for i, j in itertools.combinations(range(1, d.n_sources + 1), 2):
         triples = d.marginal_support([("source", i), ("source", j)] + _target(d))
         forward = {key[:2]: key[2:] for key in triples}
         if len(forward) < len(triples) or len(set(forward.values())) < len(forward):
@@ -165,15 +150,15 @@ def check_rei(
         pair = derived(d, "retarget_to_sources", (i, j))
         if derived(pair, "reencode", None, tuple(forward.items())) != d:
             raise AssertionError("pair target does not re-encode onto the target")
-        tables.append((f"pair ({i},{j}) target re-encoding", pair))
+        pairs.append((f"pair ({i},{j}) target re-encoding", pair))
 
-    if not tables:
+    if not relabellings and not pairs:
         raise PreconditionError("no re-encoding was compared", trials=trials, seed=seed)
     tol = DEFAULT_REI_TOL if tol is None else tol
     max_delta, witness = 0.0, None
     base_atoms = list(base.atoms.values())
     deltas = {}                       # table -> its largest atom delta
-    for label, table in tables:
+    for label, table in tables + pairs:
         delta = deltas.get(table)
         if delta is None:
             atoms = decompose(table, measure).atoms
@@ -183,8 +168,43 @@ def check_rei(
             max_delta, witness = delta, {"transformation": label, "max_atom_delta": delta}
     return _report(
         "rei", measure.id, d.digest, max_delta <= tol, tol, witness,
-        {"trials": trials, "seed": seed, "comparisons": len(tables), "max_atom_delta": max_delta},
+        {"trials": trials, "seed": seed, "comparisons": relabellings + len(pairs),
+         "max_atom_delta": max_delta},
     )
+
+
+def _relabellings(d: JointDistribution, trials: int, seed: int) -> tuple:
+    """The relabellings :func:`check_rei` compares, as (count, maps): ``maps``
+    yields ``count`` (label, source maps, target map) triples, each symbol
+    table as (symbol, image) pairs, in this order: ``trials`` seeded random
+    bijections of every source support and of the target support (each
+    trial draws the sources in index order, then the target), then every
+    permutation of each source support and then of the target support of
+    at most four symbols.  It reads each support once; the bijections are
+    drawn only as ``maps`` is read."""
+    supports = {i: d.variable_support(("source", i)) for i in range(1, d.n_sources + 1)}
+    targets = d.marginal_support(_target(d))
+    permuted = [(i, values) for i, values in supports.items() if len(values) <= 4]
+    if d.target_arity >= 1 and len(targets) <= 4:
+        permuted.append((None, targets))
+
+    rng = random.Random(seed)
+
+    def maps():
+        for trial in range(trials):
+            source_maps = tuple((i, tuple(zip(values, rng.sample(values, len(values)))))
+                                for i, values in supports.items())
+            yield (f"random bijection #{trial}", source_maps,
+                   tuple(zip(targets, rng.sample(targets, len(targets)))))
+        for i, values in permuted:
+            for perm in itertools.permutations(values):
+                if i is None:
+                    yield "target permutation", None, tuple(zip(values, perm))
+                else:
+                    yield f"source {i} permutation {perm}", ((i, tuple(zip(values, perm))),), None
+
+    count = len(range(trials)) + sum(math.factorial(len(values)) for _, values in permuted)
+    return count, maps()
 
 
 def _relabelled(d: JointDistribution, source_maps, target_map) -> JointDistribution:

@@ -148,6 +148,19 @@ def test_a_relabelled_table_shares_its_origins_decomposition_within_a_call_memo(
             assert decompose(relabelled, measure) is result
 
 
+def test_only_the_built_in_imin_and_isx_objects_are_kernel_determined():
+    # the test is by identity: a copy equal in every field is decomposed per
+    # table, as is any other measure
+    from dataclasses import replace
+
+    from partinfo.engine import kernel_determined
+
+    assert kernel_determined(IMIN) and kernel_determined(ISX)
+    for other in (replace(IMIN), replace(ISX), replace(IMIN, id="imin_copy"),
+                  RedundancyMeasure("toy", lambda d, args: 0.0)):
+        assert not kernel_determined(other)
+
+
 def test_consistency_on_xor_source_copy(gate_corpus):
     d = gate_corpus["xor_source_copy"]
     report = consistency_check(atoms_from_redundancy(d, IMIN), d, tol=1e-9)

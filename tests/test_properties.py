@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,8 @@ from conftest import lookup_measure, random_pair_copy, random_rational_distribut
 
 IMIN = get_measure("imin")
 ISX = get_measure("isx")
+#: imin's function under another object, which engine decomposes per table
+IMIN_COPY = replace(IMIN, id="imin-copy")
 
 
 # ----------------------------------------------------------------------
@@ -121,18 +124,21 @@ def _five_symbol_diagonal(n_sources: int) -> JointDistribution:
 
 
 def test_rei_is_vacuous_when_nothing_is_compared():
+    # the built-in measures, which build no relabelled table, and a copy,
+    # which does, meet the same precondition
     d = _five_symbol_diagonal(2)
-    with pytest.raises(PreconditionError) as exc:
-        check_rei(d, IMIN, trials=0)
-    assert exc.value.details == {"trials": 0, "seed": 0}
-    report = run_property("rei", d, IMIN, trials=0)
-    assert (report.verdict, report.tolerance) == ("vacuous", 1e-12)
-    assert report.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
-    assert run_property("rei", d, IMIN, trials=1).details["comparisons"] == 1
-    # the t1/t2 witness reads rei, so it has no verdict either
-    for theorem in ("t1", "t2"):
-        report = run_property(theorem, _five_symbol_diagonal(3), IMIN, trials=0)
-        assert report.verdict == "vacuous", report
+    for measure in (IMIN, ISX, IMIN_COPY):
+        with pytest.raises(PreconditionError) as exc:
+            check_rei(d, measure, trials=0)
+        assert exc.value.details == {"trials": 0, "seed": 0}
+        report = run_property("rei", d, measure, trials=0)
+        assert (report.verdict, report.tolerance) == ("vacuous", 1e-12)
+        assert report.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
+        assert run_property("rei", d, measure, trials=1).details["comparisons"] == 1
+        # the t1/t2 witness reads rei, so it has no verdict either
+        for theorem in ("t1", "t2"):
+            report = run_property(theorem, _five_symbol_diagonal(3), measure, trials=0)
+            assert report.verdict == "vacuous", report
 
 
 def test_a_vacuous_rei_is_scanned_once_per_run_all_checks(monkeypatch):
@@ -158,6 +164,19 @@ def test_a_vacuous_rei_is_scanned_once_per_run_all_checks(monkeypatch):
         lone = run_property(property_id, d, IMIN, trials=0)
         assert reports[property_id].to_json_dict() == lone.to_json_dict()
         assert lone.details == {"reason": "no re-encoding was compared", "trials": 0, "seed": 0}
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX, IMIN_COPY], ids=lambda m: m.id)
+def test_rei_permutes_each_support_of_at_most_four_symbols(measure):
+    # source 1 has four symbols, source 2 five and the target two, and the
+    # pair does not determine the target: 3 trials + 4! + 2! comparisons
+    d = JointDistribution(2, 1, [(Outcome((i % 4, i), (i % 2,)), Fraction(1, 5))
+                                 for i in range(5)])
+    report = check_rei(d, measure, trials=3)
+    assert report.details == {"trials": 3, "seed": 0, "comparisons": 3 + 24 + 2,
+                              "max_atom_delta": 0.0}
+    # a negative trial count draws no bijection, as range(trials) does
+    assert check_rei(d, measure, trials=-2).details["comparisons"] == 24 + 2
 
 
 @pytest.mark.parametrize("gate_id, transformation, delta, comparisons", [
@@ -201,7 +220,7 @@ def test_decompositions_list_their_values_in_lattice_node_order(gate_corpus, mea
 @pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
 def test_tables_sharing_a_kernel_get_the_atoms_of_a_fresh_one(gate_id, noise, measure):
     # every table the checks decompose within one call memo (the input, the
-    # rei scan's re-encodings, the split pieces and the derived targets)
+    # rei scan's pair targets, the split pieces and the derived targets)
     # against an equal table built again outside the memo, with a kernel of
     # its own: the atoms are equal
     d = make_gate(GateSpec(gate_id, noise))
@@ -209,16 +228,35 @@ def test_tables_sharing_a_kernel_get_the_atoms_of_a_fresh_one(gate_id, noise, me
         for pid in PROPERTY_IDS:
             run_property(pid, d, measure, trials=8, seed=1)
         decomposed = [r for r in engine._memo.get().values() if isinstance(r, engine.PidResult)]
-    # each re-encoding reads the kernel of the table it relabels through a
-    # view, so fewer kernels are built than tables decomposed
-    relabelled = [r.distribution for r in decomposed if r.distribution._origin]
-    assert relabelled and all(_kernel(t).kernel is _kernel(t._origin[0]).kernel for t in relabelled)
+    # each decomposition is kept per table and per kernel, so fewer kernels
+    # are built than results decomposed
     kernels = [_kernel(r.distribution).kernel for r in decomposed]
     assert len(set(map(id, kernels))) < len(decomposed)
     for result in decomposed:
         table = result.distribution
         fresh = JointDistribution(table.n_sources, table.target_arity, table.outcomes)
         assert engine.atoms_from_redundancy(fresh, measure).atoms == result.atoms
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("noise", ["0", "1/16", "1/8", "1/4"])
+@pytest.mark.parametrize("gate_id", ["xor", "and", "copy2", "xor_source_copy"])
+def test_every_relabelling_the_rei_scan_names_has_the_atoms_of_the_input(gate_id, noise, measure):
+    # the scan counts each relabelling as delta 0.0 for imin and isx without
+    # building it; here each one it names is built through reencode, where it
+    # reads the input's kernel, then built again from its rows with a kernel
+    # of its own and decomposed outside any memo: the atoms equal the input's
+    d = make_gate(GateSpec(gate_id, noise))
+    count, maps = properties._relabellings(d, 8, 1)
+    maps = list(maps)
+    assert len(maps) == count > 8
+    atoms = engine.atoms_from_redundancy(d, measure).atoms
+    for label, source_maps, target_map in maps:
+        table = d.reencode(source_maps, target_map)
+        assert _kernel(table).kernel is _kernel(d).kernel, label
+        fresh = JointDistribution(table.n_sources, table.target_arity, table.outcomes)
+        assert fresh._origin is None and _kernel(fresh).kernel is not _kernel(d).kernel
+        assert engine.atoms_from_redundancy(fresh, measure).atoms == atoms, label
 
 
 def test_rei_reads_each_support_once_whatever_the_trials(monkeypatch):
@@ -641,6 +679,12 @@ def test_property_matrix_derives_each_table_once(monkeypatch):
     assert (sum(retargeted.values()), len(retargeted)) == (6, 6)
 
 
+def _rei_table(name: str, noise: str = "1/8") -> JointDistribution:
+    if name == "constant":      # one symbol per variable, so every map is an identity
+        return JointDistribution(1, 1, [(Outcome((0,), ("t",)), Fraction(1))])
+    return make_gate(GateSpec(name, noise))
+
+
 @pytest.mark.parametrize("name, tables, comparisons",
                          [("xor_source_copy", 35, 38), ("xor", 7, 38), ("constant", 0, 34)],
                          ids=["xor_source_copy", "xor", "constant"])
@@ -648,17 +692,42 @@ def test_rei_builds_one_table_per_distinct_map(monkeypatch, name, tables, compar
     # a map is keyed by the symbol tables that move a symbol: maps that move
     # the same symbols share one table, an identity map compares the input
     # itself, and every map is still compared; xor's 7 tables are the 7
-    # nonempty sets of its three binary variables that a map flips
+    # nonempty sets of its three binary variables that a map flips.  A copy
+    # of imin is not the built-in object, so its scan builds the tables
     reencoded = _count_calls(monkeypatch, "reencode")
-    if name == "constant":      # one symbol per variable, so every map is an identity
-        d = JointDistribution(1, 1, [(Outcome((0,), ("t",)), Fraction(1))])
-    else:
-        d = make_gate(GateSpec(name, Fraction(1, 8)))
-    reports = {r.property_id: r for r in run_all_checks(d, IMIN)}
+    d = _rei_table(name)
+    reports = {r.property_id: r for r in run_all_checks(d, IMIN_COPY)}
     assert set(reencoded.values()) <= {1}
     assert len(reencoded) == tables
     assert reports["rei"].details["comparisons"] == comparisons
     assert reports["rei"].details["max_atom_delta"] == 0.0
+
+
+@pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
+@pytest.mark.parametrize("name, noise, pairs, comparisons", [
+    ("xor_source_copy", "1/8", 0, 38),
+    ("xor_source_copy", "0", 3, 65),        # 32 + 6 + 24 target permutations + 3 pairs
+    ("xor", "1/8", 0, 38),
+    ("constant", None, 0, 34),
+], ids=["xor_source_copy", "xor_source_copy-0", "xor", "constant"])
+def test_rei_of_imin_and_isx_draws_no_map_and_builds_no_relabelled_table(
+        monkeypatch, name, noise, pairs, comparisons, measure):
+    # every relabelling counts as one comparison with delta 0.0; only each
+    # pair target's re-encoding check calls reencode, and on the pair table
+    reencoded = _count_calls(monkeypatch, "reencode")
+    draws = []
+    sample = random.Random.sample
+    monkeypatch.setattr(random.Random, "sample",
+                        lambda self, *args: draws.append(args) or sample(self, *args))
+    d = _rei_table(name, noise)
+    report = {r.property_id: r for r in run_all_checks(d, measure)}["rei"]
+    assert draws == []
+    assert len(reencoded) == pairs and not any(key[0] is d for key in reencoded)
+    assert report.details == {"trials": 32, "seed": 0, "comparisons": comparisons,
+                              "max_atom_delta": 0.0}
+    # the report is the one the table path gives
+    copy = check_rei(d, replace(measure, id=measure.id), trials=32, seed=0)
+    assert draws and copy.to_json_dict() == report.to_json_dict()
 
 
 @pytest.mark.parametrize("measure", [IMIN, ISX], ids=lambda m: m.id)
